@@ -12,6 +12,7 @@ one line on stderr: ``error: <ErrorClass>: <detail>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -134,24 +135,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ccdf(args: argparse.Namespace) -> int:
+def _cmd_plot(args: argparse.Namespace, curve, render) -> int:
+    """``ccdf`` and ``density``: compute ``curve`` on a grid, render it, write the SVG."""
     draws = io.read_draws(args.draws)
     name = _select_parameter(draws, args.param)
     v = view(draws, name)
-    curve = ccdf(v, points_per_branch=args.points)
-    document = render_ccdf(curve, _plot_config(args))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(document)
-    print(f"P({name}>0) = {prob_exceeds(v, 0.0)!r}")
-    print(f"P({name}<0) = {prob_below(v, 0.0)!r}")
-    return 0
-
-
-def _cmd_density(args: argparse.Namespace) -> int:
-    draws = io.read_draws(args.draws)
-    name = _select_parameter(draws, args.param)
-    v = view(draws, name)
-    document = render_density(kde(v, grid_points=args.points), _plot_config(args))
+    document = render(curve(v, args.points), _plot_config(args))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
     print(f"P({name}>0) = {prob_exceeds(v, 0.0)!r}")
@@ -225,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=512, help="grid points per branch")
     p.add_argument("--x-label", default=None)
     p.add_argument("--out", required=True, help="SVG file to write")
-    p.set_defaults(func=_cmd_ccdf)
+    p.set_defaults(func=functools.partial(_cmd_plot, curve=ccdf, render=render_ccdf))
 
     p = sub.add_parser("density", help="render a kernel density estimate as SVG")
     p.add_argument("draws", help="draws file")
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=512, help="density grid points")
     p.add_argument("--x-label", default=None)
     p.add_argument("--out", required=True, help="SVG file to write")
-    p.set_defaults(func=_cmd_density)
+    p.set_defaults(func=functools.partial(_cmd_plot, curve=kde, render=render_density))
 
     p = sub.add_parser("diagnose", help="report split R-hat and effective sample size")
     p.add_argument("draws", help="draws file")

@@ -112,9 +112,9 @@ def prob_below(v: ParameterView, x: float) -> float:
 def prob_between(v: ParameterView, a: float, b: float) -> float:
     """Probability that the effect lies in ``(a, b]``.
 
-    Computed as the exact count of draws in the half-open interval over
-    ``n``, which equals the difference of the two exceedance
-    probabilities P(theta > a) - P(theta > b).
+    Computed in one pass as the exact count of draws in the half-open
+    interval over ``n``, which equals the difference of the two
+    exceedance probabilities P(theta > a) - P(theta > b).
 
     Raises :class:`InvalidRange` unless ``a < b``.
     """
@@ -123,9 +123,7 @@ def prob_between(v: ParameterView, a: float, b: float) -> float:
     b = _check_threshold(b)
     if not a < b:
         raise InvalidRange(f"need a < b, got a={a!r}, b={b!r}")
-    above_a = int(np.count_nonzero(pooled > a))
-    above_b = int(np.count_nonzero(pooled > b))
-    return (above_a - above_b) / pooled.size
+    return int(np.count_nonzero((a < pooled) & (pooled <= b))) / pooled.size
 
 
 def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
@@ -137,24 +135,33 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
     negative). Grids are uniform with ``points_per_branch`` points, which
     bounds the output size for plotting; the exact step function remains
     available through :func:`prob_exceeds` at any threshold.
+
+    The pooled draws are sorted once and each grid point is counted by
+    binary search, so the cost is O(N log N + P log N) for N draws and
+    P grid points. The counts are the same strict-inequality counts
+    :func:`prob_exceeds` and :func:`prob_below` make.
     """
     pooled = _pooled(v)
     points_per_branch = int(points_per_branch)
     if points_per_branch < 2:
         raise InvalidArgument(f"points_per_branch must be >= 2, got {points_per_branch}")
 
-    lo = float(pooled.min())
-    hi = float(pooled.max())
+    ordered = np.sort(pooled)
+    n = ordered.size
+    lo = float(ordered[0])
+    hi = float(ordered[-1])
     empty = np.empty(0)
 
     if hi > 0:
         pos_x = np.linspace(0.0, hi, points_per_branch)
-        pos_p = np.array([prob_exceeds(v, x) for x in pos_x])
+        # Draws > x are those after the last draw <= x.
+        pos_p = (n - np.searchsorted(ordered, pos_x, side="right")) / n
     else:
         pos_x, pos_p = empty, empty
     if lo < 0:
         neg_x = np.linspace(lo, 0.0, points_per_branch)
-        neg_p = np.array([prob_below(v, x) for x in neg_x])
+        # Draws < x are those before the first draw >= x.
+        neg_p = np.searchsorted(ordered, neg_x, side="left") / n
     else:
         neg_x, neg_p = empty, empty
 

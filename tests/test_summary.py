@@ -194,6 +194,25 @@ class TestCcdf:
             assert (np.diff(curve.positive_probabilities) <= 0).all()
             assert (np.diff(curve.negative_probabilities) >= 0).all()
 
+    def test_points_equal_per_threshold_counts(self):
+        # Reference: one strict-inequality scan of all draws per grid point.
+        # Integer draws with ties, -0.0, and grids that hit draw values
+        # exercise both sides of every binary search.
+        rng = np.random.default_rng(12)
+        for case in range(200):
+            n = int(rng.integers(2, 300))
+            if case % 2:
+                values = rng.integers(-4, 5, size=n).astype(float)
+                values[values == 0] = -0.0
+            else:
+                values = rng.standard_t(2, size=n)
+            v = make_view(values.reshape(1, -1))
+            curve = ccdf(v, int(rng.integers(2, 20)))
+            for x, p in zip(curve.positive_thresholds, curve.positive_probabilities):
+                assert p == prob_exceeds(v, x) == brute_count_above(values, x) / n
+            for x, p in zip(curve.negative_thresholds, curve.negative_probabilities):
+                assert p == prob_below(v, x) == brute_count_below(values, x) / n
+
     def test_probabilities_are_draw_fractions(self):
         values = np.array([-2.0, -1.0, 0.5, 1.5, 2.5])
         curve = ccdf(make_view(values.reshape(1, -1)), 9)
