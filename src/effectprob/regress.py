@@ -7,16 +7,45 @@ the residual scale sigma.
 The sampler is Gibbs-within-slice: (b0, b1) are drawn jointly from their
 exact bivariate-normal full conditional given sigma (normal likelihood
 times independent normal priors is conditionally conjugate), then sigma
-is updated by slice sampling on log(sigma). Both updates work from
-sufficient statistics accumulated in one pass over the data, so an
-iteration costs O(1) and the result depends on the data only through
-permutation-invariant totals.
+is updated by slice sampling on u = log(sigma).
+
+Both updates work from centred sufficient statistics: per arm, the
+count, the mean and the sum of squared deviations from that mean, each
+summed exactly (``math.fsum``) so that any row order gives the same
+bits. The coefficients are drawn as offsets from the arm means, and the
+sum of squared residuals is ``SS_within + n_c d0^2 + n_t (d0 + d1)^2``
+with d0 = b0 - mean_c and d0 + d1 = b0 + b1 - mean_t. Nothing is
+computed from raw totals, so nothing cancels when the outcome sits far
+from zero (Chan, Golub & LeVeque 1983). Outcomes whose squared
+deviations overflow are rejected with :class:`NonFiniteData`.
+
+Slice width. The sigma conditional on the log scale is
+f(u) = -(n-1) u - ssr / (2 e^(2u)) - rate e^u. At its mode u*,
+-f''(u*) = 2(n-1) + 3 rate e^(u*), so its standard deviation is about
+1 / sqrt(2(n-1)) when the likelihood dominates. The step-out width is
+w = 3 / sqrt(2(n-1)): three conditional sds when the likelihood
+dominates, wider (never narrower) when the exponential prior does, and
+1.0 in prior-only mode. The width must not depend on the current point,
+or the update stops being reversible (Neal 2003, *Annals of
+Statistics*, section 4.1). The step-out budget is 50.
+
+Cost model. Computing the statistics is O(n), four exact sums over the
+outcome. Each chain then costs O(iterations * E) scalar Python work,
+E being the target evaluations per iteration: about 6 at n = 996 and at
+n = 200,000 (one for the slice height, about three to step out, about
+two to shrink), and up to about 13 where the prior dominates. A chain
+draws its random variates in blocks, not one numpy call per scalar:
+its standard normals (2 x iterations) in one call, its slice-height
+exponentials in another, and its uniforms from a block of
+4 x iterations that is refilled when used up. The draws are gathered
+in Python lists and converted to one array at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,8 +59,13 @@ from .errors import (
     NonFiniteData,
 )
 
-_SLICE_WIDTH = 1.0
+# Slice width in conditional standard deviations, and the step-out budget.
+# The budget is what lets a chain started from the prior walk down to the
+# mode: budgets of 1-4 with widths of 2-6 sds left n=200k chains short of
+# it after 1,000 warm-up iterations.
+_SLICE_SDS = 3.0
 _SLICE_MAX_STEPOUTS = 50
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -107,11 +141,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Per-chain slice-sampler effort, averaged over iterations."""
+    """Per-chain slice-sampler effort, averaged over iterations.
+
+    ``collapses_per_iteration`` counts the updates whose shrinking
+    interval collapsed onto the current point, which then keep it.
+    """
 
     chain: int
     slice_evals_per_iteration: float
     stepouts_per_iteration: float
+    collapses_per_iteration: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,50 +162,56 @@ class FitResult:
     chain_stats: tuple[ChainStats, ...]
 
 
+@dataclass(frozen=True, slots=True)
 class _SuffStats:
-    """One-pass totals the conditional updates need.
+    """Per-arm count, mean and centred sum of squares of the outcome.
 
-    Sums use exact (fsum) accumulation so that any permutation of the
-    rows yields bit-identical statistics, hence bit-identical chains.
+    Every sum is exact (``math.fsum``), so any permutation of the rows
+    yields bit-identical statistics, hence bit-identical chains.
     """
 
-    __slots__ = ("n", "n_treated", "sum_y", "sum_y_treated", "sum_sq", "sum_sq_treated")
-
-    def __init__(self, n, n_treated, sum_y, sum_y_treated, sum_sq, sum_sq_treated):
-        self.n = n
-        self.n_treated = n_treated
-        self.sum_y = sum_y
-        self.sum_y_treated = sum_y_treated
-        self.sum_sq = sum_sq
-        self.sum_sq_treated = sum_sq_treated
+    n_ctrl: int = 0
+    mean_ctrl: float = 0.0
+    ss_ctrl: float = 0.0
+    n_trt: int = 0
+    mean_trt: float = 0.0
+    ss_trt: float = 0.0
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "_SuffStats":
+        """Statistics of both arms; each arm must hold at least one unit.
+
+        Raises :class:`NonFiniteData` when a sum or a squared deviation
+        overflows, and :class:`DegenerateDesign` when every arm is
+        constant, which leaves sigma's posterior improper.
+        """
         treated = data.treatment == 1
-        y = data.outcome
-        y_sq = y * y
-        return cls(
-            n=int(data.n),
-            n_treated=int(np.count_nonzero(treated)),
-            sum_y=math.fsum(y),
-            sum_y_treated=math.fsum(y[treated]),
-            sum_sq=math.fsum(y_sq),
-            sum_sq_treated=math.fsum(y_sq[treated]),
+        stats = cls(
+            *_arm_stats(data.outcome[~treated]),
+            *_arm_stats(data.outcome[treated]),
         )
+        if stats.ss_ctrl + stats.ss_trt == 0.0:
+            raise DegenerateDesign(
+                "the outcome is constant within each arm; the residual scale's "
+                "posterior is improper"
+            )
+        return stats
 
-    @classmethod
-    def empty(cls) -> "_SuffStats":
-        return cls(0, 0, 0.0, 0.0, 0.0, 0.0)
 
-    def ssr(self, beta0: float, beta1: float) -> float:
-        """Sum of squared residuals at (beta0, beta1), in O(1)."""
-        n_ctrl = self.n - self.n_treated
-        s1_ctrl = self.sum_y - self.sum_y_treated
-        s2_ctrl = self.sum_sq - self.sum_sq_treated
-        mu_trt = beta0 + beta1
-        ctrl = s2_ctrl - 2.0 * beta0 * s1_ctrl + n_ctrl * beta0 * beta0
-        trt = self.sum_sq_treated - 2.0 * mu_trt * self.sum_y_treated + self.n_treated * mu_trt * mu_trt
-        return ctrl + trt
+def _arm_stats(y: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of one arm."""
+    with np.errstate(over="ignore"):
+        try:
+            mean = math.fsum(y.tolist()) / len(y)
+            dev = y - mean
+            ss = math.fsum((dev * dev).tolist())
+        except OverflowError:  # fsum's intermediate overflow
+            ss = math.inf
+    if not math.isfinite(ss):
+        raise NonFiniteData(
+            "the outcome's squared deviations from its arm means overflow; rescale it"
+        )
+    return len(y), mean, ss
 
 
 def simulate_experiment(
@@ -245,35 +290,37 @@ def fit(
     Raises
     ------
     DegenerateDesign
-        All units share one arm, leaving the effect unidentified.
+        All units share one arm, leaving the effect unidentified, or the
+        outcome is constant within each arm, leaving sigma's posterior
+        improper.
+    NonFiniteData
+        The outcome's squared deviations from its arm means, or their
+        sum, overflow a double.
     InvalidSigma
         ``fixed_sigma`` is not a positive finite number.
     """
     if prior_only:
-        stats = _SuffStats.empty()
+        stats = _SuffStats()
     else:
         if data is None:
             raise InvalidArgument("data is required unless prior_only=True")
-        arms = np.unique(data.treatment)
-        if len(arms) < 2:
+        n_treated = int(np.count_nonzero(data.treatment))
+        if n_treated in (0, data.n):
             raise DegenerateDesign(
-                f"all {data.n} units are in arm {int(arms[0])}; the effect is unidentified"
+                f"all {data.n} units are in arm {int(n_treated > 0)}; the effect is unidentified"
             )
         stats = _SuffStats.from_dataset(data)
     if fixed_sigma is not None and not (math.isfinite(fixed_sigma) and fixed_sigma > 0):
         raise InvalidSigma(f"fixed_sigma must be positive and finite, got {fixed_sigma!r}")
 
-    kept = spec.iterations - spec.warmup
     names = ("beta0", "beta1") if fixed_sigma is not None else ("beta0", "beta1", "sigma")
-    values = np.empty((len(names), spec.chains, kept))
+    values = np.empty((len(names), spec.chains, spec.iterations - spec.warmup))
     chain_stats = []
     for c in range(spec.chains):
         rng = np.random.default_rng([spec.seed, c])
-        out, evals, stepouts = _run_chain(stats, spec, rng, fixed_sigma)
+        out, effort = _run_chain(stats, spec, rng, fixed_sigma, c)
         values[:, c, :] = out[: len(names)]
-        chain_stats.append(
-            ChainStats(chain=c, slice_evals_per_iteration=evals, stepouts_per_iteration=stepouts)
-        )
+        chain_stats.append(effort)
 
     draws = validate({name: values[i] for i, name in enumerate(names)})
     diagnostics = {name: diagnose(view(draws, name)) for name in names}
@@ -285,130 +332,160 @@ def _run_chain(
     spec: ModelSpec,
     rng: np.random.Generator,
     fixed_sigma: float | None,
-) -> tuple[np.ndarray, float, float]:
+    chain: int,
+) -> tuple[np.ndarray, ChainStats]:
+    """One chain: rows (beta0, beta1, sigma) of post-warmup draws, and its effort.
+
+    The coefficients are drawn as offsets d = (d0, d1) from (mean_c,
+    mean_t - mean_c). Their conditional precision is P = X'X / sigma^2
+    plus the prior precision; with a binary treatment X'X is [[n, n_t],
+    [n_t, n_t]], so the draw is scalar 2x2 algebra. With P = L L' and k
+    the prior precision times the prior mean of d, the conditional mean
+    is L'^-1 L^-1 k and the noise L'^-1 z for a standard normal pair z,
+    so d = L'^-1 (L^-1 k + z): one forward and one back substitution,
+    and no determinant to overflow.
+    """
     priors = spec.priors
     prec0 = 1.0 / (priors.beta0_sd * priors.beta0_sd)
     prec1 = 1.0 / (priors.beta1_sd * priors.beta1_sd)
+    rate = priors.sigma_rate
+    n_ctrl, n_trt = stats.n_ctrl, stats.n_trt
+    n = n_ctrl + n_trt
+    ss_within = stats.ss_ctrl + stats.ss_trt
+    base0 = stats.mean_ctrl
+    base1 = stats.mean_trt - stats.mean_ctrl
+    # Prior precision times prior mean, in the offset coordinates.
+    k0 = (priors.beta0_mean - base0) * prec0
+    k1 = (priors.beta1_mean - base1) * prec1
+    sample_sigma = fixed_sigma is None
 
-    if fixed_sigma is not None:
-        sigma = fixed_sigma
-    else:
-        sigma = rng.exponential(1.0 / priors.sigma_rate)
+    if sample_sigma:
+        sigma = rng.exponential(1.0 / rate)
         while sigma == 0.0:
-            sigma = rng.exponential(1.0 / priors.sigma_rate)
+            sigma = rng.exponential(1.0 / rate)
+    else:
+        sigma = fixed_sigma
     log_sigma = math.log(sigma)
+    z0s, z1s = rng.standard_normal((2, spec.iterations)).tolist()
+    drops = rng.standard_exponential(spec.iterations).tolist()
+    uniform = _uniforms(rng, 4 * spec.iterations).__next__
+    width = _slice_width(n)
 
-    kept = spec.iterations - spec.warmup
-    out = np.empty((3, kept))
-    total_evals = 0
-    total_stepouts = 0
-    for i in range(spec.iterations):
-        beta0, beta1 = _draw_coefficients(stats, priors, prec0, prec1, sigma, rng)
-        if fixed_sigma is None:
-            ssr = stats.ssr(beta0, beta1)
-            log_sigma, evals, stepouts = _slice_log_sigma(
-                log_sigma, stats.n, ssr, priors.sigma_rate, rng
+    b0s, b1s, sigmas = [], [], []
+    evals = stepouts = collapses = 0
+    for z0, z1, drop in zip(z0s, z1s, drops):
+        inv_s2 = 1.0 / (sigma * sigma)
+        b = n_trt * inv_s2
+        l11 = math.sqrt(n * inv_s2 + prec0)
+        l21 = b / l11
+        l22 = math.sqrt(b + prec1 - l21 * l21)
+        w0 = k0 / l11
+        d1 = ((k1 - l21 * w0) / l22 + z1) / l22
+        d0 = (w0 + z0 - l21 * d1) / l11
+        if sample_sigma:
+            d_trt = d0 + d1
+            ssr = ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt
+            log_sigma, e, s, collapsed = _slice_log_sigma(
+                log_sigma, n, ssr, rate, width, drop, uniform
             )
             sigma = math.exp(log_sigma)
-            total_evals += evals
-            total_stepouts += stepouts
-        if i >= spec.warmup:
-            j = i - spec.warmup
-            out[0, j] = beta0
-            out[1, j] = beta1
-            out[2, j] = sigma
-    return out, total_evals / spec.iterations, total_stepouts / spec.iterations
+            evals += e
+            stepouts += s
+            collapses += collapsed
+        b0s.append(base0 + d0)
+        b1s.append(base1 + d1)
+        sigmas.append(sigma)
+
+    iterations = spec.iterations
+    effort = ChainStats(
+        chain=chain,
+        slice_evals_per_iteration=evals / iterations,
+        stepouts_per_iteration=stepouts / iterations,
+        collapses_per_iteration=collapses / iterations,
+    )
+    return np.array((b0s, b1s, sigmas))[:, spec.warmup :], effort
 
 
-def _draw_coefficients(
-    stats: _SuffStats,
-    priors: PriorSpec,
-    prec0: float,
-    prec1: float,
-    sigma: float,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Exact draw from the bivariate-normal full conditional of (b0, b1).
-
-    Posterior precision is X'X / sigma^2 + prior precision; with a binary
-    treatment X'X reduces to [[n, n1], [n1, n1]], so everything is scalar
-    2x2 algebra: solve for the mean, Cholesky the precision, and apply
-    the inverse-transpose factor to a standard normal pair.
-    """
-    inv_s2 = 1.0 / (sigma * sigma)
-    a = stats.n * inv_s2 + prec0
-    b = stats.n_treated * inv_s2
-    c = stats.n_treated * inv_s2 + prec1
-    e0 = stats.sum_y * inv_s2 + priors.beta0_mean * prec0
-    e1 = stats.sum_y_treated * inv_s2 + priors.beta1_mean * prec1
-    det = a * c - b * b
-    mu0 = (c * e0 - b * e1) / det
-    mu1 = (a * e1 - b * e0) / det
-    l11 = math.sqrt(a)
-    l21 = b / l11
-    l22 = math.sqrt(c - l21 * l21)
-    z0, z1 = rng.standard_normal(2)
-    x1 = z1 / l22
-    x0 = (z0 - l21 * x1) / l11
-    return mu0 + x0, mu1 + x1
+def _uniforms(rng: np.random.Generator, block: int) -> Iterator[float]:
+    """Standard uniforms, drawn ``block`` at a time."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
-def _log_sigma_target(u: float, n: int, ssr: float, rate: float) -> float:
+def _log_sigma_target(u: float, n: int, log_half_ssr: float, rate: float) -> float:
     """Log density of u = log(sigma) under the conditional of sigma.
 
     p(sigma | rest) is proportional to sigma^(-n) * exp(-ssr / (2 sigma^2))
     * exp(-rate * sigma); the change of variables adds +u, giving
-    -(n - 1) u - ssr / (2 e^(2u)) - rate e^u.
+    -(n - 1) u - ssr / (2 e^(2u)) - rate e^u. The middle term is
+    evaluated as exp(log(ssr / 2) - 2u), which is 0 when ssr = 0.
     """
-    if u > 700.0:
+    x = log_half_ssr - 2.0 * u
+    if u > 709.0 or x > 709.0:
         return -math.inf
-    sigma = math.exp(u)
-    value = -(n - 1.0) * u - rate * sigma
-    if ssr > 0.0:
-        two_u = math.exp(2.0 * u) if u > -360.0 else 0.0
-        if two_u == 0.0:
-            return -math.inf
-        value -= ssr / (2.0 * two_u)
-    return value
+    return -(n - 1.0) * u - math.exp(x) - rate * math.exp(u)
+
+
+def _slice_width(n: int) -> float:
+    """Step-out width for the log(sigma) update given n units.
+
+    At the conditional's mode u*, -f''(u*) = 2(n-1) + 3 rate e^(u*) >=
+    2(n-1), so this is three conditional sds when the likelihood
+    dominates, and wider, never narrower, when the prior does. It is
+    1.0 in prior-only mode (n = 0).
+    """
+    return _SLICE_SDS / math.sqrt(2.0 * (n - 1.0)) if n > 1 else 1.0
 
 
 def _slice_log_sigma(
-    u0: float, n: int, ssr: float, rate: float, rng: np.random.Generator
-) -> tuple[float, int, int]:
-    """One slice-sampling update of log(sigma): step out, then shrink."""
-    evals = 0
+    u0: float,
+    n: int,
+    ssr: float,
+    rate: float,
+    width: float,
+    drop: float,
+    uniform: Callable[[], float],
+) -> tuple[float, int, int, bool]:
+    """One slice-sampling update of u = log(sigma): step out, then shrink.
 
-    def target(u: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _log_sigma_target(u, n, ssr, rate)
+    ``width`` must not depend on ``u0`` (see :func:`_slice_width`). The
+    slice sits ``drop`` (a standard exponential variate) below the
+    target at ``u0``; ``uniform`` supplies standard uniforms. Returns the
+    new point, the target evaluations, the step-outs, and whether the
+    interval collapsed onto ``u0``, which is then kept.
+    """
+    log_half_ssr = math.log(ssr) - _LOG_2 if ssr > 0.0 else -math.inf
+    log_height = _log_sigma_target(u0, n, log_half_ssr, rate) - drop
+    evals = 1
 
-    log_height = _log_sigma_target(u0, n, ssr, rate) - rng.standard_exponential()
-    evals += 1
-
-    width = _SLICE_WIDTH
-    left = u0 - width * rng.uniform()
+    left = u0 - width * uniform()
     right = left + width
     # Randomly allocate the step-out budget between the two directions.
-    budget_left = int(_SLICE_MAX_STEPOUTS * rng.uniform())
+    budget_left = int(_SLICE_MAX_STEPOUTS * uniform())
     budget_right = (_SLICE_MAX_STEPOUTS - 1) - budget_left
     stepouts = 0
-    while budget_left > 0 and target(left) > log_height:
+    while budget_left > 0:
+        evals += 1
+        if _log_sigma_target(left, n, log_half_ssr, rate) <= log_height:
+            break
         left -= width
         budget_left -= 1
         stepouts += 1
-    while budget_right > 0 and target(right) > log_height:
+    while budget_right > 0:
+        evals += 1
+        if _log_sigma_target(right, n, log_half_ssr, rate) <= log_height:
+            break
         right += width
         budget_right -= 1
         stepouts += 1
 
-    while True:
-        if right - left < 1e-15 * (abs(u0) + 1.0):
-            return u0, evals, stepouts
-        u1 = rng.uniform(left, right)
-        if target(u1) > log_height:
-            return u1, evals, stepouts
+    while right - left >= 1e-15 * (abs(u0) + 1.0):
+        u1 = left + (right - left) * uniform()
+        evals += 1
+        if _log_sigma_target(u1, n, log_half_ssr, rate) > log_height:
+            return u1, evals, stepouts, False
         if u1 < u0:
             left = u1
         else:
             right = u1
+    return u0, evals, stepouts, True

@@ -6,7 +6,7 @@ import pytest
 from effectprob.cli import main, parse_summary_line, summary_machine_line
 from effectprob.draws import validate
 from effectprob.io import write_dataset, write_draws
-from effectprob.regress import simulate_experiment
+from effectprob.regress import Dataset, simulate_experiment
 from effectprob.summary import PosteriorSummary
 
 
@@ -85,6 +85,17 @@ class TestFit:
         )
         assert code == 2
         assert "error: InvalidArgument" in stderr
+
+    def test_overflowing_outcome_exits_2(self, tmp_path, capsys):
+        # Squared deviations of 1e200-scale outcomes overflow a double.
+        data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
+        path = tmp_path / "huge.csv"
+        write_dataset(Dataset(data.outcome * 1e200, data.treatment), path)
+        code, stdout, stderr = run("fit", str(path), "--out", str(tmp_path / "x.csv"), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: NonFiniteData: ")
+        assert "Traceback" not in stderr
 
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, stderr = run(

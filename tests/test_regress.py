@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import view
 from effectprob.errors import (
     DegenerateDesign,
@@ -17,11 +20,16 @@ from effectprob.regress import (
     Dataset,
     ModelSpec,
     PriorSpec,
+    _slice_log_sigma,
+    _slice_width,
+    _uniforms,
     fit,
     log_posterior,
     simulate_experiment,
 )
 from effectprob.summary import prob_below
+
+from conftest import make_view
 
 
 def conjugate_posterior(y, d, sigma, prior_sd):
@@ -185,6 +193,10 @@ class TestFit:
         data = Dataset(outcome=[1.0, 2.0, 3.0], treatment=[0, 0, 0])
         with pytest.raises(DegenerateDesign):
             fit(data, ModelSpec(iterations=10, warmup=2))
+        # Constant within each arm: sigma's posterior is improper.
+        data = Dataset(outcome=[1.0, 1.0, 2.0, 2.0], treatment=[0, 0, 1, 1])
+        with pytest.raises(DegenerateDesign):
+            fit(data, ModelSpec(iterations=10, warmup=2))
 
     def test_fixed_sigma_matches_conjugate_posterior(self, small_data):
         sigma = 1.5
@@ -272,3 +284,127 @@ class TestFit:
         v = view(result.draws, "beta1")
         assert v.pooled.mean() == pytest.approx(-2.49, abs=0.5)
         assert prob_below(v, 0.0) == pytest.approx(0.95, abs=0.03)
+
+
+def sigma_conditional_moments(n, ssr, rate):
+    """Mean, sd and kurtosis of sigma given (n, ssr, rate), by quadrature.
+
+    Trapezoid rule over u = log(sigma) for the log density
+    -(n-1) u - ssr / (2 e^(2u)) - rate e^u, on a grid of 200,001 points
+    spanning 40 Laplace sds on each side of the mode (the prior's whole
+    support when ssr = 0).
+    """
+    if ssr > 0:
+        mode = 0.5 * math.log(ssr / (n - 1))
+        half = 40.0 / math.sqrt(2.0 * (n - 1))
+        u = np.linspace(mode - half, mode + half, 200_001)
+    else:
+        u = np.linspace(-40.0, 4.0, 200_001)
+    log_p = -(n - 1.0) * u - rate * np.exp(u)
+    if ssr > 0:
+        log_p -= 0.5 * ssr * np.exp(-2.0 * u)
+    p = np.exp(log_p - log_p.max())
+    sigma = np.exp(u)
+
+    def integral(values):
+        return float(np.sum((values[1:] + values[:-1]) * np.diff(u)) / 2.0)
+
+    total = integral(p)
+    mean = integral(sigma * p) / total
+    var = integral((sigma - mean) ** 2 * p) / total
+    kurtosis = integral((sigma - mean) ** 4 * p) / total / var**2
+    return mean, math.sqrt(var), kurtosis
+
+
+class TestSliceUpdate:
+    """The log(sigma) slice update alone, against quadrature of its target."""
+
+    @pytest.mark.parametrize(
+        "n, ssr, rate, seed",
+        [
+            (0, 0.0, 0.5, 1),  # prior-only: sigma ~ Exponential(0.5)
+            (996, 995 * 24.0**2, 0.5, 2),  # the application scale, sigma near 24
+            (200_000, 199_999 * 24.0**2, 0.5, 3),  # large n, sigma near 24
+        ],
+    )
+    def test_matches_quadrature(self, n, ssr, rate, seed):
+        mean, sd, kurtosis = sigma_conditional_moments(n, ssr, rate)
+        rng = np.random.default_rng(seed)
+        iterations = 20_000
+        drops = rng.standard_exponential(iterations).tolist()
+        uniform = _uniforms(rng, 4 * iterations).__next__
+        width = _slice_width(n)
+        u = math.log(mean)
+        chain = np.empty(iterations)
+        collapses = 0
+        for i, drop in enumerate(drops):
+            u, _, _, collapsed = _slice_log_sigma(u, n, ssr, rate, width, drop, uniform)
+            collapses += collapsed
+            chain[i] = math.exp(u)
+        assert collapses == 0
+        n_eff = ess(make_view(chain.reshape(1, -1)))
+        se_mean = sd / math.sqrt(n_eff)
+        se_sd = sd * math.sqrt((kurtosis - 1.0) / (4.0 * n_eff))
+        assert abs(chain.mean() - mean) < 3.0 * se_mean
+        assert abs(chain.std(ddof=1) - sd) < 3.0 * se_sd
+
+    @pytest.mark.parametrize(
+        "n, resid_sd",
+        [
+            (200_000, 1e-4),  # far below the prior's scale
+            (996, 1e8),  # far above it, where the exponential prior dominates
+        ],
+    )
+    def test_converges_from_prior_start_within_default_warmup(self, n, resid_sd):
+        data = simulate_experiment(n, 0.0, 0.0, resid_sd, seed=4)
+        result = fit(data, ModelSpec(chains=4, iterations=2_000, warmup=1_000, seed=6))
+        for name, diag in result.diagnostics.items():
+            assert diag.rhat < 1.01, name
+
+    def test_effort_per_iteration(self):
+        # Budget: about 6 target evaluations per update at any n, and no
+        # update falls back to keeping its start point.
+        for n in (996, 200_000):
+            data = simulate_experiment(n, 52.0, -2.49, 24.0, seed=109)
+            result = fit(data, ModelSpec(chains=2, iterations=3_000, warmup=500, seed=42))
+            for stats in result.chain_stats:
+                assert stats.slice_evals_per_iteration <= 6.5, (n, stats)
+                assert stats.collapses_per_iteration == 0.0, (n, stats)
+
+
+class TestNumericalRange:
+    def test_far_shifted_outcome_matches_unshifted(self):
+        # Raw sums of squares at a 1e8 offset cancel every digit of the
+        # residual sum; centred statistics do not.
+        data = simulate_experiment(1000, 0.0, 0.5, 1.0, seed=17)
+        spec = ModelSpec(chains=2, iterations=3_000, warmup=500, seed=8)
+        shift = 1e8
+        shifted = Dataset(outcome=data.outcome + shift, treatment=data.treatment)
+        shifted_spec = dataclasses.replace(spec, priors=PriorSpec(beta0_mean=50.0 + shift))
+        fits = [fit(data, spec), fit(shifted, shifted_spec)]
+        means, mcses = [], []
+        for result in fits:
+            sigma = view(result.draws, "sigma").pooled
+            means.append(sigma.mean())
+            mcses.append(sigma.std(ddof=1) / math.sqrt(result.diagnostics["sigma"].ess))
+        assert abs(means[0] - 1.0) < 0.1
+        assert abs(means[1] - means[0]) < 3.0 * math.hypot(*mcses)
+
+    def test_tiny_scale_outcome_fits(self):
+        # sigma ~ 1e-100: the coefficient draw must not form products of
+        # the data precision n / sigma^2 with itself, which overflow.
+        data = simulate_experiment(1000, 0.0, 0.5, 1.0, seed=17)
+        scale = 1e-100
+        tiny = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
+        result = fit(tiny, ModelSpec(chains=2, iterations=2_000, warmup=500, seed=8))
+        assert abs(view(result.draws, "sigma").pooled.mean() / scale - 1.0) < 0.1
+        for name, diag in result.diagnostics.items():
+            assert diag.rhat < 1.01, name
+
+    def test_overflowing_outcome_is_nonfinite_data(self):
+        data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
+        huge = Dataset(outcome=data.outcome * 1e200, treatment=data.treatment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteData):
+                fit(huge, ModelSpec(iterations=10, warmup=2))
