@@ -5,9 +5,9 @@ of length N become 2m sequences of length n = floor(N / 2) (the middle
 draw is dropped when N is odd). Splitting makes a trending single chain
 show up as between-sequence disagreement.
 
-Reductions across sequences use exact summation, so relabeling chains
-permutes intermediate terms without changing either statistic, bit for
-bit.
+Reductions across sequences are order-independent (exact summation for
+R-hat, sorted summation for ESS), so relabeling chains permutes
+intermediate terms without changing either statistic, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ def _split_sequences(per_chain: np.ndarray) -> np.ndarray:
             f"need >= 4 iterations per chain so each split half has >= 2, got {iterations}"
         )
     half = iterations // 2
-    return np.concatenate([per_chain[:, :half], per_chain[:, iterations - half :]], axis=0)
+    seqs = np.concatenate([per_chain[:, :half], per_chain[:, iterations - half :]], axis=0)
+    # Both statistics are scale-free, and scaling by a power of two is
+    # exact (short of subnormals), so it changes no bit of them. Bringing
+    # every |draw| to at most 1 keeps squares and sums of draws near the
+    # largest doubles finite.
+    _, exponent = math.frexp(float(np.abs(seqs).max()))
+    return np.ldexp(seqs, -exponent)
 
 
 def _mean_over_sequences(terms: np.ndarray) -> float:
@@ -91,6 +97,13 @@ def ess(v: ParameterView) -> float:
     clamped to [1, 2m * n]. A constant input returns the clamped minimum
     of 1 instead of failing on the zero lag-0 autocovariance.
 
+    Every sequence's autocovariances at all lags come from one batched
+    real FFT, zero-padded to at least 2n - 1 points so that the circular
+    correlation equals the linear one. The cost is O(m n log n), whatever
+    the truncation lag, where a loop over lags costs O(m n) per lag and
+    so O(m n^2) on a random walk. Each lag's terms are summed across
+    sequences in sorted order, so relabeling chains changes no bit.
+
     Raises :class:`TooFewIterations` for chains shorter than 4.
     """
     seqs = _split_sequences(v.per_chain)
@@ -98,26 +111,26 @@ def ess(v: ParameterView) -> float:
     total = n_seq * n
     centered = seqs - seqs.mean(axis=1, keepdims=True)
 
-    def gamma(lag: int) -> float:
-        if lag >= n:
-            return 0.0
-        prod = centered[:, : n - lag] * centered[:, lag:]
-        return _mean_over_sequences(prod.sum(axis=1)) / n
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(centered, size, axis=1)
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    lagged = np.fft.irfft(power, size, axis=1)[:, :n]
+    gamma = np.sort(lagged, axis=0).sum(axis=0) / n_seq / n
 
-    gamma0 = gamma(0)
+    gamma0 = gamma[0]
     if gamma0 == 0.0:
         return 1.0
 
-    # Pair lags (0,1), (2,3), ... and stop at the first negative pair.
-    tau = 0.0
-    k = 0
-    while 2 * k < n:
-        pair = gamma(2 * k) / gamma0 + gamma(2 * k + 1) / gamma0
-        if pair < 0.0:
-            break
-        tau += 2.0 * pair
-        k += 1
-    tau -= 1.0
+    # Pair lags (0,1), (2,3), ... (lag n, past the end, is 0) and stop at
+    # the first negative pair.
+    rho = gamma / gamma0
+    if n % 2:
+        rho = np.append(rho, 0.0)
+    pairs = rho[0::2] + rho[1::2]
+    negative = np.flatnonzero(pairs < 0.0)
+    if negative.size:
+        pairs = pairs[: negative[0]]
+    tau = 2.0 * float(pairs.sum()) - 1.0
 
     if tau <= 0.0:
         return float(total)

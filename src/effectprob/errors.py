@@ -47,7 +47,8 @@ class InvalidLevel(EffectProbError):
 
 
 class DegenerateDraws(EffectProbError):
-    """Draws have zero variance; a density estimate is undefined."""
+    """Draws admit no density estimate: zero variance, or a spread whose
+    bandwidth or grid does not fit in a double."""
 
 
 # --- convergence diagnostics ----------------------------------------------
@@ -67,7 +68,8 @@ class InvalidArgument(EffectProbError):
 
 
 class DegenerateDesign(EffectProbError):
-    """All units share one treatment arm; the effect is unidentified."""
+    """The data cannot be fitted: one treatment arm only, an outcome
+    constant within each arm, or a spread too small for a double."""
 
 
 class NonFiniteData(EffectProbError):

@@ -17,7 +17,9 @@ sum of squared residuals is ``SS_within + n_c d0^2 + n_t (d0 + d1)^2``
 with d0 = b0 - mean_c and d0 + d1 = b0 + b1 - mean_t. Nothing is
 computed from raw totals, so nothing cancels when the outcome sits far
 from zero (Chan, Golub & LeVeque 1983). Outcomes whose squared
-deviations overflow are rejected with :class:`NonFiniteData`.
+deviations overflow are rejected with :class:`NonFiniteData`, and
+outcomes whose spread is so small that n / sigma^2 would overflow (an sd
+below about 1e-151 at n = 1000) with :class:`DegenerateDesign`.
 
 Slice width. The sigma conditional on the log scale is
 f(u) = -(n-1) u - ssr / (2 e^(2u)) - rate e^u. At its mode u*,
@@ -44,6 +46,7 @@ in Python lists and converted to one array at the end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -66,6 +69,11 @@ from .errors import (
 _SLICE_SDS = 3.0
 _SLICE_MAX_STEPOUTS = 50
 _LOG_2 = math.log(2.0)
+# The kernel forms the data precision n / sigma^2. Refusing outcomes whose
+# n / (ss_within / n) exceeds this leaves sigma^2 a factor of 1024 to fall
+# below ss_within / n, in warm-up or in the posterior's lower tail, before
+# that precision overflows.
+_MAX_DATA_PRECISION = sys.float_info.max / 1024.0
 
 
 @dataclass(frozen=True)
@@ -183,17 +191,25 @@ class _SuffStats:
 
         Raises :class:`NonFiniteData` when a sum or a squared deviation
         overflows, and :class:`DegenerateDesign` when every arm is
-        constant, which leaves sigma's posterior improper.
+        constant, which leaves sigma's posterior improper, or when the
+        spread is so small that the kernel's n / sigma^2 would overflow.
         """
         treated = data.treatment == 1
         stats = cls(
             *_arm_stats(data.outcome[~treated]),
             *_arm_stats(data.outcome[treated]),
         )
-        if stats.ss_ctrl + stats.ss_trt == 0.0:
+        ss_within = stats.ss_ctrl + stats.ss_trt
+        if ss_within == 0.0:
             raise DegenerateDesign(
                 "the outcome is constant within each arm; the residual scale's "
                 "posterior is improper"
+            )
+        n = stats.n_ctrl + stats.n_trt
+        if n * n / ss_within > _MAX_DATA_PRECISION:
+            raise DegenerateDesign(
+                f"the outcome's spread within arms is too small to fit (sd about "
+                f"{math.sqrt(ss_within / n):.3g} over {n} units); rescale it"
             )
         return stats
 
@@ -290,14 +306,16 @@ def fit(
     Raises
     ------
     DegenerateDesign
-        All units share one arm, leaving the effect unidentified, or the
+        All units share one arm, leaving the effect unidentified; the
         outcome is constant within each arm, leaving sigma's posterior
-        improper.
+        improper; or its spread within arms is too small for the data
+        precision n / sigma^2 to fit in a double.
     NonFiniteData
         The outcome's squared deviations from its arm means, or their
         sum, overflow a double.
     InvalidSigma
-        ``fixed_sigma`` is not a positive finite number.
+        ``fixed_sigma`` is not a positive finite number, or so small that
+        the data precision n / fixed_sigma^2 overflows.
     """
     if prior_only:
         stats = _SuffStats()
@@ -310,8 +328,15 @@ def fit(
                 f"all {data.n} units are in arm {int(n_treated > 0)}; the effect is unidentified"
             )
         stats = _SuffStats.from_dataset(data)
-    if fixed_sigma is not None and not (math.isfinite(fixed_sigma) and fixed_sigma > 0):
-        raise InvalidSigma(f"fixed_sigma must be positive and finite, got {fixed_sigma!r}")
+    if fixed_sigma is not None and not (
+        math.isfinite(fixed_sigma)
+        and fixed_sigma > 0
+        and math.isfinite(max(stats.n_ctrl + stats.n_trt, 1) / fixed_sigma / fixed_sigma)
+    ):
+        raise InvalidSigma(
+            f"fixed_sigma must be positive, finite and large enough for n / fixed_sigma^2 "
+            f"to be finite, got {fixed_sigma!r}"
+        )
 
     names = ("beta0", "beta1") if fixed_sigma is not None else ("beta0", "beta1", "sigma")
     values = np.empty((len(names), spec.chains, spec.iterations - spec.warmup))

@@ -10,6 +10,7 @@ inverted and checked. Only generic font family names are used.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if span <= 0:
         return [lo]
     raw = span / max(target - 1, 1)
+    # An overflowing span, or a step below the normal doubles, whose
+    # power of ten can round to 0, gets ticks at its ends only.
+    if not sys.float_info.min <= raw < math.inf:
+        return [lo, hi]
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0):
@@ -134,7 +139,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
             break
     ticks = []
     k = math.ceil(lo / step - 1e-9)
-    while k * step <= hi + step * 1e-9:
+    while k * step - hi <= step * 1e-9:  # hi + step * 1e-9 can overflow
         value = k * step
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
         k += 1

@@ -11,6 +11,7 @@ Gaussian kernel density estimate are provided for comparison plots.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ from .errors import (
     InvalidLevel,
     InvalidRange,
 )
+
+# Binned KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, at most
+# _KDE_MAX_BINS of them, and the kernel cut at +-_KDE_TRUNCATE bandwidths
+# (exp(-32) ~ 1e-14 of the peak).
+_KDE_BINS_PER_BANDWIDTH = 8
+_KDE_MAX_BINS = 2**18
+_KDE_TRUNCATE = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,27 +215,69 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     on a uniform grid spanning ``[min - 3h, max + 3h]`` so the trapezoidal
     integral of the density stays within 1% of one.
 
+    The estimate is binned, not a direct sum over draws (Silverman 1982,
+    AS 176; Wand 1994). The output grid is refined r-fold into
+    M = r * (G - 1) + 1 bins, with r the smallest factor that makes the
+    bins at most h / 8 wide, so every r-th bin is an output point. Each
+    draw splits its weight linearly between its two nearest bins, and the
+    bin weights are convolved with the Gaussian kernel, truncated at
+    +-8h, through one zero-padded real FFT. The cost is O(N + M log M)
+    for N draws, against O(G * N) for the direct sum, and the result is
+    within about 2e-3 of the peak density of the direct sum. M is capped
+    at 2**18 bins: a far outlier can make the range millions of
+    bandwidths wide, and the bins are then wider than h / 8 and the
+    estimate coarser. Densities are clipped at zero, which the FFT's
+    rounding can cross in the tails.
+
     Raises :class:`DegenerateDraws` when the pooled draws have zero
-    variance.
+    variance, or a spread so small or so large that the bandwidth, the
+    grid or the kernel's normalisation does not fit in a double.
     """
     pooled = _pooled(v)
     grid_points = int(grid_points)
     if grid_points < 16:
         raise InvalidArgument(f"grid_points must be >= 16, got {grid_points}")
-    sd = float(pooled.std(ddof=1)) if pooled.size > 1 else 0.0
+    # An sd that overflows leaves the IQR to set h, or fails the grid check.
+    with np.errstate(over="ignore"):
+        sd = float(pooled.std(ddof=1)) if pooled.size > 1 else 0.0
     if sd == 0.0:
         raise DegenerateDraws(v.name)
     q25, q75 = np.quantile(pooled, [0.25, 0.75])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     h = 0.9 * spread * pooled.size ** (-0.2)
+    lo = float(pooled.min()) - 3.0 * h
+    hi = float(pooled.max()) + 3.0 * h
+    # A normal h keeps 1 / (n h sqrt(2 pi)), and so every density, finite.
+    if not (h >= sys.float_info.min and math.isfinite(hi - lo)):
+        raise DegenerateDraws(
+            f"{v.name}: bandwidth {h!r} over [{lo!r}, {hi!r}] leaves no finite density grid"
+        )
+    grid = np.linspace(lo, hi, grid_points)
 
-    grid = np.linspace(float(pooled.min()) - 3.0 * h, float(pooled.max()) + 3.0 * h, grid_points)
-    density = np.empty(grid_points)
+    max_refine = max(1, (_KDE_MAX_BINS - 1) // (grid_points - 1))
+    spacing = (hi - lo) / (grid_points - 1)
+    refine = math.ceil(min(_KDE_BINS_PER_BANDWIDTH * spacing / h, max_refine))
+    bins = refine * (grid_points - 1) + 1
+    width = (hi - lo) / (bins - 1)
+
+    position = (pooled - lo) / width
+    left = np.minimum(position.astype(np.int64), bins - 2)
+    right_share = position - left
+    weights = np.bincount(left, 1.0 - right_share, bins) + np.bincount(
+        left + 1, right_share, bins
+    )
+
+    # Kernel value at every bin offset within +-8h, laid out circularly.
+    # Padding to at least bins + reach keeps the wrap-around out of the
+    # bins that are read back.
+    reach = min(int(_KDE_TRUNCATE * h / width), bins - 1)
+    half = np.exp(-0.5 * (np.arange(reach + 1) * (width / h)) ** 2)
+    size = 1 << (bins + reach - 1).bit_length()
+    kernel = np.zeros(size)
+    kernel[: reach + 1] = half
+    kernel[size - reach :] = half[:0:-1]
+    smoothed = np.fft.irfft(np.fft.rfft(weights, size) * np.fft.rfft(kernel), size)
     norm = 1.0 / (pooled.size * h * math.sqrt(2.0 * math.pi))
-    # Chunked so the (grid, draws) kernel matrix never gets large.
-    step = max(1, 2_000_000 // max(pooled.size, 1))
-    for start in range(0, grid_points, step):
-        z = (grid[start : start + step, None] - pooled[None, :]) / h
-        density[start : start + step] = norm * np.exp(-0.5 * z * z).sum(axis=1)
+    density = norm * np.maximum(smoothed[:bins:refine], 0.0)
     return DensityEstimate(grid=grid, density=density, bandwidth=h)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from effectprob.cli import main, parse_summary_line, summary_machine_line
 from effectprob.draws import validate
@@ -96,6 +99,16 @@ class TestFit:
         assert stdout == ""
         assert stderr.startswith("error: NonFiniteData: ")
         assert "Traceback" not in stderr
+
+    def test_vanishing_spread_exits_2(self, tmp_path, capsys):
+        data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
+        path = tmp_path / "tiny.csv"
+        write_dataset(Dataset(data.outcome * 1e-156, data.treatment), path)
+        code, stdout, stderr = run("fit", str(path), "--out", str(tmp_path / "x.csv"), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: DegenerateDesign: ")
+        assert stderr.count("\n") == 1
 
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -241,3 +254,69 @@ class TestEndToEnd:
                 (data.read_bytes(), draws.read_bytes(), svg.read_bytes(), machine_lines(stdout))
             )
         assert outputs[0] == outputs[1]
+
+
+MAX = 1.7976931348623157e308
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = st.sampled_from([1e300, -1e300, MAX, -5e-324, 0.0, 1e-300])
+
+
+@st.composite
+def draw_matrices(draw) -> np.ndarray:
+    """(chains, iterations) draws: ordinary, constant, outlying or extreme."""
+    shape = (draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 4, 5, 8, 33])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "constant", "outlier", "huge", "mixed"]))
+    if kind == "constant":
+        return np.full(shape, draw(FINITE))
+    if kind == "huge":  # +-1e300, where squares and sums overflow
+        return rng.choice([-1e300, 1e300], size=shape) * rng.uniform(0.5, 1.0, size=shape)
+    if kind == "mixed":
+        return draw(arrays(np.float64, shape, elements=st.one_of(FINITE, EXTREMES)))
+    values = rng.normal(size=shape)
+    if kind == "outlier":
+        where = draw(st.integers(0, values.size - 1))
+        values.flat[where] = draw(st.sampled_from([1e6, -1e12, 1e150]))
+    return values
+
+
+class TestFuzz:
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        params=st.lists(draw_matrices(), min_size=1, max_size=2),
+        command=st.sampled_from(["summarize", "ccdf", "density", "diagnose"]),
+        select=st.booleans(),
+        points=st.sampled_from([2, 16, 512]),
+    )
+    # Inputs that once escaped as other exceptions, or never returned:
+    # R-hat's fsum overflowing, tick steps that round to 0 (one raises,
+    # the other loops forever), a tick loop whose bound overflows, and a
+    # density grid past the largest double.
+    @example(params=[np.array([[0.0, MAX, 0.0, MAX], [0.0, MAX, MAX, MAX]])], command="diagnose",
+             select=False, points=512)
+    @example(params=[np.array([[0.0, 5e-324, 0.0, 0.0]])], command="ccdf", select=False, points=512)
+    @example(params=[np.array([[0.0, 2.5e-323, 0.0, 0.0]])], command="ccdf", select=False,
+             points=512)
+    @example(params=[np.array([[1.0, 1.797693134362316e308]])], command="ccdf", select=False,
+             points=512)
+    @example(params=[np.array([[-MAX, MAX, 0.0, 1.0]])], command="density", select=False,
+             points=512)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_any_draws_file_exits_cleanly(self, tmp_path, capsys, params, command, select, points):
+        # Every failure must be an EffectProbError, which main reports as
+        # one error line and exit code 2; anything else propagates here.
+        shape = params[0].shape
+        named = {f"p{i}": m for i, m in enumerate(params) if m.shape == shape}
+        path = tmp_path / "fuzz.csv"
+        write_draws(validate(named), path)
+        argv = [command, str(path)]
+        if select and command != "diagnose":
+            argv += ["--param", "p0"]
+        if command in ("ccdf", "density"):
+            argv += ["--points", str(points), "--out", str(tmp_path / "fuzz.svg")]
+        code, _, stderr = run(*argv, capsys=capsys)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from effectprob.diagnostics import diagnose, ess, split_rhat
 from effectprob.errors import TooFewIterations, ZeroWithinVariance
@@ -25,6 +27,42 @@ def hand_rhat(chains: list[list[float]]) -> float:
     grand = sum(means) / len(means)
     b = n * sum((m - grand) ** 2 for m in means) / (len(means) - 1)
     return math.sqrt(((n - 1) / n * w + b / n) / w)
+
+
+def lag_loop_ess(chains: np.ndarray) -> float:
+    """ESS by direct autocovariance sums, one lag at a time.
+
+    Same estimator as :func:`ess`: split sequences, per-lag covariance
+    sums averaged across sequences, pairs of lags truncated at the first
+    negative pair.
+    """
+    half = chains.shape[1] // 2
+    seqs = np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half :]], axis=0)
+    n_seq, n = seqs.shape
+    centered = seqs - seqs.mean(axis=1, keepdims=True)
+
+    def gamma(lag: int) -> float:
+        if lag >= n:
+            return 0.0
+        prod = centered[:, : n - lag] * centered[:, lag:]
+        return math.fsum(prod.sum(axis=1)) / n_seq / n
+
+    gamma0 = gamma(0)
+    if gamma0 == 0.0:
+        return 1.0
+    tau = 0.0
+    k = 0
+    while 2 * k < n:
+        pair = gamma(2 * k) / gamma0 + gamma(2 * k + 1) / gamma0
+        if pair < 0.0:
+            break
+        tau += 2.0 * pair
+        k += 1
+    tau -= 1.0
+    total = n_seq * n
+    if tau <= 0.0:
+        return float(total)
+    return min(max(total / tau, 1.0), total)
 
 
 class TestSplitRhat:
@@ -128,6 +166,40 @@ class TestEss:
     def test_too_few_iterations(self):
         with pytest.raises(TooFewIterations):
             ess(make_view([[1.0, 2.0, 3.0]]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        chains=st.integers(1, 5),
+        iterations=st.integers(4, 400),
+        phi=st.floats(-0.9, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(chains=4, iterations=4, phi=0.0, seed=1)
+    @example(chains=3, iterations=5, phi=0.5, seed=2)
+    @example(chains=2, iterations=399, phi=0.99, seed=3)
+    def test_fft_matches_lag_loop(self, chains, iterations, phi, seed):
+        # AR(1) chains from negative to near-unit correlation; odd lengths
+        # drop each chain's middle draw.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((chains, iterations))
+        for i in range(1, iterations):
+            x[:, i] += phi * x[:, i - 1]
+        assert ess(make_view(x)) == pytest.approx(lag_loop_ess(x), rel=1e-12, abs=0.0)
+
+    def test_bitwise_invariant_to_chain_order(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            chains = int(rng.integers(2, 9))
+            x = np.cumsum(rng.normal(size=(chains, int(rng.integers(4, 300)))), axis=1)
+            x += rng.normal(size=(chains, 1)) * 10.0
+            assert ess(make_view(x)) == ess(make_view(x[rng.permutation(chains)]))
+
+    def test_random_walk_matches_lag_loop(self):
+        # The truncation lag runs to thousands here, where a loop over
+        # lags is quadratic.
+        rng = np.random.default_rng(14)
+        x = np.cumsum(rng.standard_normal((4, 20_000)), axis=1)
+        assert ess(make_view(x)) == pytest.approx(lag_loop_ess(x), rel=1e-12, abs=0.0)
 
 
 class TestDiagnose:

@@ -272,6 +272,13 @@ class TestFit:
         with pytest.raises(InvalidSigma):
             fit(small_data, ModelSpec(iterations=10, warmup=2), fixed_sigma=0.0)
 
+    def test_rejects_fixed_sigma_whose_square_underflows(self, small_data):
+        # 1e-170 squared is 0, so n / sigma^2 cannot be formed.
+        with pytest.raises(InvalidSigma):
+            fit(small_data, ModelSpec(iterations=10, warmup=2), fixed_sigma=1e-170)
+        with pytest.raises(InvalidSigma):
+            fit(None, ModelSpec(iterations=10, warmup=2), fixed_sigma=1e-170, prior_only=True)
+
     def test_requires_data_without_prior_only(self):
         with pytest.raises(InvalidArgument):
             fit(None, ModelSpec(iterations=10, warmup=2))
@@ -408,3 +415,13 @@ class TestNumericalRange:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteData):
                 fit(huge, ModelSpec(iterations=10, warmup=2))
+
+    @pytest.mark.parametrize("scale", [1e-154, 1e-156, 1e-158, 1e-160])
+    def test_vanishing_spread_is_degenerate_design(self, scale):
+        # sigma ~ scale: the data precision n / sigma^2 would overflow.
+        data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
+        tiny = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDesign, match="spread"):
+                fit(tiny, ModelSpec(chains=2, iterations=3_000, warmup=1_000))
