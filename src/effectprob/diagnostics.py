@@ -46,6 +46,24 @@ def _split_sequences(per_chain: np.ndarray) -> np.ndarray:
     return np.ldexp(seqs, -exponent)
 
 
+def _fft_length(target: int) -> int:
+    """The smallest 2^a * 3^b * 5^c at least ``target``.
+
+    numpy's FFT is fast on such lengths, which lie much closer above a
+    target than the next power of two does.
+    """
+    best = 1 << (target - 1).bit_length()
+    power_of_5 = 1
+    while power_of_5 < best:
+        odd = power_of_5
+        while odd < best:
+            # The least odd * 2^a >= target, for odd = 3^b * 5^c.
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        power_of_5 *= 5
+    return best
+
+
 def _mean_over_sequences(terms: np.ndarray) -> float:
     return math.fsum(terms) / len(terms)
 
@@ -98,11 +116,12 @@ def ess(v: ParameterView) -> float:
     of 1 instead of failing on the zero lag-0 autocovariance.
 
     Every sequence's autocovariances at all lags come from one batched
-    real FFT, zero-padded to at least 2n - 1 points so that the circular
-    correlation equals the linear one. The cost is O(m n log n), whatever
-    the truncation lag, where a loop over lags costs O(m n) per lag and
-    so O(m n^2) on a random walk. Each lag's terms are summed across
-    sequences in sorted order, so relabeling chains changes no bit.
+    real FFT, zero-padded to the smallest 2^a 3^b 5^c >= 2n - 1 points so
+    that the circular correlation equals the linear one. The cost is
+    O(m n log n), whatever the truncation lag, where a loop over lags
+    costs O(m n) per lag and so O(m n^2) on a random walk. Each lag's
+    terms are summed across sequences in sorted order, so relabeling
+    chains changes no bit.
 
     Raises :class:`TooFewIterations` for chains shorter than 4.
     """
@@ -111,7 +130,7 @@ def ess(v: ParameterView) -> float:
     total = n_seq * n
     centered = seqs - seqs.mean(axis=1, keepdims=True)
 
-    size = 1 << (2 * n - 2).bit_length()
+    size = _fft_length(2 * n - 1)
     spectrum = np.fft.rfft(centered, size, axis=1)
     power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
     lagged = np.fft.irfft(power, size, axis=1)[:, :n]

@@ -47,8 +47,8 @@ class InvalidLevel(EffectProbError):
 
 
 class DegenerateDraws(EffectProbError):
-    """Draws admit no density estimate: zero variance, or a spread whose
-    bandwidth or grid does not fit in a double."""
+    """Draws admit no density estimate or figure: zero variance, or a
+    spread whose bandwidth, grid or axis span does not fit in a double."""
 
 
 # --- convergence diagnostics ----------------------------------------------

@@ -6,31 +6,40 @@ carry one outcome column and one 0/1 treatment column. Numbers are
 written with 17 significant digits, which is lossless for 64-bit floats,
 so write-then-read reproduces values bit-exactly.
 
-Lines end at ``\\n``. Files are decoded as UTF-8 with universal newlines,
-so ``\\r\\n`` and ``\\r`` line ends load too, and a final newline is
-optional. Other characters that :meth:`str.splitlines` treats as line
-breaks (``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``,
-``\\u2029``) are ordinary characters: a numeric cell containing one is a
-parse error.
+Files are UTF-8; a byte that is not raises :class:`ParseError` naming
+its line. Lines end at ``\\n``; ``\\r\\n`` and ``\\r`` line ends load too,
+and a final newline is optional. Other characters that
+:meth:`str.splitlines` treats as line breaks (``\\v``, ``\\f``,
+``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``) are ordinary
+characters: a numeric cell containing one is a parse error.
 
 Draw files must number chains 1..m in file order, each chain in one
 contiguous block of rows with iterations numbered from 1. So every
 accepted draws file is exactly what :func:`write_draws` would write for
 its values, up to the spelling of the numbers.
 
-Cost model. A read decodes the file once, checks every line of the body
-against one compiled regular expression (one pass in C), and parses all
-numeric cells in numpy's C text parser: O(file bytes) in C, no Python
-call per cell. Chain, iteration and treatment columns are then checked
-with O(rows) vectorised comparisons. Only when a check fails does a
-per-line pass run, to raise the first error with its line number; it
-never returns values. A write costs one ``%`` format per row.
+Cost model. A read keeps the file as one ``bytes`` buffer. It decodes
+the header, but decodes the body only when a dataset's text column holds
+non-ASCII bytes or a check fails. One vectorised scan finds every comma
+and newline, which gives every cell's span and checks every line's field
+count. A 256-entry byte-class table, applied with :meth:`bytes.translate`
+and reduced over the cell spans with ``np.maximum.reduceat``, checks that
+index cells hold only digits and number cells only ``[0-9.+-eE]``.
+numpy's C text parser then reads the numeric cells from the same buffer;
+within that byte set it accepts exactly the decimal grammar. All of this
+is O(file bytes) in C, with no Python call per cell, and holds about
+three times the file's size at its peak. Chain, iteration and treatment
+columns are then checked with O(rows) vectorised comparisons. Only when
+a check fails is the body decoded and walked line by line, to raise the
+first error with its line number; that pass never returns values. A
+write formats ``_BLOCK_ROWS`` rows at a time, one ``%`` format per row,
+into one open file, so it holds one block's text rather than the file's.
 """
 
 from __future__ import annotations
 
 import re
-from io import StringIO
+from io import BytesIO
 from pathlib import Path
 from typing import NoReturn
 
@@ -44,42 +53,98 @@ from .regress import Dataset
 # fraction or bare fraction, optional exponent. Deliberately excludes
 # nan/inf text, underscores, non-ASCII digits, and surrounding whitespace
 # that float() would coerce.
-_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_INDEX = r"[0-9]+"
-_TEXT = r"[^,\n]*"  # a dataset column that is neither outcome nor treatment
-_NUMBER_RE = re.compile(_NUMBER)
-_INDEX_RE = re.compile(_INDEX)
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_INDEX_RE = re.compile(r"[0-9]+")
+
+# Byte classes, in increasing order. A cell's class is the highest class
+# among its bytes and the separator that ends it, so an empty cell has
+# class _SEPARATOR.
+_SEPARATOR, _DIGIT, _SYMBOL, _ASCII, _NON_ASCII = range(5)
+_BYTE_CLASS = bytes(
+    _SEPARATOR if byte in b",\n"
+    else _DIGIT if byte in b"0123456789"
+    else _SYMBOL if byte in b".+-eE"
+    else _ASCII if byte < 0x80
+    else _NON_ASCII
+    for byte in range(256)
+)
+# The lowest and highest class a column of each kind allows.
+_INDEX_CELL = (_DIGIT, _DIGIT)
+_NUMBER_CELL = (_DIGIT, _SYMBOL)
+_TEXT_CELL = (_SEPARATOR, _NON_ASCII)  # neither outcome nor treatment
+
+_BLOCK_ROWS = 4096  # rows a writer formats per write call
 
 
-def _read(path: str | Path) -> tuple[list[str], str]:
-    """Return the header's fields and the body text after the header line."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
+def _read(path: str | Path) -> tuple[bytes, list[str], int]:
+    """Return the file with ``\\n`` line ends and a final newline, the
+    header's fields, and the offset where the body starts."""
+    data = Path(path).read_bytes()
+    if not data:
         raise ParseError("empty file")
-    header, _, body = text.partition("\n")
-    return header.split(","), body
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start = data.index(b"\n") + 1
+    return data, _decode(data, 0, start - 1).split(","), start
 
 
-def _row_count(body: str) -> int:
-    return body.count("\n") + (not body.endswith("\n")) if body else 0
+def _decode(data: bytes, start: int, stop: int | None = None) -> str:
+    """Decode ``data[start:stop]``; a byte that is not UTF-8 is a ParseError."""
+    try:
+        return str(memoryview(data)[start:stop], "utf-8")
+    except UnicodeDecodeError as exc:
+        at = start + exc.start
+        line = data.count(b"\n", 0, at) + 1
+        raise ParseError(f"line {line}: invalid UTF-8 byte {data[at]:#04x}") from None
 
 
-def _all_lines_match(cells: list[str], body: str, rows: int) -> bool:
-    """Whether every body line is the given cell patterns joined by commas.
+def _table(
+    data: bytes,
+    start: int,
+    columns: list[tuple[int, int]],
+    usecols: tuple[int, ...] | None = None,
+) -> np.ndarray | None:
+    """Check a non-empty body and parse its numeric cells into a table.
 
-    A match spans exactly one whole line, so every line matches exactly
-    when the number of matches equals the number of lines. ``subn``
-    counts them without keeping the matched text.
+    ``columns`` gives each field's lowest and highest allowed byte class.
+    Returns None when a line has the wrong number of fields, a cell holds
+    a byte its column does not allow, or numpy does not parse every row.
     """
-    line = re.compile("^" + ",".join(cells) + "$", re.MULTILINE)
-    return line.subn("", body)[1] == rows
+    fields = len(columns)
+    raw = np.frombuffer(data, np.uint8)
+    is_end = raw == ord(",")
+    is_end |= raw == ord("\n")
+    ends = np.flatnonzero(is_end)
+    del is_end  # each scan array is freed as soon as it is used
+    # Every line, the header included, ends its cells with fields - 1
+    # commas and then a newline.
+    line_end = np.full(fields, ord(","), np.uint8)
+    line_end[-1] = ord("\n")
+    if ends.size % fields or not (raw[ends].reshape(-1, fields) == line_end).all():
+        return None
 
+    # A body cell spans from one past the previous separator up to the
+    # next cell's start, so it includes its own ending separator.
+    ends += 1
+    classes = np.frombuffer(data.translate(_BYTE_CLASS), np.uint8)
+    cells = np.maximum.reduceat(classes, ends[fields - 1 : -1]).reshape(-1, fields)
+    del classes, ends
+    lowest, highest = np.array(columns, dtype=np.uint8).T
+    if not ((lowest <= cells) & (cells <= highest)).all():
+        return None
+    if (cells == _NON_ASCII).any():
+        _decode(data, start)  # text cells may hold any UTF-8, and only UTF-8
 
-def _parse(body: str, columns: tuple[int, ...] | None = None) -> np.ndarray:
-    """Parse a body the grammar check accepted into a (rows, columns) table."""
-    return np.loadtxt(
-        StringIO(body), delimiter=",", comments=None, ndmin=2, usecols=columns
-    )
+    try:
+        table = np.loadtxt(
+            BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=2,
+            usecols=usecols, encoding="latin1",
+        )
+    except ValueError:
+        return None
+    return table if table.shape == (len(cells), len(usecols or columns)) else None
 
 
 def _lines(body: str, fields: int) -> list[tuple[int, list[str]]]:
@@ -107,10 +172,10 @@ def _index(token: str, line: int, column: str) -> str:
     return digits
 
 
-def _raise_draws_error(body: str, names: list[str]) -> NoReturn:
+def _raise_draws_error(data: bytes, start: int, names: list[str]) -> NoReturn:
     """Raise the first line-numbered error of a draws body that failed a check."""
     chains = count = 0
-    for lineno, parts in _lines(body, len(names) + 2):
+    for lineno, parts in _lines(_decode(data, start), len(names) + 2):
         chain = _index(parts[0], lineno, "chain")
         iteration = _index(parts[1], lineno, "iter")
         if chain != str(chains):
@@ -134,14 +199,17 @@ def _raise_draws_error(body: str, names: list[str]) -> NoReturn:
 def write_draws(d: Draws, path: str | Path) -> None:
     """Write a draws file: header ``chain,iter,<params>``, chain-major rows."""
     params, chains, iterations = d.values.shape
-    table = np.empty((chains * iterations, 2 + params))
-    table[:, 0] = np.repeat(np.arange(1, chains + 1), iterations)
-    table[:, 1] = np.tile(np.arange(1, iterations + 1), chains)
-    table[:, 2:] = d.values.reshape(params, -1).T
-    row = "%d,%d" + ",%.17g" * params
-    lines = ["chain,iter," + ",".join(d.parameter_names)]
-    lines += [row % tuple(cells) for cells in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = chains * iterations
+    columns = d.values.reshape(params, rows)
+    row = "%d,%d" + ",%.17g" * params + "\n"
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("chain,iter," + ",".join(d.parameter_names) + "\n")
+        for first in range(0, rows, _BLOCK_ROWS):
+            stop = min(first + _BLOCK_ROWS, rows)
+            chain, iteration = np.divmod(np.arange(first, stop), iterations)
+            values = columns[:, first:stop].tolist()
+            cells = zip((chain + 1).tolist(), (iteration + 1).tolist(), *values)
+            out.write("".join([row % line for line in cells]))
 
 
 def read_draws(path: str | Path) -> Draws:
@@ -149,26 +217,26 @@ def read_draws(path: str | Path) -> Draws:
 
     Grammar errors (bad header, non-numeric cells, chains not numbered
     1..m in file order, non-contiguous iteration numbers, repeated chain
-    blocks) raise :class:`ParseError` with the offending line; structural
-    violations (ragged chains, non-finite values, duplicate parameters)
-    propagate from draw validation.
+    blocks, bytes that are not UTF-8) raise :class:`ParseError` with the
+    offending line; structural violations (ragged chains, non-finite
+    values, duplicate parameters) propagate from draw validation.
     """
-    header, body = _read(path)
+    data, header, start = _read(path)
     if len(header) < 3:
         raise ParseError(f"header must be chain,iter,<param,...>, got {header!r}")
     if header[0] != "chain" or header[1] != "iter":
         raise ParseError(f"header must start with 'chain,iter', got {header[0]!r},{header[1]!r}")
     names = header[2:]
 
-    rows = _row_count(body)
-    if not rows:
+    if start == len(data):
         raise ParseError("no draw rows after the header")
-    if not _all_lines_match([_INDEX, _INDEX] + [_NUMBER] * len(names), body, rows):
-        _raise_draws_error(body, names)
-    table = _parse(body)
+    table = _table(data, start, [_INDEX_CELL] * 2 + [_NUMBER_CELL] * len(names))
+    if table is None:
+        _raise_draws_error(data, start, names)
 
     # Chain c is rows starts[c - 1] up to the next start; a new block
     # begins wherever the chain label changes.
+    rows = len(table)
     chain, iteration = table[:, 0], table[:, 1]
     new_block = np.empty(rows, dtype=bool)
     new_block[0] = True
@@ -177,7 +245,7 @@ def read_draws(path: str | Path) -> Draws:
     starts = np.flatnonzero(new_block)
     expected_iter = np.arange(1, rows + 1) - starts[block - 1]
     if not (np.array_equal(chain, block) and np.array_equal(iteration, expected_iter)):
-        _raise_draws_error(body, names)
+        _raise_draws_error(data, start, names)
 
     # Per parameter, one series per chain; validation rejects ragged chains.
     return validate([(name, np.split(table[:, 2 + p], starts[1:])) for p, name in enumerate(names)])
@@ -190,12 +258,12 @@ def write_dataset(
     treatment_column: str = "treatment",
 ) -> None:
     """Write a dataset file: one header row, one row per unit."""
-    lines = [f"{outcome_column},{treatment_column}"]
-    lines += [
-        "%.17g,%d" % cells
-        for cells in zip(data.outcome.tolist(), data.treatment.tolist())
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(f"{outcome_column},{treatment_column}\n")
+        for first in range(0, len(data.outcome), _BLOCK_ROWS):
+            block = slice(first, first + _BLOCK_ROWS)
+            cells = zip(data.outcome[block].tolist(), data.treatment[block].tolist())
+            out.write("".join(["%.17g,%d\n" % line for line in cells]))
 
 
 def read_dataset(
@@ -204,18 +272,18 @@ def read_dataset(
     """Parse a dataset file, enforcing the binary-treatment contract.
 
     Columns other than the two named ones are ignored and may hold any
-    text without a comma.
+    UTF-8 text without a comma.
 
     Raises
     ------
     MissingColumn
         Either named column is absent from the header.
     ParseError
-        A cell does not parse as a decimal number.
+        A cell does not parse as a decimal number, or a byte is not UTF-8.
     NonBinaryTreatment
         A treatment cell parses to something other than 0 or 1.
     """
-    header, body = _read(path)
+    data, header, start = _read(path)
     for column in (outcome_column, treatment_column):
         if header.count(column) == 0:
             raise MissingColumn(column)
@@ -224,22 +292,23 @@ def read_dataset(
     y_idx = header.index(outcome_column)
     d_idx = header.index(treatment_column)
 
-    rows = _row_count(body)
-    cells = [_NUMBER if i in (y_idx, d_idx) else _TEXT for i in range(len(header))]
-    if not _all_lines_match(cells, body, rows):
-        _raise_dataset_error(body, header, y_idx, d_idx)
-    if not rows:
+    if start == len(data):
         return Dataset(outcome=[], treatment=[])
-    table = _parse(body, (y_idx, d_idx))
+    columns = [_NUMBER_CELL if i in (y_idx, d_idx) else _TEXT_CELL for i in range(len(header))]
+    table = _table(data, start, columns, (y_idx, d_idx))
+    if table is None:
+        _raise_dataset_error(data, start, header, y_idx, d_idx)
     outcome, treatment = table[:, 0], table[:, 1]
     if not ((treatment == 0.0) | (treatment == 1.0)).all():
-        _raise_dataset_error(body, header, y_idx, d_idx)
+        _raise_dataset_error(data, start, header, y_idx, d_idx)
     return Dataset(outcome=outcome, treatment=treatment)
 
 
-def _raise_dataset_error(body: str, header: list[str], y_idx: int, d_idx: int) -> NoReturn:
+def _raise_dataset_error(
+    data: bytes, start: int, header: list[str], y_idx: int, d_idx: int
+) -> NoReturn:
     """Raise the first line-numbered error of a dataset body that failed a check."""
-    for lineno, parts in _lines(body, len(header)):
+    for lineno, parts in _lines(_decode(data, start), len(header)):
         _check_number(parts[y_idx], lineno, header[y_idx])
         _check_number(parts[d_idx], lineno, header[d_idx])
         if float(parts[d_idx]) not in (0.0, 1.0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCurve, InvalidArgument
+from .errors import DegenerateDraws, EmptyCurve, InvalidArgument
 from .summary import CcdfCurve, DensityEstimate
 
 _MARGIN_LEFT = 78.0
@@ -76,6 +76,20 @@ def _data_rect(cfg: PlotConfig) -> tuple[float, float, float, float]:
     return x0, y0, cfg.width_px - x0 - _MARGIN_RIGHT, cfg.height_px - y0 - _MARGIN_BOTTOM
 
 
+def _x_map(x_lo: float, x_hi: float, cfg: PlotConfig) -> AxisMap:
+    """The x axis over [x_lo, x_hi], widened by 0.5 each way when empty.
+
+    Raises :class:`DegenerateDraws` when the span overflows: every point
+    would then map to the axis's left end.
+    """
+    if x_hi <= x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if not math.isfinite(x_hi - x_lo):
+        raise DegenerateDraws(f"x axis from {x_lo!r} to {x_hi!r} spans more than a double holds")
+    rx, _, rw, _ = _data_rect(cfg)
+    return AxisMap(x_lo, x_hi, rx, rx + rw)
+
+
 def ccdf_axis_maps(curve: CcdfCurve, cfg: PlotConfig) -> tuple[AxisMap, AxisMap]:
     """Axis maps for a curve figure: signed x over both branches, y in [0, 1]."""
     has_pos = curve.positive_thresholds.size > 0
@@ -84,29 +98,17 @@ def ccdf_axis_maps(curve: CcdfCurve, cfg: PlotConfig) -> tuple[AxisMap, AxisMap]
         raise EmptyCurve("both branches are empty")
     x_lo = float(curve.negative_thresholds[0]) if has_neg else 0.0
     x_hi = float(curve.positive_thresholds[-1]) if has_pos else 0.0
-    if x_hi <= x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    rx, ry, rw, rh = _data_rect(cfg)
-    return (
-        AxisMap(x_lo, x_hi, rx, rx + rw),
-        AxisMap(0.0, 1.0, ry + rh, ry),
-    )
+    _, ry, _, rh = _data_rect(cfg)
+    return _x_map(x_lo, x_hi, cfg), AxisMap(0.0, 1.0, ry + rh, ry)
 
 
 def density_axis_maps(dens: DensityEstimate, cfg: PlotConfig) -> tuple[AxisMap, AxisMap]:
     """Axis maps for a density figure: x over the grid, y from 0 to the peak."""
-    x_lo = float(dens.grid[0])
-    x_hi = float(dens.grid[-1])
-    if x_hi <= x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     y_hi = float(dens.density.max()) * 1.05
     if y_hi <= 0.0:
         y_hi = 1.0
-    rx, ry, rw, rh = _data_rect(cfg)
-    return (
-        AxisMap(x_lo, x_hi, rx, rx + rw),
-        AxisMap(0.0, y_hi, ry + rh, ry),
-    )
+    _, ry, _, rh = _data_rect(cfg)
+    return _x_map(float(dens.grid[0]), float(dens.grid[-1]), cfg), AxisMap(0.0, y_hi, ry + rh, ry)
 
 
 def _fmt_px(value: float) -> str:
@@ -127,9 +129,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if span <= 0:
         return [lo]
     raw = span / max(target - 1, 1)
-    # An overflowing span, or a step below the normal doubles, whose
-    # power of ten can round to 0, gets ticks at its ends only.
-    if not sys.float_info.min <= raw < math.inf:
+    # A step below the normal doubles, whose power of ten can round to 0,
+    # gets ticks at its ends only. (The axis maps keep the span finite.)
+    if raw < sys.float_info.min:
         return [lo, hi]
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude

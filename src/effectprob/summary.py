@@ -231,29 +231,41 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
 
     Raises :class:`DegenerateDraws` when the pooled draws have zero
     variance, or a spread so small or so large that the bandwidth, the
-    grid or the kernel's normalisation does not fit in a double.
+    grid or the kernel's normalisation does not fit in a double. Draws
+    that differ only far below 1, such as 1e-300 and 2e-300, are
+    estimated like any others: the bandwidth comes from draws scaled by a
+    power of two, so their squared deviations do not underflow.
     """
     pooled = _pooled(v)
     grid_points = int(grid_points)
     if grid_points < 16:
         raise InvalidArgument(f"grid_points must be >= 16, got {grid_points}")
-    # An sd that overflows leaves the IQR to set h, or fails the grid check.
-    with np.errstate(over="ignore"):
-        sd = float(pooled.std(ddof=1)) if pooled.size > 1 else 0.0
+    # The bandwidth and the binning are scale-equivariant, and scaling by
+    # a power of two is exact short of subnormals, so they are computed on
+    # draws scaled to |draw| <= 1, whose squared deviations neither
+    # underflow nor overflow. For draws whose bandwidth and grid are
+    # normal doubles, that changes no bit of the result.
+    _, exponent = math.frexp(float(np.abs(pooled).max()))
+    scaled = np.ldexp(pooled, -exponent)
+    sd = float(scaled.std(ddof=1)) if scaled.size > 1 else 0.0
     if sd == 0.0:
         raise DegenerateDraws(v.name)
-    q25, q75 = np.quantile(pooled, [0.25, 0.75])
+    q25, q75 = np.quantile(scaled, [0.25, 0.75])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    h = 0.9 * spread * pooled.size ** (-0.2)
-    lo = float(pooled.min()) - 3.0 * h
-    hi = float(pooled.max()) + 3.0 * h
-    # A normal h keeps 1 / (n h sqrt(2 pi)), and so every density, finite.
-    if not (h >= sys.float_info.min and math.isfinite(hi - lo)):
+    h = 0.9 * spread * scaled.size ** (-0.2)
+    lo = float(scaled.min()) - 3.0 * h
+    hi = float(scaled.max()) + 3.0 * h
+    with np.errstate(over="ignore"):
+        bandwidth, grid_lo, grid_hi = np.ldexp([h, lo, hi], exponent).tolist()
+    # A normal bandwidth keeps 1 / (n h sqrt(2 pi)), and so every density,
+    # finite.
+    if not (bandwidth >= sys.float_info.min and math.isfinite(grid_hi - grid_lo)):
         raise DegenerateDraws(
-            f"{v.name}: bandwidth {h!r} over [{lo!r}, {hi!r}] leaves no finite density grid"
+            f"{v.name}: bandwidth {bandwidth!r} over [{grid_lo!r}, {grid_hi!r}] leaves no"
+            " finite density grid"
         )
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(grid_lo, grid_hi, grid_points)
 
     max_refine = max(1, (_KDE_MAX_BINS - 1) // (grid_points - 1))
     spacing = (hi - lo) / (grid_points - 1)
@@ -261,7 +273,7 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     bins = refine * (grid_points - 1) + 1
     width = (hi - lo) / (bins - 1)
 
-    position = (pooled - lo) / width
+    position = (scaled - lo) / width
     left = np.minimum(position.astype(np.int64), bins - 2)
     right_share = position - left
     weights = np.bincount(left, 1.0 - right_share, bins) + np.bincount(
@@ -278,6 +290,6 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     kernel[: reach + 1] = half
     kernel[size - reach :] = half[:0:-1]
     smoothed = np.fft.irfft(np.fft.rfft(weights, size) * np.fft.rfft(kernel), size)
-    norm = 1.0 / (pooled.size * h * math.sqrt(2.0 * math.pi))
+    norm = 1.0 / (pooled.size * bandwidth * math.sqrt(2.0 * math.pi))
     density = norm * np.maximum(smoothed[:bins:refine], 0.0)
-    return DensityEstimate(grid=grid, density=density, bandwidth=h)
+    return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)

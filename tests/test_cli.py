@@ -290,10 +290,12 @@ class TestFuzz:
         select=st.booleans(),
         points=st.sampled_from([2, 16, 512]),
     )
-    # Inputs that once escaped as other exceptions, or never returned:
-    # R-hat's fsum overflowing, tick steps that round to 0 (one raises,
-    # the other loops forever), a tick loop whose bound overflows, and a
-    # density grid past the largest double.
+    # Inputs that once escaped as other exceptions, never returned, or
+    # gave a wrong figure: R-hat's fsum overflowing, tick steps that round
+    # to 0 (one raises, the other loops forever), a tick loop whose bound
+    # overflows, a density grid past the largest double, a curve whose x
+    # span overflows (every vertex at the left edge), and tiny distinct
+    # draws whose sd underflowed in the density estimate.
     @example(params=[np.array([[0.0, MAX, 0.0, MAX], [0.0, MAX, MAX, MAX]])], command="diagnose",
              select=False, points=512)
     @example(params=[np.array([[0.0, 5e-324, 0.0, 0.0]])], command="ccdf", select=False, points=512)
@@ -302,6 +304,10 @@ class TestFuzz:
     @example(params=[np.array([[1.0, 1.797693134362316e308]])], command="ccdf", select=False,
              points=512)
     @example(params=[np.array([[-MAX, MAX, 0.0, 1.0]])], command="density", select=False,
+             points=512)
+    @example(params=[np.array([[-1.7e308, 1.7e308, 1.0, 2.0]])], command="ccdf", select=False,
+             points=512)
+    @example(params=[np.array([[1e-300, 2e-300, 3e-300, 5e-324]])], command="density", select=False,
              points=512)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_any_draws_file_exits_cleanly(self, tmp_path, capsys, params, command, select, points):
@@ -320,3 +326,28 @@ class TestFuzz:
         assert code in (0, 1, 2)
         if code == 2:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    # Files that once escaped as a UnicodeDecodeError traceback: a draws
+    # file, and a dataset whose ignored column holds the bad byte.
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("summarize", b"chain,iter,a\n1,1,1.0\n1,2,\xff\n"),
+            ("fit", b"outcome,treatment,note\n1.5,0,a\n2.5,1,\xff\n3.5,1,b\n"),
+        ],
+    )
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        argv = [command, str(path)]
+        if command == "fit":
+            argv += ["--out", str(tmp_path / "draws.csv")]
+        code, _, stderr = run(*argv, capsys=capsys)
+        assert (code, stderr) == (2, "error: ParseError: line 3: invalid UTF-8 byte 0xff\n")
+
+    def test_curve_over_overflowing_span_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        write_draws(validate({"a": [[-1.7e308, 1.7e308, 1.0, 2.0]]}), path)
+        code, _, stderr = run("ccdf", str(path), "--out", str(tmp_path / "wide.svg"), capsys=capsys)
+        assert code == 2
+        assert stderr.startswith("error: DegenerateDraws: ") and stderr.count("\n") == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effectprob.diagnostics import diagnose, ess, split_rhat
+from effectprob.diagnostics import _fft_length, diagnose, ess, split_rhat
 from effectprob.errors import TooFewIterations, ZeroWithinVariance
 
 from conftest import make_view
@@ -193,6 +193,33 @@ class TestEss:
             x = np.cumsum(rng.normal(size=(chains, int(rng.integers(4, 300)))), axis=1)
             x += rng.normal(size=(chains, 1)) * 10.0
             assert ess(make_view(x)) == ess(make_view(x[rng.permutation(chains)]))
+
+    def test_fft_length_is_the_least_5_smooth_number(self):
+        def smooth(k: int) -> bool:
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        least = 1
+        for target in range(1, 5_000):
+            least = max(least, target)
+            while not smooth(least):
+                least += 1
+            assert _fft_length(target) == least
+        assert _fft_length(2 * 4_500 - 1) == 9_000  # not 16,384
+
+    def test_transforms_at_a_5_smooth_length(self, monkeypatch):
+        sizes = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, *args, **kwargs):
+            sizes.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        ess(make_view(np.random.default_rng(16).normal(size=(4, 9_000))))
+        assert sizes == [9_000]  # split sequences of 4,500 need 8,999 points
 
     def test_random_walk_matches_lag_loop(self):
         # The truncation lag runs to thousands here, where a loop over

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,3 +175,40 @@ class TestDatasetFiles:
         data = read_dataset(path, "score", "arm")
         assert data.outcome.tolist() == [1.5, 2.5, 3.5]
         assert data.treatment.tolist() == [0, 1, 1]
+
+
+class TestAllocationPeaks:
+    """A read holds a few copies of its file at most, a write one block of
+    rows rather than the whole text."""
+
+    @staticmethod
+    def peak_bytes(call) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def sample(kind: str):
+        if kind == "draws":
+            rng = np.random.default_rng(21)
+            draws = validate({"a": rng.normal(size=(4, 10_000)), "b": rng.normal(size=(4, 10_000))})
+            return draws, write_draws, read_draws
+        return simulate_experiment(100_000, 5.0, 1.0, 2.0, seed=21), write_dataset, read_dataset
+
+    @pytest.mark.parametrize("kind", ["draws", "dataset"])
+    def test_write_peak_is_at_most_twice_the_file(self, tmp_path, kind):
+        value, write, _ = self.sample(kind)
+        path = tmp_path / "file.csv"
+        peak = self.peak_bytes(lambda: write(value, path))
+        assert peak <= 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("kind", ["draws", "dataset"])
+    def test_read_peak_is_at_most_four_times_the_file(self, tmp_path, kind):
+        value, write, read = self.sample(kind)
+        path = tmp_path / "file.csv"
+        write(value, path)
+        assert self.peak_bytes(lambda: read(path)) <= 4 * path.stat().st_size

@@ -1,8 +1,9 @@
-"""Property tests of the CSV readers and writers against per-line oracles.
+"""Property tests of the CSV readers and writers against two oracles.
 
-The oracles below read a file one line and one cell at a time with
+The per-line oracles read a file one line and one cell at a time with
 Python's ``float()``, exactly as the grammar in ``effectprob.io`` is
-documented. The production readers check and parse the whole body at
+documented. The line-regex oracles are the readers as they were before
+the byte scan. The production readers check and parse the whole body at
 once; they must agree with the oracles on every input: the same values,
 or the same error class with the same message.
 """
@@ -10,6 +11,8 @@ or the same error class with the same message.
 from __future__ import annotations
 
 import re
+from io import StringIO
+from typing import NoReturn
 
 import numpy as np
 import pytest
@@ -33,21 +36,31 @@ PROPERTY = settings(
 # --- per-line oracles ----------------------------------------------------------
 
 
-def _oracle_lines(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    lines = text.split("\n")
-    if lines[-1] == "":
+def _oracle_decode(line: bytes, n: int) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"line {n}: invalid UTF-8 byte {line[exc.start]:#04x}") from None
+
+
+def _oracle_lines(data: bytes) -> tuple[list[str], list[bytes]]:
+    """The header's fields and the body's lines, not yet decoded."""
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
     if not lines:
         raise ParseError("empty file")
-    header = lines[0].split(",")
-    rows = [(n, line.split(",")) for n, line in enumerate(lines[1:], start=2)]
-    return header, rows
+    return _oracle_decode(lines[0], 1).split(","), lines[1:]
 
 
-def _oracle_field_counts(rows, fields: int) -> None:
+def _oracle_rows(lines: list[bytes], fields: int) -> list[tuple[int, list[str]]]:
+    """Decode every body line, then split each and check its field count."""
+    text = [_oracle_decode(line, n) for n, line in enumerate(lines, start=2)]
+    rows = [(n, line.split(",")) for n, line in enumerate(text, start=2)]
     for n, parts in rows:
         if len(parts) != fields:
             raise ParseError(f"line {n}: expected {fields} fields, found {len(parts)}")
+    return rows
 
 
 def _oracle_number(token: str, line: int, column: str) -> float:
@@ -62,18 +75,17 @@ def _oracle_index(token: str, line: int, column: str) -> int:
     return int(token)
 
 
-def oracle_read_draws(text: str) -> Draws:
-    header, rows = _oracle_lines(text)
+def oracle_read_draws(data: bytes) -> Draws:
+    header, lines = _oracle_lines(data)
     if len(header) < 3:
         raise ParseError(f"header must be chain,iter,<param,...>, got {header!r}")
     if header[0] != "chain" or header[1] != "iter":
         raise ParseError(f"header must start with 'chain,iter', got {header[0]!r},{header[1]!r}")
     names = header[2:]
-    _oracle_field_counts(rows, len(header))
-    if not rows:
+    if not lines:
         raise ParseError("no draw rows after the header")
     blocks: list[list[list[float]]] = []
-    for n, parts in rows:
+    for n, parts in _oracle_rows(lines, len(header)):
         chain = _oracle_index(parts[0], n, "chain")
         iteration = _oracle_index(parts[1], n, "iter")
         if chain != len(blocks):
@@ -92,23 +104,81 @@ def oracle_read_draws(text: str) -> Draws:
     )
 
 
-def oracle_read_dataset(text: str, outcome: str = "outcome", treatment: str = "treatment") -> Dataset:
-    header, rows = _oracle_lines(text)
+def oracle_read_dataset(data: bytes, outcome: str = "outcome", treatment: str = "treatment") -> Dataset:
+    header, lines = _oracle_lines(data)
     for column in (outcome, treatment):
         if header.count(column) == 0:
             raise MissingColumn(column)
         if header.count(column) > 1:
             raise ParseError(f"column {column!r} appears more than once in the header")
     y, d = header.index(outcome), header.index(treatment)
-    _oracle_field_counts(rows, len(header))
     outcomes, treatments = [], []
-    for n, parts in rows:
+    for n, parts in _oracle_rows(lines, len(header)):
         outcomes.append(_oracle_number(parts[y], n, outcome))
         value = _oracle_number(parts[d], n, treatment)
         if value not in (0.0, 1.0):
             raise NonBinaryTreatment(f"line {n}: treatment must be 0 or 1, got {parts[d]!r}")
         treatments.append(int(value))
     return Dataset(outcome=outcomes, treatment=treatments)
+
+
+# --- line-regex oracles --------------------------------------------------------
+# The readers once decoded the whole file, matched every body line against
+# one regular expression joined from per-column cell patterns, and parsed a
+# matching body with numpy's loadtxt. Rebuilt here, they are a second oracle
+# for the language the readers accept and for the values they return. A
+# file they reject must be rejected by the per-line oracle too, whose error
+# is then the expected one.
+
+INDEX_CELL, NUMBER_CELL, TEXT_CELL = INDEX.pattern, NUMBER.pattern, r"[^,\n]*"
+
+
+def _line_regex_table(lines: list[bytes], cells: list[str], usecols=None) -> np.ndarray | None:
+    body = "".join(_oracle_decode(line, n) + "\n" for n, line in enumerate(lines, start=2))
+    line = re.compile("^" + ",".join(cells) + "$", re.MULTILINE)
+    if line.subn("", body)[1] != len(lines):
+        return None
+    return np.loadtxt(StringIO(body), delimiter=",", comments=None, ndmin=2, usecols=usecols)
+
+
+def _chain_blocks(table: np.ndarray) -> list[slice] | None:
+    """Each chain's rows, if chains run 1..m in order with iterations from 1."""
+    starts: list[int] = []
+    for row, (chain, iteration) in enumerate(table[:, :2].tolist()):
+        if not starts or chain != len(starts):
+            starts.append(row)
+        if chain != len(starts) or iteration != row - starts[-1] + 1:
+            return None
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(table)])]
+
+
+def _rejected(oracle, data: bytes) -> NoReturn:
+    oracle(data)
+    raise AssertionError("the per-line oracle accepts a file the line regex rejects")
+
+
+def line_regex_read_draws(data: bytes) -> Draws:
+    header, lines = _oracle_lines(data)
+    if len(header) >= 3 and header[:2] == ["chain", "iter"] and lines:
+        names = header[2:]
+        table = _line_regex_table(lines, [INDEX_CELL] * 2 + [NUMBER_CELL] * len(names))
+        blocks = None if table is None else _chain_blocks(table)
+        if blocks is not None:
+            return validate([(name, [table[b, 2 + p] for b in blocks]) for p, name in enumerate(names)])
+    _rejected(oracle_read_draws, data)
+
+
+def line_regex_read_dataset(data: bytes) -> Dataset:
+    header, lines = _oracle_lines(data)
+    if header.count("outcome") == 1 and header.count("treatment") == 1:
+        y, d = header.index("outcome"), header.index("treatment")
+        if not lines:
+            return Dataset(outcome=[], treatment=[])
+        cells = [NUMBER_CELL if i in (y, d) else TEXT_CELL for i in range(len(header))]
+        table = _line_regex_table(lines, cells, (y, d))
+        if table is not None and np.isin(table[:, 1], (0.0, 1.0)).all():
+            return Dataset(outcome=table[:, 0], treatment=table[:, 1])
+    _rejected(oracle_read_dataset, data)
 
 
 def oracle_write_draws(d: Draws) -> str:
@@ -147,26 +217,23 @@ def _same_dataset(a: Dataset, b: Dataset) -> bool:
     )
 
 
-def assert_draws_agree(path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
-    got = _outcome(read_draws, path)
-    want = _outcome(lambda p: oracle_read_draws(p.read_text(encoding="utf-8")), path)
-    if isinstance(want, Draws):
-        assert isinstance(got, Draws), got
-        assert _same_draws(got, want)
+def _agree(path, content: str | bytes, read, oracle, same) -> None:
+    path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    got = _outcome(read, path)
+    want = _outcome(lambda p: oracle(p.read_bytes()), path)
+    if isinstance(want, (Draws, Dataset)):
+        assert isinstance(got, type(want)), got
+        assert same(got, want)
     else:
         assert got == want
 
 
-def assert_dataset_agree(path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
-    got = _outcome(read_dataset, path)
-    want = _outcome(lambda p: oracle_read_dataset(p.read_text(encoding="utf-8")), path)
-    if isinstance(want, Dataset):
-        assert isinstance(got, Dataset), got
-        assert _same_dataset(got, want)
-    else:
-        assert got == want
+def assert_draws_agree(path, content: str | bytes, oracle=oracle_read_draws) -> None:
+    _agree(path, content, read_draws, oracle, _same_draws)
+
+
+def assert_dataset_agree(path, content: str | bytes, oracle=oracle_read_dataset) -> None:
+    _agree(path, content, read_dataset, oracle, _same_dataset)
 
 
 @pytest.fixture
@@ -380,3 +447,148 @@ class TestDatasetProperties:
         path.write_text("outcome,treatment\n1.5,0\n2.5,2\nx,0\n")
         with pytest.raises(NonBinaryTreatment, match="^line 3: treatment must be 0 or 1, got '2'$"):
             read_dataset(path)
+
+
+# --- the accepted language against the line-regex oracles -----------------------
+
+# Cells that loadtxt or float() would take but the decimal grammar does
+# not, cells inside the byte set [0-9.+-eE] that the grammar rejects,
+# characters that str.splitlines() breaks at, and valid spellings.
+TRICKY_NUMBERS = [
+    " 1", "1 ", "\t1", "1\t", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+Infinity",
+    "1_0", "\u0663", "\uff11", "1\x0b2", "1\x852", "1\u20282", "1\x0c", "", "1e", "e1", "E", ".",
+    "+", "-", "1.2.3", "1e5e5", "--1", "+-1", "1e+", ".e1", "1.e5", "-.5e-3", "5.", ".5",
+    "1E+05", "0x10", "1e999", "00.50", "1,5",
+]
+TRICKY_INDICES = ["1.0", "1e0", "+1", "01", "001", "", " 1", "1 ", "0", "00", "2", "\u0661", "1,1"]
+TRICKY_TREATMENTS = ["0", "1", "1.0", "-0", "+1e0", "0.000", "2", "0.5", "", " 1", "nan", "\u0661"]
+TEXT_SAMPLES = ["café", "naïve", "日本", "\u2028", "\x85", "\x0b", "\x0c", "\x00", " ", "nan", "a b"]
+
+rarely = st.sampled_from([False, False, False, True])
+seldom = st.integers(0, 11).map(lambda k: k == 0)
+
+
+@st.composite
+def numbers(draw) -> str:
+    if draw(seldom):
+        return draw(st.sampled_from(TRICKY_NUMBERS))
+    return format(draw(values), draw(st.sampled_from([".17g", "", ".3e"])))
+
+
+@st.composite
+def treatments(draw) -> str:
+    return draw(st.sampled_from(TRICKY_TREATMENTS if draw(seldom) else ["0", "1"]))
+
+
+@st.composite
+def texts(draw) -> str:
+    if draw(st.booleans()):
+        return draw(st.sampled_from(TEXT_SAMPLES))
+    return draw(
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"), max_size=4)
+    )
+
+
+def _lay_out(draw, lines: list[str]) -> bytes:
+    """Join lines with a drawn line end, sometimes with a blank line, a
+    trailing comma or no final newline."""
+    if draw(rarely):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    if draw(rarely):
+        lines[draw(st.integers(0, len(lines) - 1))] += ","
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + (end if draw(st.booleans()) else "")).encode("utf-8")
+
+
+@st.composite
+def tricky_draws_files(draw) -> bytes:
+    params = draw(st.integers(1, 2))
+    lines = ["chain,iter," + ",".join(f"p{p}" for p in range(params))]
+    for chain in range(1, draw(st.integers(1, 2)) + 1):
+        for iteration in range(1, draw(st.integers(2, 3)) + 1):
+            index = [str(chain), str(iteration)]
+            if draw(seldom):
+                index[draw(st.integers(0, 1))] = draw(st.sampled_from(TRICKY_INDICES))
+            lines.append(",".join(index + [draw(numbers()) for _ in range(params)]))
+    return _lay_out(draw, lines)
+
+
+@st.composite
+def tricky_dataset_files(draw) -> bytes:
+    header = ["outcome", "treatment"]
+    for name in draw(st.lists(st.sampled_from(["id", "note"]), max_size=2, unique=True)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(3, 5))):
+        cells = {"outcome": numbers(), "treatment": treatments()}
+        lines.append(",".join(draw(cells.get(name, texts())) for name in header))
+    return _lay_out(draw, lines)
+
+
+# Byte sequences that are not UTF-8: stray, truncated, overlong, surrogate.
+NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x80", b"\xc0\x80", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
+
+
+def insert_invalid_utf8(data: bytes, draw) -> bytes:
+    at = draw(st.integers(0, len(data)), label="at")
+    return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+
+
+class TestAcceptedLanguage:
+    """The byte scan accepts what the line regex accepted, with the same
+    values, and rejects the rest with the per-line error."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(content=tricky_draws_files())
+    @example(content=b"chain,iter,a\n1,1,1.0\n01,2,.5\n2,001,5.\n2,2,-0\n")
+    @example(content=b"chain,iter,a\r\n1,1,1\r\n1,2,2")
+    @example(content=b"chain,iter,a\n1,1, 1\n1,2,2\n")
+    @example(content=b"chain,iter,a\n1,1,1\n\n1,2,2\n")
+    @example(content=b"chain,iter,a\n1,1,1,\n1,2,2\n")
+    @example(content=b"chain,iter,a\n1,1,Infinity\n1,2,2\n")
+    @example(content="chain,iter,a\n1,1,1\x852\n1,2,2\n".encode())
+    def test_draws_files(self, path, content):
+        assert_draws_agree(path, content)
+        assert_draws_agree(path, content, oracle=line_regex_read_draws)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(content=tricky_dataset_files())
+    @example(content="id,outcome,treatment\ncafé,1.5,0\n\u2028,2.5,1\n日本,3,1\n".encode())
+    # One line too long and the next too short: the cells regroup into
+    # well-formed rows, and loadtxt, given only the used columns, takes
+    # both lines.
+    @example(content=b"outcome,treatment,note\n1.5,0,x,5\n1,0\n2,1,y\n")
+    @example(content=b"outcome,treatment\n1_0,1\n")
+    @example(content=b"outcome,treatment\n1.5,1\n2.5,0,\n")
+    @example(content=b"outcome,treatment")
+    def test_dataset_files(self, path, content):
+        assert_dataset_agree(path, content)
+        assert_dataset_agree(path, content, oracle=line_regex_read_dataset)
+
+    @settings(PROPERTY, max_examples=200)
+    @given(content=st.one_of(tricky_draws_files(), tricky_dataset_files()), data=st.data())
+    def test_bytes_that_are_not_utf8(self, path, content, data):
+        content = insert_invalid_utf8(content, data.draw)
+        if content.startswith(b"chain"):
+            assert_draws_agree(path, content)
+        else:
+            assert_dataset_agree(path, content)
+
+    def test_invalid_utf8_names_its_line(self, path):
+        path.write_bytes(b"chain,iter,a\r\n1,1,1.0\r\n1,2,\xff\r\n")
+        with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
+            read_draws(path)
+        path.write_bytes(b"outcome,treatment,note\n1.5,0,a\n2.5,1,caf\xc3\n")
+        with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xc3$"):
+            read_dataset(path)
+        path.write_bytes(b"outcome,treatment,n\xffote\n1.5,0,a\n")
+        with pytest.raises(ParseError, match=r"^line 1: invalid UTF-8 byte 0xff$"):
+            read_dataset(path)
+
+    def test_utf8_text_in_ignored_columns_loads(self, path):
+        path.write_text(
+            "note,outcome,treatment\ncafé,1.5,0\n日本\u2028,2.5,1\n\x85,3.5,1\n", encoding="utf-8"
+        )
+        data = read_dataset(path)
+        assert data.outcome.tolist() == [1.5, 2.5, 3.5]
+        assert data.treatment.tolist() == [0, 1, 1]

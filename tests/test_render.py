@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from effectprob.errors import EmptyCurve, InvalidArgument
+from effectprob.errors import DegenerateDraws, EmptyCurve, InvalidArgument
 from effectprob.render import (
     PlotConfig,
     ccdf_axis_maps,
@@ -13,7 +13,7 @@ from effectprob.render import (
     render_ccdf,
     render_density,
 )
-from effectprob.summary import CcdfCurve, ccdf, kde
+from effectprob.summary import CcdfCurve, DensityEstimate, ccdf, kde
 
 from conftest import make_view
 
@@ -135,6 +135,32 @@ class TestRenderCcdf:
     def test_config_rejects_tiny_canvas(self):
         with pytest.raises(InvalidArgument):
             PlotConfig(width_px=50)
+
+
+class TestOverflowingSpan:
+    """An x span past the largest double would map every point to one edge."""
+
+    def test_curve_over_overflowing_span_is_degenerate(self):
+        curve = ccdf(make_view([[-1.7e308, 1.7e308, 1.0, 2.0]]), 64)
+        with pytest.raises(DegenerateDraws, match="x axis from"):
+            ccdf_axis_maps(curve, PlotConfig())
+        with pytest.raises(DegenerateDraws):
+            render_ccdf(curve)
+
+    def test_density_over_overflowing_span_is_degenerate(self):
+        est = DensityEstimate(
+            grid=np.array([-1.7e308, 0.0, 1.7e308]), density=np.array([0.0, 1.0, 0.0]), bandwidth=1.0
+        )
+        with pytest.raises(DegenerateDraws, match="x axis from"):
+            density_axis_maps(est, PlotConfig())
+        with pytest.raises(DegenerateDraws):
+            render_density(est)
+
+    def test_largest_finite_span_still_renders(self):
+        curve = ccdf(make_view([[-8e307, 8e307, 1.0, 2.0]]), 64)
+        xmap, _ = ccdf_axis_maps(curve, PlotConfig())
+        assert xmap.to_px(8e307) > xmap.to_px(-8e307)
+        assert len(polylines(render_ccdf(curve))) == 2
 
 
 class TestRenderDensity:

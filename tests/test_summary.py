@@ -371,3 +371,33 @@ class TestBinnedKde:
     def test_unrepresentable_grid_rejected(self):
         with pytest.raises(DegenerateDraws):
             kde(make_view([[-1.7e308, 1.7e308, 0.0, 1.0]]), 64)
+
+    def test_tiny_distinct_draws(self):
+        # Their deviations square to 0, so an sd taken in their own units
+        # underflows to 0 although the draws differ.
+        est = kde(make_view([[1e-300, 2e-300, 3e-300, 5e-324]]), 64)
+        assert np.isfinite(est.density).all()
+        assert (est.density >= 0.0).all()
+        assert 0.99 <= float(np.trapezoid(est.density, est.grid)) <= 1.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["normal", "bimodal", "heavy", "skewed"]),
+        n=st.integers(2, 500),
+        seed=st.integers(0, 2**32 - 1),
+        power=st.integers(-400, 400),
+    )
+    def test_scaling_changes_no_bit(self, family, n, seed, power):
+        # Silverman's bandwidth and the grid equal their formulas in the
+        # draws' own units bit for bit, and the densities of draws scaled
+        # by 2^power are the unscaled densities divided by 2^power.
+        values = np.ldexp(family_draws(family, n, seed), power)
+        est = kde(make_view(values.reshape(1, -1)), 64)
+        sd = values.std(ddof=1)
+        q25, q75 = np.quantile(values, [0.25, 0.75])
+        spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
+        h = 0.9 * spread * n ** (-0.2)
+        assert est.bandwidth == h
+        assert np.array_equal(est.grid, np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, 64))
+        unscaled = kde(make_view(np.ldexp(values, -power).reshape(1, -1)), 64)
+        assert np.array_equal(est.density, np.ldexp(unscaled.density, -power))
