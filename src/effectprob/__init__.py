@@ -19,7 +19,6 @@ from .regress import (
     ModelSpec,
     PriorSpec,
     fit,
-    log_posterior,
     simulate_experiment,
 )
 from .render import (
@@ -66,7 +65,6 @@ __all__ = [
     "ess",
     "fit",
     "kde",
-    "log_posterior",
     "prob_below",
     "prob_between",
     "prob_exceeds",

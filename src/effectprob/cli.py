@@ -19,9 +19,9 @@ import numpy as np
 
 from . import io
 from .diagnostics import diagnose
-from .draws import Draws, validate, view
+from .draws import Draws, view
 from .errors import EffectProbError, InvalidArgument, InvalidLevel, UnknownParameter
-from .regress import ModelSpec, PriorSpec, fit, simulate_experiment
+from .regress import ModelSpec, PriorSpec, _check_seed, fit, simulate_experiment
 from .render import PlotConfig, render_ccdf, render_density
 from .summary import PosteriorSummary, ccdf, kde, prob_below, prob_exceeds, summarize
 
@@ -78,9 +78,10 @@ def _select_parameter(draws: Draws, requested: str | None) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.preset == "figure1":
         preset = FIGURE1_PRESET
+        _check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         values = rng.normal(preset["mean"], preset["sd"], size=preset["n"])
-        draws = validate({preset["parameter"]: values.reshape(1, -1)})
+        draws = Draws(parameter_names=(preset["parameter"],), values=values.reshape(1, 1, -1))
         io.write_draws(draws, args.out)
         print(f"wrote {preset['n']} draws of {preset['parameter']!r} to {args.out}")
         return 0

@@ -1,8 +1,8 @@
 """Canonical storage of posterior draws, organized by chain and iteration.
 
-All downstream summaries consume this representation. Draws are validated
-once at construction and are immutable afterwards, so they can be shared
-freely across threads.
+All downstream summaries consume this representation. :class:`Draws`
+checks itself whichever way it is built and copies its input once, into
+a read-only array it owns, so draws can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -25,18 +25,46 @@ from .errors import (
 class Draws:
     """Post-warmup posterior draws for a set of parameters.
 
-    ``values`` has shape ``(parameters, chains, iterations)``. Iteration
+    ``values`` has shape ``(parameters, chains, iterations)``; iteration
     order within a chain is preserved (required by autocorrelation-based
-    diagnostics) and the array is read-only once constructed.
+    diagnostics). Construction copies ``values`` into a C-ordered,
+    read-only float64 array, then raises :class:`InvalidDraws` for no
+    parameters, an empty or non-string name, another shape or fewer than
+    two iterations per chain, :class:`DuplicateParameter` for a repeated
+    name, and :class:`NonFiniteValue` for a NaN or infinity.
     """
 
     parameter_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 3 or self.values.shape[0] != len(self.parameter_names):
+        names = tuple(self.parameter_names)
+        if not names:
+            raise InvalidDraws("at least one parameter is required")
+        for i, name in enumerate(names):
+            if not isinstance(name, str) or not name:
+                raise InvalidDraws(f"parameter name must be a non-empty string, got {name!r}")
+            if name in names[:i]:
+                raise DuplicateParameter(name)
+        try:
+            values = np.array(self.values, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:
+            raise InvalidDraws(f"values: {exc}") from exc
+        if values.ndim != 3 or values.shape[0] != len(names):
             raise InvalidDraws("values must have shape (parameters, chains, iterations)")
-        self.values.setflags(write=False)
+        if values.shape[1] < 1 or values.shape[2] < 2:
+            raise InvalidDraws(
+                f"need at least 1 chain and 2 iterations per chain, got {values.shape[1:]}"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = np.argwhere(~finite)[0]
+            raise NonFiniteValue(
+                f"parameter {names[bad[0]]!r}, chain {bad[1] + 1}, iteration {bad[2] + 1}"
+            )
+        values.setflags(write=False)
+        object.__setattr__(self, "parameter_names", names)
+        object.__setattr__(self, "values", values)
 
     @property
     def chains(self) -> int:
@@ -65,38 +93,16 @@ RawDraws = Mapping[str, object] | Iterable[tuple[str, object]]
 
 
 def validate(raw: RawDraws) -> Draws:
-    """Build :class:`Draws` from a candidate draw matrix, or reject it.
+    """Stack per-parameter series into :class:`Draws`, or reject them.
 
     ``raw`` maps parameter names to their per-chain series: either a
-    2-d layout ``(chains, iterations)`` or a single 1-d chain. Every
-    chain must have the same length across all parameters, every value
-    must be finite, and names must be unique and non-empty.
-
-    Raises
-    ------
-    NonFiniteValue
-        Any NaN or infinity in the values.
-    RaggedChains
-        Chains of unequal length, or chain/iteration counts that differ
-        between parameters.
-    DuplicateParameter
-        A repeated parameter name.
-    InvalidDraws
-        Structural problems: no parameters, empty names, fewer than two
-        iterations per chain.
+    2-d layout ``(chains, iterations)`` or a single 1-d chain. Chains of
+    unequal length, or layouts that differ between parameters, raise
+    :class:`RaggedChains`; :class:`Draws` checks the rest.
     """
     items = list(raw.items()) if isinstance(raw, Mapping) else [(n, v) for n, v in raw]
-    if not items:
-        raise InvalidDraws("at least one parameter is required")
-
-    names: list[str] = []
     blocks: list[np.ndarray] = []
     for name, series in items:
-        if not isinstance(name, str) or not name:
-            raise InvalidDraws(f"parameter name must be a non-empty string, got {name!r}")
-        if name in names:
-            raise DuplicateParameter(name)
-        names.append(name)
         try:
             block = np.asarray(series, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -108,26 +114,13 @@ def validate(raw: RawDraws) -> Draws:
             block = block.reshape(1, -1)
         if block.ndim != 2:
             raise InvalidDraws(f"parameter {name!r}: expected a (chains, iterations) layout")
-        blocks.append(block)
-
-    shape = blocks[0].shape
-    for name, block in zip(names, blocks):
-        if block.shape != shape:
+        if blocks and block.shape != blocks[0].shape:
             raise RaggedChains(
-                f"parameter {name!r} has layout {block.shape}, expected {shape}"
+                f"parameter {name!r} has layout {block.shape}, expected {blocks[0].shape}"
             )
-    if shape[0] < 1 or shape[1] < 2:
-        raise InvalidDraws(
-            f"need at least 1 chain and 2 iterations per chain, got {shape}"
-        )
-
-    values = np.stack(blocks, axis=0)
-    if not np.isfinite(values).all():
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise NonFiniteValue(
-            f"parameter {names[bad[0]]!r}, chain {bad[1] + 1}, iteration {bad[2] + 1}"
-        )
-    return Draws(parameter_names=tuple(names), values=values)
+        blocks.append(block)
+    values = np.stack(blocks) if blocks else np.empty((0, 0, 0))
+    return Draws(parameter_names=tuple(name for name, _ in items), values=values)
 
 
 def view(d: Draws, name: str) -> ParameterView:

@@ -28,12 +28,17 @@ index cells hold only digits and number cells only ``[0-9.+-eE]``.
 numpy's C text parser then reads the numeric cells from the same buffer;
 within that byte set it accepts exactly the decimal grammar. All of this
 is O(file bytes) in C, with no Python call per cell, and holds about
-three times the file's size at its peak. Chain, iteration and treatment
-columns are then checked with O(rows) vectorised comparisons. Only when
-a check fails is the body decoded and walked line by line, to raise the
-first error with its line number; that pass never returns values. A
-write formats ``_BLOCK_ROWS`` rows at a time, one ``%`` format per row,
-into one open file, so it holds one block's text rather than the file's.
+three times the file's size at its peak. Treatment cells are then
+checked in one O(rows) pass, and chain and iteration cells in one O(rows)
+comparison with the only layout an accepted file can have: with m the
+last chain label and k = rows / m, row r holds chain r // k + 1 and
+iteration r % k + 1. The values go to :class:`Draws` as one strided view
+of the table, which it copies once. Only when a check fails is the body
+decoded and walked line by line, to raise the first error with its line
+number (or :class:`RaggedChains` if every line is well formed); that
+pass never returns values. A write formats ``_BLOCK_ROWS`` rows at a
+time, one ``%`` format per row, into one open file, so it holds one
+block's text rather than the file's.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .draws import Draws, validate
-from .errors import MissingColumn, NonBinaryTreatment, ParseError
+from .draws import Draws
+from .errors import MissingColumn, NonBinaryTreatment, ParseError, RaggedChains
 from .regress import Dataset
 
 # Strict decimal grammar: optional sign, ASCII digits with optional
@@ -173,7 +178,8 @@ def _index(token: str, line: int, column: str) -> str:
 
 
 def _raise_draws_error(data: bytes, start: int, names: list[str]) -> NoReturn:
-    """Raise the first line-numbered error of a draws body that failed a check."""
+    """Raise the first line-numbered error of a draws body that failed a
+    check, or :class:`RaggedChains` if every line is well formed."""
     chains = count = 0
     for lineno, parts in _lines(_decode(data, start), len(names) + 2):
         chain = _index(parts[0], lineno, "chain")
@@ -193,7 +199,9 @@ def _raise_draws_error(data: bytes, start: int, names: list[str]) -> NoReturn:
             )
         for token, name in zip(parts[2:], names):
             _check_number(token, lineno, name)
-    raise ParseError("draws body failed the line grammar")
+    # Every line is well formed and the chains run 1..m in order, so the
+    # layout check failed because the chains differ in length.
+    raise RaggedChains(f"parameter {names[0]!r}: chains have unequal lengths")
 
 
 def write_draws(d: Draws, path: str | Path) -> None:
@@ -213,13 +221,14 @@ def write_draws(d: Draws, path: str | Path) -> None:
 
 
 def read_draws(path: str | Path) -> Draws:
-    """Parse a draws file and validate it into :class:`Draws`.
+    """Parse a draws file into :class:`Draws`.
 
     Grammar errors (bad header, non-numeric cells, chains not numbered
     1..m in file order, non-contiguous iteration numbers, repeated chain
     blocks, bytes that are not UTF-8) raise :class:`ParseError` with the
-    offending line; structural violations (ragged chains, non-finite
-    values, duplicate parameters) propagate from draw validation.
+    offending line; chains of unequal length raise :class:`RaggedChains`;
+    the checks of :class:`Draws` (non-finite values, duplicate or empty
+    parameter names, one iteration per chain) raise its errors.
     """
     data, header, start = _read(path)
     if len(header) < 3:
@@ -234,21 +243,22 @@ def read_draws(path: str | Path) -> Draws:
     if table is None:
         _raise_draws_error(data, start, names)
 
-    # Chain c is rows starts[c - 1] up to the next start; a new block
-    # begins wherever the chain label changes.
-    rows = len(table)
-    chain, iteration = table[:, 0], table[:, 1]
-    new_block = np.empty(rows, dtype=bool)
-    new_block[0] = True
-    np.not_equal(chain[1:], chain[:-1], out=new_block[1:])
-    block = np.cumsum(new_block)
-    starts = np.flatnonzero(new_block)
-    expected_iter = np.arange(1, rows + 1) - starts[block - 1]
-    if not (np.array_equal(chain, block) and np.array_equal(iteration, expected_iter)):
+    # Every chain has k = rows / m rows, m being the last chain label: row
+    # r holds chain r // k + 1 and iteration r % k + 1. m is checked to be
+    # at most the row count first, so a huge label never reaches int().
+    rows, fields = table.shape
+    last = table[-1, 0]
+    if not (1 <= last <= rows and rows % last == 0):
         _raise_draws_error(data, start, names)
-
-    # Per parameter, one series per chain; validation rejects ragged chains.
-    return validate([(name, np.split(table[:, 2 + p], starts[1:])) for p, name in enumerate(names)])
+    m = int(last)
+    k = rows // m
+    blocks = table.reshape(m, k, fields)
+    if not (
+        (blocks[:, :, 0] == np.arange(1, m + 1)[:, None]).all()
+        and (blocks[:, :, 1] == np.arange(1, k + 1)).all()
+    ):
+        _raise_draws_error(data, start, names)
+    return Draws(parameter_names=tuple(names), values=blocks[:, :, 2:].transpose(2, 0, 1))
 
 
 def write_dataset(

@@ -53,7 +53,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .diagnostics import Diagnostics, diagnose
-from .draws import Draws, validate, view
+from .draws import Draws, view
 from .errors import (
     DegenerateDesign,
     InvalidArgument,
@@ -109,6 +109,7 @@ class ModelSpec:
     treatment_column: str = "treatment"
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if self.chains < 1:
             raise InvalidArgument(f"chains must be >= 1, got {self.chains}")
         if self.warmup < 0 or self.warmup >= self.iterations:
@@ -118,15 +119,24 @@ class ModelSpec:
             )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Experimental data: a real outcome and a 0/1 treatment per unit."""
+    """Experimental data: a real outcome and a 0/1 treatment per unit.
+
+    Construction copies both vectors into read-only arrays that the
+    dataset owns.
+    """
 
     outcome: np.ndarray
     treatment: np.ndarray
 
     def __post_init__(self) -> None:
-        outcome = np.asarray(self.outcome, dtype=float)
+        outcome = np.array(self.outcome, dtype=float)
         treatment = np.asarray(self.treatment)
         if outcome.ndim != 1 or treatment.ndim != 1 or len(outcome) != len(treatment):
             raise InvalidArgument("outcome and treatment must be equal-length vectors")
@@ -244,40 +254,13 @@ def simulate_experiment(
         raise InvalidArgument(f"need n >= 3 to form a dataset, got {n}")
     if not resid_sd > 0:
         raise InvalidArgument(f"resid_sd must be positive, got {resid_sd!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     treatment = np.zeros(n, dtype=np.int64)
     treatment[: n // 2] = 1
     treatment = rng.permutation(treatment)
     outcome = beta0 + beta1 * treatment + rng.normal(0.0, resid_sd, size=n)
     return Dataset(outcome=outcome, treatment=treatment)
-
-
-def log_posterior(
-    data: Dataset, priors: PriorSpec, beta0: float, beta1: float, sigma: float
-) -> float:
-    """Joint log density of data and parameters, constants included.
-
-    Sum of the normal log-likelihood over units plus the three log-prior
-    terms. Raises :class:`InvalidSigma` unless ``sigma`` is positive and
-    finite.
-    """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise InvalidSigma(f"sigma must be positive and finite, got {sigma!r}")
-    resid = data.outcome - (beta0 + beta1 * data.treatment)
-    n = data.n
-    loglik = -0.5 * n * math.log(2.0 * math.pi) - n * math.log(sigma) - float(
-        resid @ resid
-    ) / (2.0 * sigma * sigma)
-    lp = loglik
-    lp += _normal_logpdf(beta0, priors.beta0_mean, priors.beta0_sd)
-    lp += _normal_logpdf(beta1, priors.beta1_mean, priors.beta1_sd)
-    lp += math.log(priors.sigma_rate) - priors.sigma_rate * sigma
-    return lp
-
-
-def _normal_logpdf(x: float, mean: float, sd: float) -> float:
-    z = (x - mean) / sd
-    return -0.5 * math.log(2.0 * math.pi) - math.log(sd) - 0.5 * z * z
 
 
 def fit(
@@ -347,7 +330,7 @@ def fit(
         values[:, c, :] = out[: len(names)]
         chain_stats.append(effort)
 
-    draws = validate({name: values[i] for i, name in enumerate(names)})
+    draws = Draws(parameter_names=names, values=values)
     diagnostics = {name: diagnose(view(draws, name)) for name in names}
     return FitResult(draws=draws, diagnostics=diagnostics, chain_stats=tuple(chain_stats))
 

@@ -51,6 +51,25 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--preset", "figure1", "--seed", "-1"],
+        ["fit", "DATA", "--seed", "-1"],
+    ],
+    ids=["dataset", "figure1", "fit"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    data = tmp_path / "data.csv"
+    write_dataset(simulate_experiment(60, 5.0, 1.0, 2.0, seed=8), data)
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    code, stdout, stderr = run(*argv, "--out", str(tmp_path / "out.csv"), capsys=capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: InvalidArgument: seed must be >= 0, got -1\n"
+
+
 class TestFit:
     def _dataset(self, tmp_path) -> str:
         data = simulate_experiment(60, 5.0, 1.0, 2.0, seed=8)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from effectprob.draws import validate, view
+from effectprob.draws import Draws, validate, view
 from effectprob.errors import (
     DuplicateParameter,
     InvalidDraws,
@@ -11,6 +11,7 @@ from effectprob.errors import (
     RaggedChains,
     UnknownParameter,
 )
+from effectprob.regress import Dataset
 
 
 class TestValidate:
@@ -62,6 +63,76 @@ class TestValidate:
         d = validate({"a": [[1.0, 2.0]]})
         with pytest.raises(ValueError):
             d.values[0, 0, 0] = 9.0
+
+
+def by_validate(names, values):
+    return validate(list(zip(names, values)))
+
+
+def by_constructor(names, values):
+    return Draws(parameter_names=names, values=values)
+
+
+class TestDrawsChecksItself:
+    """Every invariant holds whichever way the draws are built."""
+
+    @pytest.mark.parametrize("build", [by_validate, by_constructor])
+    @pytest.mark.parametrize(
+        "names, values, error",
+        [
+            (("a",), [[[1.0, np.nan, 3.0]]], NonFiniteValue),
+            (("a",), [[[1.0, np.inf, 3.0]]], NonFiniteValue),
+            (("a",), [[[1.0, 2.0], [3.0, -np.inf]]], NonFiniteValue),
+            (("",), [[[1.0, 2.0]]], InvalidDraws),
+            (("a", "a"), [[[1.0, 2.0]], [[3.0, 4.0]]], DuplicateParameter),
+            (("a", "a"), np.full((2, 1, 1), np.nan), DuplicateParameter),
+            (("a",), [[[1.0]]], InvalidDraws),
+            (("a",), [[[[1.0, 2.0]]]], InvalidDraws),
+        ],
+        ids=["nan", "inf", "inf-in-second-chain", "empty-name", "duplicate-name",
+             "duplicate-name-over-nan", "one-iteration", "wrong-ndim"],
+    )
+    def test_rejects(self, build, names, values, error):
+        with pytest.raises(error):
+            build(names, np.asarray(values, dtype=float))
+
+    def test_constructor_rejects_mismatched_name_count(self):
+        with pytest.raises(InvalidDraws):
+            Draws(parameter_names=("a", "b"), values=np.zeros((1, 1, 2)))
+
+    @pytest.mark.parametrize("values", [[[[1.0, 2.0], [3.0]]], [[["x", "y"]]]], ids=["ragged", "text"])
+    def test_constructor_rejects_values_that_are_not_numbers(self, values):
+        with pytest.raises(InvalidDraws):
+            Draws(parameter_names=("a",), values=values)
+
+    def test_nonfinite_error_names_the_cell(self):
+        values = np.zeros((2, 3, 4))
+        values[1, 2, 3] = np.inf
+        with pytest.raises(NonFiniteValue, match=r"^parameter 'b', chain 3, iteration 4$"):
+            Draws(parameter_names=("a", "b"), values=values)
+
+    def test_copy_is_owned_and_c_ordered(self):
+        base = np.arange(12.0)
+        values = base.reshape(3, 2, 2).transpose(2, 1, 0)  # a strided view of base
+        d = Draws(parameter_names=("a", "b"), values=values)
+        assert values.flags.writeable and base.flags.writeable
+        values[0, 0, 0] = 99.0
+        base[:] = -1.0
+        assert d.values.tolist() == np.arange(12.0).reshape(3, 2, 2).transpose(2, 1, 0).tolist()
+        assert d.values.flags.c_contiguous and not d.values.flags.writeable
+        assert d.parameter_names == ("a", "b")
+
+    def test_dataset_copy_is_owned(self):
+        base = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0]])
+        outcome, treatment = base[:, 0], np.array([0, 1, 0, 1])
+        data = Dataset(outcome=outcome, treatment=treatment)
+        assert outcome.flags.writeable and treatment.flags.writeable
+        outcome[0] = 99.0
+        base[:] = -1.0
+        treatment[:] = 1
+        assert data.outcome.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert data.treatment.tolist() == [0, 1, 0, 1]
+        assert not data.outcome.flags.writeable
 
 
 class TestView:

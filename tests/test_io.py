@@ -98,6 +98,24 @@ class TestDrawsParser:
         with pytest.raises(RaggedChains):
             read_draws(path)
 
+    def test_ragged_chains_whose_rows_divide_evenly(self, tmp_path):
+        # Six rows over two chains would be three each, but they are 2 + 4.
+        rows = ["1,1,0.1", "1,2,0.2", "2,1,0.3", "2,2,0.4", "2,3,0.5", "2,4,0.6"]
+        path = self._write(tmp_path, "chain,iter,a,b\n" + "".join(r + ",1\n" for r in rows))
+        with pytest.raises(RaggedChains, match=r"^parameter 'a': chains have unequal lengths$"):
+            read_draws(path)
+
+    def test_parse_error_after_ragged_chains_wins(self, tmp_path):
+        rows = ["1,1,0.1", "1,2,0.2", "2,1,0.3", "2,2,0.4", "2,3,0.5", "2,4,x"]
+        path = self._write(tmp_path, "chain,iter,a\n" + "".join(r + "\n" for r in rows))
+        with pytest.raises(ParseError, match=r"^line 7, column a: not a decimal number: 'x'$"):
+            read_draws(path)
+
+    def test_last_label_that_overflows_is_a_parse_error(self, tmp_path):
+        path = self._write(tmp_path, "chain,iter,a\n1,1,0.5\n1,2,0.6\n1" + "0" * 400 + ",1,0.7\n")
+        with pytest.raises(ParseError, match=r"^line 4: expected chain 2, found 10+$"):
+            read_draws(path)
+
     def test_nan_text_rejected(self, tmp_path):
         path = self._write(tmp_path, "chain,iter,a\n1,1,nan\n1,2,0.5\n")
         with pytest.raises(ParseError):

@@ -24,7 +24,6 @@ from effectprob.regress import (
     _slice_width,
     _uniforms,
     fit,
-    log_posterior,
     simulate_experiment,
 )
 from effectprob.summary import prob_below
@@ -42,7 +41,7 @@ def conjugate_posterior(y, d, sigma, prior_sd):
 
 
 def brute_log_posterior(data, priors, beta0, beta1, sigma):
-    """Plain-loop reimplementation of the joint log density."""
+    """Joint log density of data and parameters, constants included, by a plain loop."""
     total = 0.0
     for y, d in zip(data.outcome, data.treatment):
         mu = beta0 + beta1 * d
@@ -96,6 +95,10 @@ class TestSpecs:
         with pytest.raises(InvalidArgument):
             ModelSpec(iterations=100, warmup=100)
 
+    def test_model_spec_rejects_negative_seed(self):
+        with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+            ModelSpec(seed=-1)
+
     def test_defaults_match_documented_protocol(self):
         spec = ModelSpec()
         assert (spec.chains, spec.iterations, spec.warmup) == (4, 10_000, 1_000)
@@ -136,56 +139,9 @@ class TestSimulateExperiment:
         with pytest.raises(InvalidArgument):
             simulate_experiment(10, 0.0, 0.0, 0.0, seed=0)
 
-
-class TestLogPosterior:
-    def test_zero_residuals_hit_normal_mode(self):
-        # Every unit sits exactly on its arm mean, so each likelihood term
-        # is the normal log density at its mode, -log(sigma * sqrt(2 pi)).
-        data = Dataset(outcome=[3.0, 3.0, 5.0], treatment=[0, 0, 1])
-        priors = PriorSpec()
-        sigma = 1.7
-        expected = 3 * (-math.log(sigma * math.sqrt(2 * math.pi)))
-        expected += (
-            -0.5 * math.log(2 * math.pi)
-            - math.log(priors.beta0_sd)
-            - (3.0 - priors.beta0_mean) ** 2 / (2 * priors.beta0_sd**2)
-        )
-        expected += (
-            -0.5 * math.log(2 * math.pi)
-            - math.log(priors.beta1_sd)
-            - (2.0 - priors.beta1_mean) ** 2 / (2 * priors.beta1_sd**2)
-        )
-        expected += math.log(priors.sigma_rate) - priors.sigma_rate * sigma
-        assert log_posterior(data, priors, 3.0, 2.0, sigma) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_doubling_sigma_in_prior_tail_is_linear(self):
-        # With zero residuals the only sigma terms are -n*log(sigma) from
-        # the likelihood and -rate*sigma from the exponential prior.
-        data = Dataset(outcome=[3.0, 3.0, 5.0], treatment=[0, 0, 1])
-        priors = PriorSpec(sigma_rate=0.5)
-        sigma = 40.0
-        delta = log_posterior(data, priors, 3.0, 2.0, 2 * sigma) - log_posterior(
-            data, priors, 3.0, 2.0, sigma
-        )
-        assert delta == pytest.approx(-3 * math.log(2.0) - 0.5 * sigma, abs=1e-9)
-
-    def test_agrees_with_brute_force(self, small_data):
-        rng = np.random.default_rng(13)
-        priors = PriorSpec()
-        for _ in range(100):
-            b0 = float(rng.normal(0, 10))
-            b1 = float(rng.normal(0, 5))
-            sigma = float(rng.uniform(0.1, 20))
-            assert log_posterior(small_data, priors, b0, b1, sigma) == pytest.approx(
-                brute_log_posterior(small_data, priors, b0, b1, sigma), abs=1e-9
-            )
-
-    def test_rejects_nonpositive_sigma(self, small_data):
-        for sigma in (0.0, -1.0, math.nan):
-            with pytest.raises(InvalidSigma):
-                log_posterior(small_data, PriorSpec(), 0.0, 0.0, sigma)
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+            simulate_experiment(10, 0.0, 0.0, 1.0, seed=-1)
 
 
 class TestFit:
@@ -234,7 +190,7 @@ class TestFit:
         b1 = view(result.draws, "beta1").pooled
         for i in range(0, len(sigma), 97):
             assert math.isfinite(
-                log_posterior(small_data, spec.priors, b0[i], b1[i], sigma[i])
+                brute_log_posterior(small_data, spec.priors, b0[i], b1[i], sigma[i])
             )
 
     def test_shape_and_diagnostics_present(self, small_data):
