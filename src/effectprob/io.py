@@ -18,32 +18,49 @@ contiguous block of rows with iterations numbered from 1. So every
 accepted draws file is exactly what :func:`write_draws` would write for
 its values, up to the spelling of the numbers.
 
-Cost model. A read keeps the file as one ``bytes`` buffer. It decodes
-the header, but decodes the body only when a dataset's text column holds
-non-ASCII bytes or a check fails. One vectorised scan finds every comma
-and newline, which gives every cell's span and checks every line's field
-count. A 256-entry byte-class table, applied with :meth:`bytes.translate`
-and reduced over the cell spans with ``np.maximum.reduceat``, checks that
-index cells hold only digits and number cells only ``[0-9.+-eE]``.
-numpy's C text parser then reads the numeric cells from the same buffer;
-within that byte set it accepts exactly the decimal grammar. All of this
-is O(file bytes) in C, with no Python call per cell, and holds about
-three times the file's size at its peak. Treatment cells are then
-checked in one O(rows) pass, and chain and iteration cells in one O(rows)
-comparison with the only layout an accepted file can have: with m the
+Cost model. A read keeps the file as one ``bytes`` buffer and decodes
+its header only, unless a check fails or a dataset's text column holds
+non-ASCII bytes. Every step below is an O(file bytes) or O(rows) pass
+in C, with no Python call per cell.
+
+A draws read makes three passes over the body. One
+:meth:`bytes.translate` deletes the draws alphabet ``[0-9.+-eE,\\n]``
+and must leave only what it leaves of the header. One line count, and
+one ``np.loadtxt`` call into records of two int64 index fields and one
+float64 field per parameter, check every line's field count and parse
+every cell: the int parser refuses empty and non-integer index cells,
+and within that alphabet the float parser accepts exactly the decimal
+grammar. The line count must equal the rows parsed, because loadtxt
+skips blank lines. Only when the body holds a ``+`` does a search for an
+index cell that starts with one follow, because the int parser takes a
+leading ``+``. The chain and iteration fields are then compared in one
+O(rows) pass with the only layout an accepted file can have: with m the
 last chain label and k = rows / m, row r holds chain r // k + 1 and
 iteration r % k + 1. The values go to :class:`Draws` as one strided view
-of the table, which it copies once. Only when a check fails is the body
-decoded and walked line by line, to raise the first error with its line
-number (or :class:`RaggedChains` if every line is well formed); that
-pass never returns values. A write formats ``_BLOCK_ROWS`` rows at a
-time, one ``%`` format per row, into one open file, so it holds one
-block's text rather than the file's.
+of the records, which it copies once. The read peaks at about twice the
+file's size.
+
+A dataset's ignored columns may hold any text, so a dataset read scans
+bytes instead. One vectorised scan finds every comma and newline, which
+gives every cell's span and checks every line's field count. A 256-entry
+byte-class table, applied with :meth:`bytes.translate` and reduced over
+the cell spans with ``np.maximum.reduceat``, checks that number cells
+hold only ``[0-9.+-eE]``. ``np.loadtxt`` then reads the two numeric
+columns from the same buffer, and the treatment cells are checked in
+one O(rows) pass. This read peaks at about three times the file's size.
+
+Only when a check fails is the body decoded and walked line by line, to
+raise the first error with its line number (or :class:`RaggedChains` if
+every line of a draws file is well formed); that pass never returns
+values. A write formats ``_BLOCK_ROWS`` rows at a time, one ``%`` format
+per row, into one open file, so it holds one block's text rather than
+the file's.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from io import BytesIO
 from pathlib import Path
 from typing import NoReturn
@@ -74,9 +91,15 @@ _BYTE_CLASS = bytes(
     for byte in range(256)
 )
 # The lowest and highest class a column of each kind allows.
-_INDEX_CELL = (_DIGIT, _DIGIT)
 _NUMBER_CELL = (_DIGIT, _SYMBOL)
 _TEXT_CELL = (_SEPARATOR, _NON_ASCII)  # neither outcome nor treatment
+
+# Every byte a draws body may hold. The typed parse and the sign checks
+# in _draws_table hold index cells to digits.
+_DRAWS_ALPHABET = b"0123456789.+-eE,\n"
+# A line whose iteration cell starts with "+", after a chain cell that
+# the int parser took.
+_SIGNED_ITER = re.compile(rb"\n-?[0-9]+,\+")
 
 _BLOCK_ROWS = 4096  # rows a writer formats per write call
 
@@ -220,6 +243,33 @@ def write_draws(d: Draws, path: str | Path) -> None:
             out.write("".join([row % line for line in cells]))
 
 
+def _draws_table(data: bytes, start: int, params: int) -> np.ndarray | None:
+    """Parse a non-empty draws body into records of ``index`` (chain,
+    iter) and ``values``, or return None if it is outside the grammar."""
+    if data.translate(None, _DRAWS_ALPHABET) != data[:start].translate(None, _DRAWS_ALPHABET):
+        return None
+    dtype = [("index", np.int64, (2,)), ("values", np.float64, (params,))]
+    try:
+        with warnings.catch_warnings():
+            # Some numpy releases parse "1.0" into an int field with a
+            # DeprecationWarning rather than refusing it.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                BytesIO(data), dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                ndmin=1, encoding="latin1",
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    # loadtxt skips blank lines, and its int parser takes a leading "+".
+    if len(table) != data.count(b"\n", start):
+        return None
+    if data.find(b"+", start) >= 0 and (
+        data.find(b"\n+", start - 1) >= 0 or _SIGNED_ITER.search(data, start - 1)
+    ):
+        return None
+    return table
+
+
 def read_draws(path: str | Path) -> Draws:
     """Parse a draws file into :class:`Draws`.
 
@@ -239,26 +289,27 @@ def read_draws(path: str | Path) -> Draws:
 
     if start == len(data):
         raise ParseError("no draw rows after the header")
-    table = _table(data, start, [_INDEX_CELL] * 2 + [_NUMBER_CELL] * len(names))
+    table = _draws_table(data, start, len(names))
     if table is None:
         _raise_draws_error(data, start, names)
 
     # Every chain has k = rows / m rows, m being the last chain label: row
-    # r holds chain r // k + 1 and iteration r % k + 1. m is checked to be
-    # at most the row count first, so a huge label never reaches int().
-    rows, fields = table.shape
-    last = table[-1, 0]
+    # r holds chain r // k + 1 and iteration r % k + 1.
+    index = table["index"]
+    rows = len(index)
+    last = index[-1, 0]
     if not (1 <= last <= rows and rows % last == 0):
         _raise_draws_error(data, start, names)
     m = int(last)
     k = rows // m
-    blocks = table.reshape(m, k, fields)
+    blocks = index.reshape(m, k, 2)
     if not (
         (blocks[:, :, 0] == np.arange(1, m + 1)[:, None]).all()
         and (blocks[:, :, 1] == np.arange(1, k + 1)).all()
     ):
         _raise_draws_error(data, start, names)
-    return Draws(parameter_names=tuple(names), values=blocks[:, :, 2:].transpose(2, 0, 1))
+    values = table["values"].reshape(m, k, len(names)).transpose(2, 0, 1)
+    return Draws(parameter_names=tuple(names), values=values)
 
 
 def write_dataset(

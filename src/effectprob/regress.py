@@ -259,7 +259,10 @@ def simulate_experiment(
     treatment = np.zeros(n, dtype=np.int64)
     treatment[: n // 2] = 1
     treatment = rng.permutation(treatment)
-    outcome = beta0 + beta1 * treatment + rng.normal(0.0, resid_sd, size=n)
+    noise = rng.normal(0.0, resid_sd, size=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowing outcome is Dataset's NonFiniteData, not a warning.
+        outcome = beta0 + beta1 * treatment + noise
     return Dataset(outcome=outcome, treatment=treatment)
 
 

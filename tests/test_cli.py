@@ -44,6 +44,16 @@ class TestSimulate:
         assert code == 0
         assert len(out.read_text().splitlines()) == 997
 
+    def test_overflowing_outcome_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            "simulate", "--beta0", "1e308", "--beta1", "1e308", "--out", str(out), capsys=capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: NonFiniteData: ")
+        assert stderr.count("\n") == 1
+
     def test_dataset_mode_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("simulate", "--n", "50", "--seed", "3", "--out", str(a), capsys=capsys)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from effectprob.draws import Draws, validate, view
+from effectprob.draws import Draws, ParameterView, validate, view
 from effectprob.errors import (
     DuplicateParameter,
     InvalidDraws,
@@ -12,6 +12,7 @@ from effectprob.errors import (
     UnknownParameter,
 )
 from effectprob.regress import Dataset
+from effectprob.summary import summarize
 
 
 class TestValidate:
@@ -160,3 +161,37 @@ class TestView:
         block = np.array([[1.25, -2.5], [0.75, 3.125]])
         d = validate({"a": block})
         assert np.array_equal(view(d, "a").per_chain, block)
+
+
+class TestParameterViewChecksItself:
+    def test_infinite_draw_rejected_before_summarize(self):
+        # summarize once returned ci_high=nan, with a RuntimeWarning, here.
+        with pytest.raises(NonFiniteValue, match=r"^parameter 'x', chain 1, iteration 3$"):
+            summarize(ParameterView("x", [[1, 2, np.inf]], [1, 2, np.inf]), 0.95)
+
+    @pytest.mark.parametrize(
+        "per_chain, pooled",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, 3.0, 2.0, 4.0]),  # iteration-major
+            ([[1.0, 2.0]], [1.0, 2.0, 2.0]),
+            ([[1.0, 2.0]], [[1.0, 2.0]]),
+            ([1.0, 2.0], [1.0, 2.0]),
+            ([[1.0, 2.0]], [1.0, np.nan]),
+        ],
+    )
+    def test_pooled_must_be_per_chain_flattened(self, per_chain, pooled):
+        with pytest.raises(InvalidDraws):
+            ParameterView("x", per_chain, pooled)
+
+    def test_copy_is_owned(self):
+        per_chain = np.array([[1.0, 2.0], [3.0, 4.0]])
+        v = ParameterView("x", per_chain, per_chain.reshape(-1))
+        per_chain[0, 0] = np.inf
+        assert v.per_chain.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert v.pooled.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert not v.per_chain.flags.writeable and not v.pooled.flags.writeable
+
+    def test_lists_become_float_arrays(self):
+        v = ParameterView("x", [[1, 2], [3, 4]], [1, 2, 3, 4])
+        assert v.per_chain.dtype == v.pooled.dtype == np.float64
+        assert summarize(v, 0.5).mean == 2.5

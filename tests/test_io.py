@@ -230,3 +230,10 @@ class TestAllocationPeaks:
         path = tmp_path / "file.csv"
         write(value, path)
         assert self.peak_bytes(lambda: read(path)) <= 4 * path.stat().st_size
+
+    def test_draws_read_peak_is_at_most_two_and_a_half_times_the_file(self, tmp_path):
+        # The file's bytes, loadtxt's records and the Draws copy.
+        value, write, read = self.sample("draws")
+        path = tmp_path / "file.csv"
+        write(value, path)
+        assert self.peak_bytes(lambda: read(path)) <= 2.5 * path.stat().st_size

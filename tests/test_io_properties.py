@@ -547,6 +547,12 @@ class TestAcceptedLanguage:
     @example(content=b"chain,iter,a\n1,1,1,\n1,2,2\n")
     @example(content=b"chain,iter,a\n1,1,Infinity\n1,2,2\n")
     @example(content="chain,iter,a\n1,1,1\x852\n1,2,2\n".encode())
+    # numpy's int parser takes a leading "+" and loadtxt skips blank
+    # lines; the reader refuses both itself. "1e+20" is a valid "+".
+    @example(content=b"chain,iter,a\n1,1,1\n1,+2,2\n")
+    @example(content=b"chain,iter,a\n+1,1,1\n1,2,2\n")
+    @example(content=b"chain,iter,a\n1,1,1e+20\n1,2,2\n")
+    @example(content=b"chain,iter,a\n1,1,1\n1,2,2\n\n")
     def test_draws_files(self, path, content):
         assert_draws_agree(path, content)
         assert_draws_agree(path, content, oracle=line_regex_read_draws)
