@@ -76,10 +76,6 @@ class NonFiniteData(EffectProbError):
     """Dataset contains NaN or infinite outcome values."""
 
 
-class InvalidSigma(EffectProbError):
-    """Residual scale must be a positive finite number."""
-
-
 # --- file interchange ------------------------------------------------------
 
 class ParseError(EffectProbError):

@@ -26,10 +26,10 @@ f(u) = -(n-1) u - ssr / (2 e^(2u)) - rate e^u. At its mode u*,
 -f''(u*) = 2(n-1) + 3 rate e^(u*), so its standard deviation is about
 1 / sqrt(2(n-1)) when the likelihood dominates. The step-out width is
 w = 3 / sqrt(2(n-1)): three conditional sds when the likelihood
-dominates, wider (never narrower) when the exponential prior does, and
-1.0 in prior-only mode. The width must not depend on the current point,
-or the update stops being reversible (Neal 2003, *Annals of
-Statistics*, section 4.1). The step-out budget is 50.
+dominates, wider (never narrower) when the exponential prior does. The
+width must not depend on the current point, or the update stops being
+reversible (Neal 2003, *Annals of Statistics*, section 4.1). The
+step-out budget is 50.
 
 Cost model. Computing the statistics is O(n), four exact sums over the
 outcome. Each chain then costs O(iterations * E) scalar Python work,
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -57,7 +57,6 @@ from .draws import Draws, view
 from .errors import (
     DegenerateDesign,
     InvalidArgument,
-    InvalidSigma,
     NonBinaryTreatment,
     NonFiniteData,
 )
@@ -74,6 +73,10 @@ _LOG_2 = math.log(2.0)
 # below ss_within / n, in warm-up or in the posterior's lower tail, before
 # that precision overflows.
 _MAX_DATA_PRECISION = sys.float_info.max / 1024.0
+# Prior sds must be at least 1 / _MAX_SCALE and the rate within a factor
+# _MAX_SCALE of 1: the kernel forms 1 / sd^2, and sigma^2 and n / sigma^2 for
+# a start sigma = E / rate (E standard exponential), finite unless E < 1e-14.
+_MAX_SCALE = 1e140
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,17 @@ class PriorSpec:
     sigma_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.beta0_sd > 0 and self.beta1_sd > 0 and self.sigma_rate > 0):
-            raise InvalidArgument("prior sds and the exponential rate must be positive")
+        for name, value in asdict(self).items():
+            object.__setattr__(self, name, float(value))
+        if not (
+            all(math.isfinite(value) for value in astuple(self))
+            and min(self.beta0_sd, self.beta1_sd) >= 1.0 / _MAX_SCALE
+            and 1.0 / _MAX_SCALE <= self.sigma_rate <= _MAX_SCALE
+        ):
+            raise InvalidArgument(
+                f"prior values must be finite, the sds at least {1.0 / _MAX_SCALE:g} and the "
+                f"rate between {1.0 / _MAX_SCALE:g} and {_MAX_SCALE:g}; got {self}"
+            )
 
 
 @dataclass(frozen=True)
@@ -188,12 +200,12 @@ class _SuffStats:
     yields bit-identical statistics, hence bit-identical chains.
     """
 
-    n_ctrl: int = 0
-    mean_ctrl: float = 0.0
-    ss_ctrl: float = 0.0
-    n_trt: int = 0
-    mean_trt: float = 0.0
-    ss_trt: float = 0.0
+    n_ctrl: int
+    mean_ctrl: float
+    ss_ctrl: float
+    n_trt: int
+    mean_trt: float
+    ss_trt: float
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "_SuffStats":
@@ -266,13 +278,7 @@ def simulate_experiment(
     return Dataset(outcome=outcome, treatment=treatment)
 
 
-def fit(
-    data: Dataset | None,
-    spec: ModelSpec,
-    *,
-    fixed_sigma: float | None = None,
-    prior_only: bool = False,
-) -> FitResult:
+def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     """Run the Gibbs-within-slice sampler and assemble post-warmup draws.
 
     Each chain is initialized from the priors and advanced for
@@ -280,14 +286,6 @@ def fit(
     discarded. Chains use independent RNG streams seeded from
     ``(spec.seed, chain_index)``, so identical inputs give bit-identical
     results.
-
-    Two test modes bypass parts of the kernel:
-
-    - ``fixed_sigma`` holds the residual scale constant, making each
-      (b0, b1) draw an exact sample from the conjugate posterior; the
-      constant scale is omitted from the emitted draws.
-    - ``prior_only`` drops the likelihood entirely (``data`` may be
-      None), so the kernel should reproduce the priors.
 
     Raises
     ------
@@ -299,52 +297,24 @@ def fit(
     NonFiniteData
         The outcome's squared deviations from its arm means, or their
         sum, overflow a double.
-    InvalidSigma
-        ``fixed_sigma`` is not a positive finite number, or so small that
-        the data precision n / fixed_sigma^2 overflows.
     """
-    if prior_only:
-        stats = _SuffStats()
-    else:
-        if data is None:
-            raise InvalidArgument("data is required unless prior_only=True")
-        n_treated = int(np.count_nonzero(data.treatment))
-        if n_treated in (0, data.n):
-            raise DegenerateDesign(
-                f"all {data.n} units are in arm {int(n_treated > 0)}; the effect is unidentified"
-            )
-        stats = _SuffStats.from_dataset(data)
-    if fixed_sigma is not None and not (
-        math.isfinite(fixed_sigma)
-        and fixed_sigma > 0
-        and math.isfinite(max(stats.n_ctrl + stats.n_trt, 1) / fixed_sigma / fixed_sigma)
-    ):
-        raise InvalidSigma(
-            f"fixed_sigma must be positive, finite and large enough for n / fixed_sigma^2 "
-            f"to be finite, got {fixed_sigma!r}"
+    n_treated = int(np.count_nonzero(data.treatment))
+    if n_treated in (0, data.n):
+        raise DegenerateDesign(
+            f"all {data.n} units are in arm {int(n_treated > 0)}; the effect is unidentified"
         )
+    stats = _SuffStats.from_dataset(data)
 
-    names = ("beta0", "beta1") if fixed_sigma is not None else ("beta0", "beta1", "sigma")
-    values = np.empty((len(names), spec.chains, spec.iterations - spec.warmup))
-    chain_stats = []
-    for c in range(spec.chains):
-        rng = np.random.default_rng([spec.seed, c])
-        out, effort = _run_chain(stats, spec, rng, fixed_sigma, c)
-        values[:, c, :] = out[: len(names)]
-        chain_stats.append(effort)
-
-    draws = Draws(parameter_names=names, values=values)
-    diagnostics = {name: diagnose(view(draws, name)) for name in names}
-    return FitResult(draws=draws, diagnostics=diagnostics, chain_stats=tuple(chain_stats))
+    runs = [_run_chain(stats, spec, c) for c in range(spec.chains)]
+    draws = Draws(
+        parameter_names=("beta0", "beta1", "sigma"),
+        values=np.stack([values for values, _ in runs], axis=1),
+    )
+    diagnostics = {name: diagnose(view(draws, name)) for name in draws.parameter_names}
+    return FitResult(draws, diagnostics, tuple(effort for _, effort in runs))
 
 
-def _run_chain(
-    stats: _SuffStats,
-    spec: ModelSpec,
-    rng: np.random.Generator,
-    fixed_sigma: float | None,
-    chain: int,
-) -> tuple[np.ndarray, ChainStats]:
+def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarray, ChainStats]:
     """One chain: rows (beta0, beta1, sigma) of post-warmup draws, and its effort.
 
     The coefficients are drawn as offsets d = (d0, d1) from (mean_c,
@@ -368,14 +338,11 @@ def _run_chain(
     # Prior precision times prior mean, in the offset coordinates.
     k0 = (priors.beta0_mean - base0) * prec0
     k1 = (priors.beta1_mean - base1) * prec1
-    sample_sigma = fixed_sigma is None
 
-    if sample_sigma:
+    rng = np.random.default_rng([spec.seed, chain])
+    sigma = rng.exponential(1.0 / rate)
+    while sigma == 0.0:
         sigma = rng.exponential(1.0 / rate)
-        while sigma == 0.0:
-            sigma = rng.exponential(1.0 / rate)
-    else:
-        sigma = fixed_sigma
     log_sigma = math.log(sigma)
     z0s, z1s = rng.standard_normal((2, spec.iterations)).tolist()
     drops = rng.standard_exponential(spec.iterations).tolist()
@@ -393,16 +360,13 @@ def _run_chain(
         w0 = k0 / l11
         d1 = ((k1 - l21 * w0) / l22 + z1) / l22
         d0 = (w0 + z0 - l21 * d1) / l11
-        if sample_sigma:
-            d_trt = d0 + d1
-            ssr = ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt
-            log_sigma, e, s, collapsed = _slice_log_sigma(
-                log_sigma, n, ssr, rate, width, drop, uniform
-            )
-            sigma = math.exp(log_sigma)
-            evals += e
-            stepouts += s
-            collapses += collapsed
+        d_trt = d0 + d1
+        ssr = ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt
+        log_sigma, e, s, collapsed = _slice_log_sigma(log_sigma, n, ssr, rate, width, drop, uniform)
+        sigma = math.exp(log_sigma)
+        evals += e
+        stepouts += s
+        collapses += collapsed
         b0s.append(base0 + d0)
         b1s.append(base1 + d1)
         sigmas.append(sigma)
@@ -429,10 +393,11 @@ def _log_sigma_target(u: float, n: int, log_half_ssr: float, rate: float) -> flo
     p(sigma | rest) is proportional to sigma^(-n) * exp(-ssr / (2 sigma^2))
     * exp(-rate * sigma); the change of variables adds +u, giving
     -(n - 1) u - ssr / (2 e^(2u)) - rate e^u. The middle term is
-    evaluated as exp(log(ssr / 2) - 2u), which is 0 when ssr = 0.
+    evaluated as exp(log(ssr / 2) - 2u), which is 0 when ssr = 0. Above
+    u = 354 the kernel's sigma^2 would overflow, so the target is -inf.
     """
     x = log_half_ssr - 2.0 * u
-    if u > 709.0 or x > 709.0:
+    if u > 354.0 or x > 709.0:
         return -math.inf
     return -(n - 1.0) * u - math.exp(x) - rate * math.exp(u)
 
@@ -442,10 +407,9 @@ def _slice_width(n: int) -> float:
 
     At the conditional's mode u*, -f''(u*) = 2(n-1) + 3 rate e^(u*) >=
     2(n-1), so this is three conditional sds when the likelihood
-    dominates, and wider, never narrower, when the prior does. It is
-    1.0 in prior-only mode (n = 0).
+    dominates, and wider, never narrower, when the prior does.
     """
-    return _SLICE_SDS / math.sqrt(2.0 * (n - 1.0)) if n > 1 else 1.0
+    return _SLICE_SDS / math.sqrt(2.0 * (n - 1.0))
 
 
 def _slice_log_sigma(
@@ -465,7 +429,7 @@ def _slice_log_sigma(
     new point, the target evaluations, the step-outs, and whether the
     interval collapsed onto ``u0``, which is then kept.
     """
-    log_half_ssr = math.log(ssr) - _LOG_2 if ssr > 0.0 else -math.inf
+    log_half_ssr = math.log(ssr) - _LOG_2 if ssr != 0.0 else -math.inf
     log_height = _log_sigma_target(u0, n, log_half_ssr, rate) - drop
     evals = 1
 

@@ -19,11 +19,12 @@ from effectprob.cli import main, parse_summary_line
 from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import validate, view
 from effectprob.io import read_draws, write_draws
-from effectprob.regress import ModelSpec, PriorSpec, fit, simulate_experiment
+from effectprob.regress import Dataset, ModelSpec, PriorSpec, fit, simulate_experiment
 from effectprob.render import PlotConfig, ccdf_axis_maps, density_axis_maps, render_ccdf, render_density
 from effectprob.summary import ccdf, kde, prob_below, prob_between, prob_exceeds
 
 from conftest import make_view
+from posterior_oracle import exact_posterior, standard_errors_off
 
 Z_975 = 1.959963984540054
 P_ABOVE_0 = 0.8413447460685429
@@ -91,52 +92,41 @@ def test_criterion_2_exact_ecdf_oracle():
 
 
 def test_criterion_3_sampler_correctness():
+    # The full kernel, sigma sampled, against the exact posterior
+    # (tests/posterior_oracle.py) in three regimes: the application
+    # dataset; its outcome scaled by 1e8, where the priors dominate; and
+    # a small dataset under nearly flat coefficient priors.
     started = time.perf_counter()
-
-    # Conjugate check: with sigma fixed the (b0, b1) posterior is exactly
-    # bivariate normal; compare the kernel against dense linear algebra.
+    application = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
     rng = np.random.default_rng(2024)
-    n = 60
-    d = np.zeros(n, dtype=int)
-    d[: n // 2] = 1
-    d = rng.permutation(d)
-    sigma = 1.5
-    y = 1.0 + 2.0 * d + rng.normal(0.0, sigma, size=n)
-    X = np.column_stack([np.ones(n), d])
-    prior_sd = 1e6
-    precision = X.T @ X / sigma**2 + np.eye(2) / prior_sd**2
-    cov = np.linalg.inv(precision)
-    mean = cov @ (X.T @ y / sigma**2)
-    sd = np.sqrt(np.diag(cov))
-
-    from effectprob.regress import Dataset
-
-    data = Dataset(outcome=y, treatment=d)
-    priors = PriorSpec(beta0_mean=0.0, beta0_sd=prior_sd, beta1_mean=0.0, beta1_sd=prior_sd)
-    for seed in range(5):
-        spec = ModelSpec(priors=priors, chains=3, iterations=8000, warmup=500, seed=seed)
-        result = fit(data, spec, fixed_sigma=sigma)
-        for i, name in enumerate(("beta0", "beta1")):
-            pooled = view(result.draws, name).pooled
-            assert abs(pooled.mean() - mean[i]) < 0.02 * sd[i], (seed, name, "mean")
-            assert abs(pooled.std(ddof=1) - sd[i]) < 0.02 * sd[i], (seed, name, "sd")
-
-    # Prior recovery: with the likelihood disabled the kernel must
-    # reproduce the prior moments (sigma prior mean = 1 / rate = 2).
-    spec = ModelSpec(chains=4, iterations=3000, warmup=500, seed=11)
-    result = fit(None, spec, prior_only=True)
-    targets = {"beta0": (50.0, 20.0, 3.0), "beta1": (0.0, 5.0, 3.0), "sigma": (2.0, 2.0, 9.0)}
-    for name, (prior_mean, prior_sd_value, kurtosis) in targets.items():
-        pooled = view(result.draws, name).pooled
-        n_eff = result.diagnostics[name].ess
-        se_mean = prior_sd_value / math.sqrt(n_eff)
-        se_sd = prior_sd_value * math.sqrt((kurtosis - 1.0) / (4.0 * n_eff))
-        assert abs(pooled.mean() - prior_mean) < 3.0 * se_mean, (name, "mean")
-        assert abs(pooled.std(ddof=1) - prior_sd_value) < 3.0 * se_sd, (name, "sd")
+    d = rng.permutation(np.repeat([1, 0], 30))
+    small = Dataset(outcome=1.0 + 2.0 * d + rng.normal(0.0, 1.5, size=60), treatment=d)
+    regimes = {
+        "application": (application, PriorSpec()),
+        "outcome x 1e8": (
+            Dataset(outcome=application.outcome * 1e8, treatment=application.treatment),
+            PriorSpec(),
+        ),
+        "n = 60, prior sd 1e6": (small, PriorSpec(0.0, 1e6, 0.0, 1e6)),
+    }
+    # Oracle values (P(beta1 < 0), E[beta1], E[sigma]) to the digits given.
+    printed = {
+        "application": ((0.946701, 5e-7), (-2.28296, 5e-6), (23.28619, 5e-6)),
+        "outcome x 1e8": ((0.496871, 5e-7), (0.0392112, 5e-8), (3.994558e7, 0.5)),
+    }
+    for regime, (data, priors) in regimes.items():
+        exact = exact_posterior(data, priors)
+        got = (exact.p_beta1_below_zero, exact.beta1.mean, exact.sigma.mean)
+        for value, (target, tolerance) in zip(got, printed.get(regime, ())):
+            assert abs(value - target) <= tolerance, (regime, value, target)
+        for seed in (42, 43):
+            result = fit(data, ModelSpec(priors=priors, seed=seed))
+            for statistic, z in standard_errors_off(result, exact).items():
+                assert abs(z) < 4.0, (regime, seed, statistic, z)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    print(f"ACCEPTANCE 3 (sampler vs conjugate/prior oracles, {elapsed:.1f}s): PASS")
+    print(f"ACCEPTANCE 3 (sampler vs exact posterior, {elapsed:.1f}s): PASS")
 
 
 def test_criterion_4_application_replication(tmp_path, capsys):

@@ -118,6 +118,31 @@ class TestFit:
         assert code == 2
         assert "error: InvalidArgument" in stderr
 
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            ["--sigma-rate", "inf"],
+            ["--beta0-mean", "nan"],
+            ["--beta0-sd", "1e-200"],
+            ["--sigma-rate", "1e160"],
+            ["--sigma-rate", "1e-320"],
+        ],
+    )
+    def test_unusable_prior_exits_2_before_fitting(self, tmp_path, capsys, prior):
+        # Refused before any iteration runs. Unchecked, the first loops
+        # forever drawing a start sigma of 0, the next three divide by zero
+        # and the last fails only after the whole fit.
+        data = simulate_experiment(50, 52.0, -2.49, 24.0, seed=3)
+        path = tmp_path / "data.csv"
+        write_dataset(data, path)
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run("fit", str(path), *prior, "--out", str(out), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: InvalidArgument: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_overflowing_outcome_exits_2(self, tmp_path, capsys):
         # Squared deviations of 1e200-scale outcomes overflow a double.
         data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)

@@ -6,13 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import view
 from effectprob.errors import (
     DegenerateDesign,
+    EffectProbError,
     InvalidArgument,
-    InvalidSigma,
     NonBinaryTreatment,
     NonFiniteData,
 )
@@ -29,15 +31,10 @@ from effectprob.regress import (
 from effectprob.summary import prob_below
 
 from conftest import make_view
+from posterior_oracle import exact_posterior, standard_errors_off
 
-
-def conjugate_posterior(y, d, sigma, prior_sd):
-    """Closed-form (b0, b1) posterior for known sigma, via dense algebra."""
-    X = np.column_stack([np.ones(len(y)), d])
-    precision = X.T @ X / sigma**2 + np.eye(2) / prior_sd**2
-    cov = np.linalg.inv(precision)
-    mean = cov @ (X.T @ np.asarray(y) / sigma**2)
-    return mean, np.sqrt(np.diag(cov))
+# Every prior sd and rate must lie within this factor of 1; sds may be larger.
+MAX_SCALE = 1e140
 
 
 def brute_log_posterior(data, priors, beta0, beta1, sigma):
@@ -88,6 +85,40 @@ class TestSpecs:
         for kwargs in ({"beta0_sd": 0.0}, {"beta1_sd": -1.0}, {"sigma_rate": 0.0}):
             with pytest.raises(InvalidArgument):
                 PriorSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma_rate": math.inf},  # the start draw is sigma = 0, forever
+            {"beta0_mean": math.nan},
+            {"beta1_mean": -math.inf},
+            {"beta1_sd": math.inf},
+            {"beta0_sd": 1e-200},  # 1 / sd^2 divides by zero
+            {"beta1_sd": np.nextafter(1.0 / MAX_SCALE, 0.0)},
+            {"sigma_rate": 1e160},  # the start draw's sigma^2 underflows
+            {"sigma_rate": np.nextafter(MAX_SCALE, math.inf)},
+            {"sigma_rate": 1e-320},  # the start draw is infinite
+            {"sigma_rate": 1e-160},  # the start draw's sigma^2 overflows
+            {"sigma_rate": np.nextafter(1.0 / MAX_SCALE, 0.0)},
+        ],
+    )
+    def test_prior_spec_rejects_what_the_kernel_cannot_form(self, kwargs):
+        with pytest.raises(InvalidArgument):
+            PriorSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma_rate": 1e100},
+            {"beta0_sd": 1e300},
+            {"beta0_sd": 1e300, "beta1_sd": 1e300},
+            {"sigma_rate": 1.0 / MAX_SCALE},
+            {"sigma_rate": MAX_SCALE},
+        ],
+    )
+    def test_extreme_priors_in_range_fit(self, small_data, kwargs):
+        result = fit(small_data, ModelSpec(PriorSpec(**kwargs), chains=2, iterations=200, warmup=50))
+        assert result.draws.iterations_per_chain == 150
 
     def test_model_spec_rejects_bad_protocol(self):
         with pytest.raises(InvalidArgument):
@@ -154,33 +185,6 @@ class TestFit:
         with pytest.raises(DegenerateDesign):
             fit(data, ModelSpec(iterations=10, warmup=2))
 
-    def test_fixed_sigma_matches_conjugate_posterior(self, small_data):
-        sigma = 1.5
-        prior_sd = 1e6
-        mean, sd = conjugate_posterior(small_data.outcome, small_data.treatment, sigma, prior_sd)
-        priors = PriorSpec(
-            beta0_mean=0.0, beta0_sd=prior_sd, beta1_mean=0.0, beta1_sd=prior_sd
-        )
-        spec = ModelSpec(priors=priors, chains=3, iterations=8000, warmup=500, seed=0)
-        result = fit(small_data, spec, fixed_sigma=sigma)
-        assert result.draws.parameter_names == ("beta0", "beta1")
-        for i, name in enumerate(("beta0", "beta1")):
-            pooled = view(result.draws, name).pooled
-            assert abs(pooled.mean() - mean[i]) < 0.02 * sd[i]
-            assert abs(pooled.std(ddof=1) - sd[i]) < 0.02 * sd[i]
-
-    def test_prior_only_recovers_priors(self):
-        spec = ModelSpec(chains=4, iterations=3000, warmup=500, seed=11)
-        result = fit(None, spec, prior_only=True)
-        targets = {"beta0": (50.0, 20.0, 3.0), "beta1": (0.0, 5.0, 3.0), "sigma": (2.0, 2.0, 9.0)}
-        for name, (mean, sd, kurtosis) in targets.items():
-            v = view(result.draws, name)
-            n_eff = result.diagnostics[name].ess
-            se_mean = sd / math.sqrt(n_eff)
-            se_sd = sd * math.sqrt((kurtosis - 1.0) / (4.0 * n_eff))
-            assert abs(v.pooled.mean() - mean) < 3 * se_mean
-            assert abs(v.pooled.std(ddof=1) - sd) < 3 * se_sd
-
     def test_sigma_draws_positive_and_posterior_finite(self, small_data):
         spec = ModelSpec(chains=2, iterations=400, warmup=100, seed=5)
         result = fit(small_data, spec)
@@ -223,21 +227,6 @@ class TestFit:
         mean_a = view(fit(small_data, spec_a).draws, "beta1").pooled.mean()
         mean_b = view(fit(small_data, spec_b).draws, "beta1").pooled.mean()
         assert mean_a == pytest.approx(mean_b, abs=0.1)
-
-    def test_rejects_bad_fixed_sigma(self, small_data):
-        with pytest.raises(InvalidSigma):
-            fit(small_data, ModelSpec(iterations=10, warmup=2), fixed_sigma=0.0)
-
-    def test_rejects_fixed_sigma_whose_square_underflows(self, small_data):
-        # 1e-170 squared is 0, so n / sigma^2 cannot be formed.
-        with pytest.raises(InvalidSigma):
-            fit(small_data, ModelSpec(iterations=10, warmup=2), fixed_sigma=1e-170)
-        with pytest.raises(InvalidSigma):
-            fit(None, ModelSpec(iterations=10, warmup=2), fixed_sigma=1e-170, prior_only=True)
-
-    def test_requires_data_without_prior_only(self):
-        with pytest.raises(InvalidArgument):
-            fit(None, ModelSpec(iterations=10, warmup=2))
 
     def test_application_scale_posterior(self):
         # Synthetic stand-in at the published scale: the posterior must
@@ -296,7 +285,7 @@ class TestSliceUpdate:
         iterations = 20_000
         drops = rng.standard_exponential(iterations).tolist()
         uniform = _uniforms(rng, 4 * iterations).__next__
-        width = _slice_width(n)
+        width = _slice_width(n) if n else 1.0
         u = math.log(mean)
         chain = np.empty(iterations)
         collapses = 0
@@ -333,6 +322,43 @@ class TestSliceUpdate:
             for stats in result.chain_stats:
                 assert stats.slice_evals_per_iteration <= 6.5, (n, stats)
                 assert stats.collapses_per_iteration == 0.0, (n, stats)
+
+
+class TestExactPosterior:
+    """The full kernel against the exact posterior of tests/posterior_oracle.py."""
+
+    @pytest.mark.parametrize("shift", [1e4, 1e8])
+    def test_shift_changes_neither_posterior_nor_fit(self, shift):
+        # Shifting the outcome and the b0 prior mean by c shifts b0 by c
+        # and leaves b1 and sigma alone. The shifted outcome is rounded to
+        # the spacing of doubles near c (1.5e-8 at 1e8), so the oracle's
+        # marginals may move by about that much.
+        data = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
+        exact = exact_posterior(data, PriorSpec())
+        shifted = Dataset(outcome=data.outcome + shift, treatment=data.treatment)
+        priors = PriorSpec(beta0_mean=50.0 + shift)
+        exact_shifted = exact_posterior(shifted, priors)
+        assert exact_shifted.p_beta1_below_zero == pytest.approx(exact.p_beta1_below_zero, abs=1e-7)
+        for name in ("beta1", "sigma"):
+            a, b = getattr(exact, name), getattr(exact_shifted, name)
+            assert b.mean == pytest.approx(a.mean, abs=1e-6 * a.sd), name
+            assert b.sd == pytest.approx(a.sd, rel=1e-6), name
+        assert exact_shifted.beta0.mean - shift == pytest.approx(exact.beta0.mean, abs=1e-6)
+
+        result = fit(shifted, ModelSpec(priors=priors, chains=4, iterations=3_000, warmup=500, seed=8))
+        for statistic, z in standard_errors_off(result, exact_shifted).items():
+            assert abs(z) < 4.0, (statistic, z)
+
+    def test_probability_coverage_over_short_fits(self):
+        # Over 40 pinned fits of 4 x 1,000 kept draws, z = (p_hat - p) / MCSE
+        # for P(beta1 < 0) should lie within +-1.96 about 95% of the time.
+        data = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
+        exact = exact_posterior(data, PriorSpec())
+        inside = 0
+        for seed in range(40):
+            result = fit(data, ModelSpec(chains=4, iterations=1_250, warmup=250, seed=seed))
+            inside += abs(standard_errors_off(result, exact)["P(beta1 < 0)"]) <= 1.96
+        assert inside >= 34, inside
 
 
 class TestNumericalRange:
@@ -381,3 +407,77 @@ class TestNumericalRange:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateDesign, match="spread"):
                 fit(tiny, ModelSpec(chains=2, iterations=3_000, warmup=1_000))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# Extreme finite values as well as ordinary ones: powers of ten from 1e-300
+# to 1e300, the largest double, subnormals.
+magnitude = st.one_of(
+    finite,
+    st.integers(-300, 300).map(lambda e: 10.0**e),
+    st.sampled_from([np.finfo(float).max, np.finfo(float).smallest_subnormal]),
+)
+signed = st.one_of(magnitude, magnitude.map(lambda x: -x))
+
+
+@st.composite
+def datasets(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome and treatment of 3 to 12 units at any location and scale."""
+    n = draw(st.integers(3, 12))
+    treatment = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        outcome = np.array(draw(st.lists(signed, min_size=n, max_size=n)))
+    else:
+        noise = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = draw(signed) + draw(magnitude) * noise
+    return outcome, treatment
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=datasets(),
+        prior=st.tuples(signed, magnitude, signed, magnitude, magnitude),
+        chains=st.integers(1, 2),
+        iterations=st.integers(2, 60),
+        warmup_share=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32),
+    )
+    # Flat priors and a spread near 1e153: sigma^2 must not overflow, which
+    # would leave the coefficients' conditional precision 0.
+    @example(
+        data=(np.array([0.0, 1e153, -1e153, 5e152]), np.array([0, 0, 1, 1])),
+        prior=(0.0, 1e300, 0.0, 1e300, 1e-140),
+        chains=1,
+        iterations=60,
+        warmup_share=0.0,
+        seed=40,
+    )
+    # A prior mean beyond the reach of its sd: the residual sum is NaN,
+    # which the slice update must not take for 0, or sigma walks down to 0.
+    @example(
+        data=(np.array([0.0, 0.0, 1.0, 0.0]), np.array([0, 0, 0, 1])),
+        prior=(0.0, 1.0, 1.7976931348623159e68, 1e-120, 1.0),
+        chains=1,
+        iterations=25,
+        warmup_share=0.0,
+        seed=0,
+    )
+    def test_fit_raises_only_package_errors(
+        self, data, prior, chains, iterations, warmup_share, seed
+    ):
+        # Any input either fits, or fails with a typed error: no other
+        # exception, no numpy warning (the suite makes those errors) and
+        # no hang.
+        try:
+            spec = ModelSpec(
+                PriorSpec(*prior),
+                chains=chains,
+                iterations=iterations,
+                warmup=int(warmup_share * iterations),
+                seed=seed,
+            )
+            fit(Dataset(*data), spec)
+        except EffectProbError:
+            pass
