@@ -24,7 +24,7 @@ non-ASCII bytes. Every step below is an O(file bytes) or O(rows) pass
 in C, with no Python call per cell.
 
 A draws read makes three passes over the body. One
-:meth:`bytes.translate` deletes the draws alphabet ``[0-9.+-eE,\\n]``
+:meth:`bytes.translate` deletes the number alphabet ``[0-9.+-eE,\\n]``
 and must leave only what it leaves of the header. One line count, and
 one ``np.loadtxt`` call into records of two int64 index fields and one
 float64 field per parameter, check every line's field count and parse
@@ -40,21 +40,26 @@ iteration r % k + 1. The values go to :class:`Draws` as one strided view
 of the records, which it copies once. The read peaks at about twice the
 file's size.
 
-A dataset's ignored columns may hold any text, so a dataset read scans
-bytes instead. One vectorised scan finds every comma and newline, which
-gives every cell's span and checks every line's field count. A 256-entry
-byte-class table, applied with :meth:`bytes.translate` and reduced over
-the cell spans with ``np.maximum.reduceat``, checks that number cells
-hold only ``[0-9.+-eE]``. ``np.loadtxt`` then reads the two numeric
-columns from the same buffer, and the treatment cells are checked in
-one O(rows) pass. This read peaks at about three times the file's size.
+A dataset whose header holds only its two named columns has no text
+cell, and takes the same typed parse: the alphabet check, one line
+count, and one ``np.loadtxt`` into two float64 fields per row. It peaks
+at about twice the file's size. Columns other than the named ones may
+hold any text, so a dataset with them scans bytes instead. One
+vectorised scan finds every comma and newline, which gives every cell's
+span and checks every line's field count. A 256-entry byte-class table,
+applied with :meth:`bytes.translate` and reduced over the cell spans
+with ``np.maximum.reduceat``, checks that number cells hold only
+``[0-9.+-eE]``. ``np.loadtxt`` then reads the two numeric columns from
+the same buffer. This read peaks at about three times the file's size.
+Either way, the treatment cells are checked in one O(rows) pass.
 
 Only when a check fails is the body decoded and walked line by line, to
 raise the first error with its line number (or :class:`RaggedChains` if
 every line of a draws file is well formed); that pass never returns
-values. A write formats ``_BLOCK_ROWS`` rows at a time, one ``%`` format
-per row, into one open file, so it holds one block's text rather than
-the file's.
+values. A write formats ``_BLOCK_ROWS`` rows at a time into one open
+file, with one ``%``: the row format repeated once per row, applied to
+the block's cells interleaved row by row. It holds one block's text
+rather than the file's.
 """
 
 from __future__ import annotations
@@ -94,9 +99,10 @@ _BYTE_CLASS = bytes(
 _NUMBER_CELL = (_DIGIT, _SYMBOL)
 _TEXT_CELL = (_SEPARATOR, _NON_ASCII)  # neither outcome nor treatment
 
-# Every byte a draws body may hold. The typed parse and the sign checks
-# in _draws_table hold index cells to digits.
-_DRAWS_ALPHABET = b"0123456789.+-eE,\n"
+# Every byte a body of numbers may hold: a draws file, or a dataset with
+# only its two named columns. The typed parse and the sign checks in
+# _draws_table hold a draws file's index cells to digits.
+_NUMBERS_ALPHABET = b"0123456789.+-eE,\n"
 # A line whose iteration cell starts with "+", after a chain cell that
 # the int parser took.
 _SIGNED_ITER = re.compile(rb"\n-?[0-9]+,\+")
@@ -129,10 +135,7 @@ def _decode(data: bytes, start: int, stop: int | None = None) -> str:
 
 
 def _table(
-    data: bytes,
-    start: int,
-    columns: list[tuple[int, int]],
-    usecols: tuple[int, ...] | None = None,
+    data: bytes, start: int, columns: list[tuple[int, int]], usecols: tuple[int, ...]
 ) -> np.ndarray | None:
     """Check a non-empty body and parse its numeric cells into a table.
 
@@ -172,7 +175,7 @@ def _table(
         )
     except ValueError:
         return None
-    return table if table.shape == (len(cells), len(usecols or columns)) else None
+    return table if table.shape == (len(cells), len(usecols)) else None
 
 
 def _lines(body: str, fields: int) -> list[tuple[int, list[str]]]:
@@ -239,16 +242,26 @@ def write_draws(d: Draws, path: str | Path) -> None:
             stop = min(first + _BLOCK_ROWS, rows)
             chain, iteration = np.divmod(np.arange(first, stop), iterations)
             values = columns[:, first:stop].tolist()
-            cells = zip((chain + 1).tolist(), (iteration + 1).tolist(), *values)
-            out.write("".join([row % line for line in cells]))
+            out.write(_format_rows(row, [(chain + 1).tolist(), (iteration + 1).tolist(), *values]))
 
 
-def _draws_table(data: bytes, start: int, params: int) -> np.ndarray | None:
-    """Parse a non-empty draws body into records of ``index`` (chain,
-    iter) and ``values``, or return None if it is outside the grammar."""
-    if data.translate(None, _DRAWS_ALPHABET) != data[:start].translate(None, _DRAWS_ALPHABET):
+def _format_rows(row: str, columns: list[list]) -> str:
+    """Lines of ``row`` format, one per row of the equal-length ``columns``,
+    made by one ``%``: the format repeated per row, applied to the cells
+    interleaved row by row."""
+    width, rows = len(columns), len(columns[0])
+    cells = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        cells[j::width] = column
+    return (row * rows) % tuple(cells)
+
+
+def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
+    """Parse a non-empty body of numeric cells into records of ``dtype``,
+    or return None if a byte is outside ``[0-9.+-eE,\\n]``, a line has
+    the wrong number of fields, or a cell does not parse."""
+    if data.translate(None, _NUMBERS_ALPHABET) != data[:start].translate(None, _NUMBERS_ALPHABET):
         return None
-    dtype = [("index", np.int64, (2,)), ("values", np.float64, (params,))]
     try:
         with warnings.catch_warnings():
             # Some numpy releases parse "1.0" into an int field with a
@@ -260,9 +273,17 @@ def _draws_table(data: bytes, start: int, params: int) -> np.ndarray | None:
             )
     except (ValueError, DeprecationWarning):
         return None
-    # loadtxt skips blank lines, and its int parser takes a leading "+".
-    if len(table) != data.count(b"\n", start):
+    # loadtxt skips blank lines.
+    return table if len(table) == data.count(b"\n", start) else None
+
+
+def _draws_table(data: bytes, start: int, params: int) -> np.ndarray | None:
+    """Parse a non-empty draws body into records of ``index`` (chain,
+    iter) and ``values``, or return None if it is outside the grammar."""
+    table = _typed_table(data, start, [("index", np.int64, (2,)), ("values", np.float64, (params,))])
+    if table is None:
         return None
+    # loadtxt's int parser takes a leading "+".
     if data.find(b"+", start) >= 0 and (
         data.find(b"\n+", start - 1) >= 0 or _SIGNED_ITER.search(data, start - 1)
     ):
@@ -323,8 +344,8 @@ def write_dataset(
         out.write(f"{outcome_column},{treatment_column}\n")
         for first in range(0, len(data.outcome), _BLOCK_ROWS):
             block = slice(first, first + _BLOCK_ROWS)
-            cells = zip(data.outcome[block].tolist(), data.treatment[block].tolist())
-            out.write("".join(["%.17g,%d\n" % line for line in cells]))
+            columns = [data.outcome[block].tolist(), data.treatment[block].tolist()]
+            out.write(_format_rows("%.17g,%d\n", columns))
 
 
 def read_dataset(
@@ -355,13 +376,20 @@ def read_dataset(
 
     if start == len(data):
         return Dataset(outcome=[], treatment=[])
-    columns = [_NUMBER_CELL if i in (y_idx, d_idx) else _TEXT_CELL for i in range(len(header))]
-    table = _table(data, start, columns, (y_idx, d_idx))
-    if table is None:
+    if len(header) == 2 and y_idx != d_idx:
+        # No column can hold text: the draws reader's typed parse.
+        table = _typed_table(data, start, [("cells", np.float64, (2,))])
+        columns = None if table is None else (table["cells"][:, y_idx], table["cells"][:, d_idx])
+    else:
+        cells = [_NUMBER_CELL if i in (y_idx, d_idx) else _TEXT_CELL for i in range(len(header))]
+        table = _table(data, start, cells, (y_idx, d_idx))
+        columns = None if table is None else (table[:, 0], table[:, 1])
+    if columns is None:
         _raise_dataset_error(data, start, header, y_idx, d_idx)
-    outcome, treatment = table[:, 0], table[:, 1]
+    outcome, treatment = columns
     if not ((treatment == 0.0) | (treatment == 1.0)).all():
         _raise_dataset_error(data, start, header, y_idx, d_idx)
+    del data  # the file's bytes go before Dataset makes its copies
     return Dataset(outcome=outcome, treatment=treatment)
 
 

@@ -32,19 +32,25 @@ reversible (Neal 2003, *Annals of Statistics*, section 4.1). The
 step-out budget is 50.
 
 Cost model. Computing the statistics is O(n), four exact sums over the
-outcome. Each chain then costs O(iterations * E) scalar Python work,
-E being the target evaluations per iteration: about 6 at n = 996 and at
-n = 200,000 (one for the slice height, about three to step out, about
-two to shrink), and up to about 13 where the prior dominates. A chain
-draws its random variates in blocks, not one numpy call per scalar:
-its standard normals (2 x iterations) in one call, its slice-height
-exponentials in another, and its uniforms from a block of
-4 x iterations that is refilled when used up. The draws are gathered
-in Python lists and converted to one array at the end.
+outcome, read through memoryviews rather than list copies. Each chain
+then costs O(iterations * E) scalar Python work, E being the target
+evaluations per iteration: about 6 at n = 996 and at n = 200,000 (one
+for the slice height, about three to step out, about two to shrink),
+and up to about 13 where the prior dominates. The height costs no
+``exp``: it is f(u0) - drop, formed from the sigma and 1 / sigma^2 the
+coefficient step already has. Every other evaluation costs one ``exp``,
+e = e^u, and is written inline in the update, with no function call. A
+chain draws its random variates in blocks, not one numpy call per
+scalar: its standard normals (2 x iterations) in one call, its
+slice-height exponentials in another, and its uniforms from blocks of
+4 x iterations, refilled when used up and handed out by a C-level
+iterator. The draws are gathered in Python lists and converted to one
+array at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field
@@ -67,7 +73,9 @@ from .errors import (
 # it after 1,000 warm-up iterations.
 _SLICE_SDS = 3.0
 _SLICE_MAX_STEPOUTS = 50
-_LOG_2 = math.log(2.0)
+# Above this log sigma the kernel's sigma^2 would overflow; the sigma
+# target is -inf there.
+_MAX_LOG_SIGMA = 354.0
 # The kernel forms the data precision n / sigma^2. Refusing outcomes whose
 # n / (ss_within / n) exceeds this leaves sigma^2 a factor of 1024 to fall
 # below ss_within / n, in warm-up or in the posterior's lower tail, before
@@ -240,9 +248,9 @@ def _arm_stats(y: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, sum of squared deviations from the mean) of one arm."""
     with np.errstate(over="ignore"):
         try:
-            mean = math.fsum(y.tolist()) / len(y)
+            mean = math.fsum(memoryview(y)) / len(y)
             dev = y - mean
-            ss = math.fsum((dev * dev).tolist())
+            ss = math.fsum(memoryview(dev * dev))
         except OverflowError:  # fsum's intermediate overflow
             ss = math.inf
     if not math.isfinite(ss):
@@ -325,12 +333,16 @@ def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarr
     is L'^-1 L^-1 k and the noise L'^-1 z for a standard normal pair z,
     so d = L'^-1 (L^-1 k + z): one forward and one back substitution,
     and no determinant to overflow.
+
+    Raises :class:`InvalidArgument` before the first iteration when k
+    overflows: a prior mean too far from the data for its sd.
     """
     priors = spec.priors
     prec0 = 1.0 / (priors.beta0_sd * priors.beta0_sd)
     prec1 = 1.0 / (priors.beta1_sd * priors.beta1_sd)
     rate = priors.sigma_rate
-    n_ctrl, n_trt = stats.n_ctrl, stats.n_trt
+    # Floats, so that no product in the loop converts an int.
+    n_ctrl, n_trt = float(stats.n_ctrl), float(stats.n_trt)
     n = n_ctrl + n_trt
     ss_within = stats.ss_ctrl + stats.ss_trt
     base0 = stats.mean_ctrl
@@ -338,6 +350,15 @@ def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarr
     # Prior precision times prior mean, in the offset coordinates.
     k0 = (priors.beta0_mean - base0) * prec0
     k1 = (priors.beta1_mean - base1) * prec1
+    for name, k, mean, sd, base in (
+        ("beta0", k0, priors.beta0_mean, priors.beta0_sd, base0),
+        ("beta1", k1, priors.beta1_mean, priors.beta1_sd, base1),
+    ):
+        if not math.isfinite(k):
+            raise InvalidArgument(
+                f"the {name} prior's mean {mean:g} is too far from the data's estimate "
+                f"{base:g} for its sd {sd:g}: their difference over sd^2 overflows"
+            )
 
     rng = np.random.default_rng([spec.seed, chain])
     sigma = rng.exponential(1.0 / rate)
@@ -348,6 +369,7 @@ def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarr
     drops = rng.standard_exponential(spec.iterations).tolist()
     uniform = _uniforms(rng, 4 * spec.iterations).__next__
     width = _slice_width(n)
+    slope = 1.0 - n
 
     b0s, b1s, sigmas = [], [], []
     evals = stepouts = collapses = 0
@@ -361,9 +383,13 @@ def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarr
         d1 = ((k1 - l21 * w0) / l22 + z1) / l22
         d0 = (w0 + z0 - l21 * d1) / l11
         d_trt = d0 + d1
-        ssr = ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt
-        log_sigma, e, s, collapsed = _slice_log_sigma(log_sigma, n, ssr, rate, width, drop, uniform)
-        sigma = math.exp(log_sigma)
+        half_ssr = 0.5 * (ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt)
+        # The slice sits `drop` below the target at log_sigma, whose terms
+        # need no exp: sigma and 1 / sigma^2 are at hand.
+        height = slope * log_sigma - half_ssr * inv_s2 - rate * sigma - drop
+        log_sigma, sigma, e, s, collapsed = _slice_log_sigma(
+            log_sigma, height, n, half_ssr, rate, width, uniform
+        )
         evals += e
         stepouts += s
         collapses += collapsed
@@ -382,27 +408,12 @@ def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarr
 
 
 def _uniforms(rng: np.random.Generator, block: int) -> Iterator[float]:
-    """Standard uniforms, drawn ``block`` at a time."""
-    while True:
-        yield from rng.random(block).tolist()
+    """Standard uniforms, drawn ``block`` at a time when the last block is used up."""
+    blocks = map(rng.random, itertools.repeat(block))
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks))
 
 
-def _log_sigma_target(u: float, n: int, log_half_ssr: float, rate: float) -> float:
-    """Log density of u = log(sigma) under the conditional of sigma.
-
-    p(sigma | rest) is proportional to sigma^(-n) * exp(-ssr / (2 sigma^2))
-    * exp(-rate * sigma); the change of variables adds +u, giving
-    -(n - 1) u - ssr / (2 e^(2u)) - rate e^u. The middle term is
-    evaluated as exp(log(ssr / 2) - 2u), which is 0 when ssr = 0. Above
-    u = 354 the kernel's sigma^2 would overflow, so the target is -inf.
-    """
-    x = log_half_ssr - 2.0 * u
-    if u > 354.0 or x > 709.0:
-        return -math.inf
-    return -(n - 1.0) * u - math.exp(x) - rate * math.exp(u)
-
-
-def _slice_width(n: int) -> float:
+def _slice_width(n: float) -> float:
     """Step-out width for the log(sigma) update given n units.
 
     At the conditional's mode u*, -f''(u*) = 2(n-1) + 3 rate e^(u*) >=
@@ -414,23 +425,38 @@ def _slice_width(n: int) -> float:
 
 def _slice_log_sigma(
     u0: float,
-    n: int,
-    ssr: float,
+    height: float,
+    n: float,
+    half_ssr: float,
     rate: float,
     width: float,
-    drop: float,
     uniform: Callable[[], float],
-) -> tuple[float, int, int, bool]:
+) -> tuple[float, float, int, int, bool]:
     """One slice-sampling update of u = log(sigma): step out, then shrink.
 
-    ``width`` must not depend on ``u0`` (see :func:`_slice_width`). The
-    slice sits ``drop`` (a standard exponential variate) below the
-    target at ``u0``; ``uniform`` supplies standard uniforms. Returns the
-    new point, the target evaluations, the step-outs, and whether the
+    The target is the log density of u under sigma's conditional,
+    p(sigma | rest) ~ sigma^(-n) exp(-ssr / (2 sigma^2)) exp(-rate sigma)
+    times the Jacobian e^u:
+
+        f(u) = -(n - 1) u - (ssr / 2) / e^(2u) - rate e^u,
+
+    evaluated inline with one ``exp``, e = e^u, and ``half_ssr`` = ssr / 2.
+    It is -inf above u = 354, where the kernel's sigma^2 would overflow,
+    and where the middle term overflows, e * e underflowing to 0 included;
+    the middle term is 0 when ssr = 0.
+
+    ``height`` is the slice: f(u0) minus a standard exponential variate,
+    which the caller forms from its own terms. ``u0`` must be at most
+    354, as every point this update returns is. ``width`` must not depend
+    on ``u0`` (see :func:`_slice_width`); ``uniform`` supplies standard
+    uniforms. Returns the new point, sigma = e^u there, the target
+    evaluations (the height's included), the step-outs, and whether the
     interval collapsed onto ``u0``, which is then kept.
     """
-    log_half_ssr = math.log(ssr) - _LOG_2 if ssr != 0.0 else -math.inf
-    log_height = _log_sigma_target(u0, n, log_half_ssr, rate) - drop
+    slope = 1.0 - n
+    exp, top = math.exp, _MAX_LOG_SIGMA  # locals: read once per update, not per evaluation
+    # The middle term where e * e underflows to 0.
+    at_zero = math.inf if half_ssr != 0.0 else 0.0
     evals = 1
 
     left = u0 - width * uniform()
@@ -439,28 +465,42 @@ def _slice_log_sigma(
     budget_left = int(_SLICE_MAX_STEPOUTS * uniform())
     budget_right = (_SLICE_MAX_STEPOUTS - 1) - budget_left
     stepouts = 0
+    # left <= u0 <= top, so the left end needs no guard.
     while budget_left > 0:
         evals += 1
-        if _log_sigma_target(left, n, log_half_ssr, rate) <= log_height:
+        e = exp(left)
+        ee = e * e
+        if slope * left - (half_ssr / ee if ee else at_zero) - rate * e <= height:
             break
         left -= width
         budget_left -= 1
         stepouts += 1
     while budget_right > 0:
         evals += 1
-        if _log_sigma_target(right, n, log_half_ssr, rate) <= log_height:
+        if right > top:
+            f = -math.inf
+        else:
+            e = exp(right)
+            ee = e * e
+            f = slope * right - (half_ssr / ee if ee else at_zero) - rate * e
+        if f <= height:
             break
         right += width
         budget_right -= 1
         stepouts += 1
 
-    while right - left >= 1e-15 * (abs(u0) + 1.0):
+    shortest = 1e-15 * (abs(u0) + 1.0)
+    while right - left >= shortest:
         u1 = left + (right - left) * uniform()
         evals += 1
-        if _log_sigma_target(u1, n, log_half_ssr, rate) > log_height:
-            return u1, evals, stepouts, False
+        # Above top, f = -inf lies below every height.
+        if u1 <= top:
+            e = exp(u1)
+            ee = e * e
+            if slope * u1 - (half_ssr / ee if ee else at_zero) - rate * e > height:
+                return u1, e, evals, stepouts, False
         if u1 < u0:
             left = u1
         else:
             right = u1
-    return u0, evals, stepouts, True
+    return u0, math.exp(u0), evals, stepouts, True

@@ -126,12 +126,14 @@ class TestFit:
             ["--beta0-sd", "1e-200"],
             ["--sigma-rate", "1e160"],
             ["--sigma-rate", "1e-320"],
+            # A prior mean beyond its sd's reach: (mean - estimate) / sd^2 overflows.
+            ["--beta1-mean", "1.8e68", "--beta1-sd", "1e-120"],
         ],
     )
     def test_unusable_prior_exits_2_before_fitting(self, tmp_path, capsys, prior):
         # Refused before any iteration runs. Unchecked, the first loops
         # forever drawing a start sigma of 0, the next three divide by zero
-        # and the last fails only after the whole fit.
+        # and the last two fail only after the whole fit.
         data = simulate_experiment(50, 52.0, -2.49, 24.0, seed=3)
         path = tmp_path / "data.csv"
         write_dataset(data, path)

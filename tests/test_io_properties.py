@@ -356,6 +356,70 @@ def test_every_single_cell_corruption_of_a_small_file_matches_oracle(path):
         assert_dataset_agree(path, text)
 
 
+def with_note_column(text: str) -> str:
+    """The same file with a text column ``note`` in front of every line
+    (the empty string after a final newline stays empty)."""
+    header, *body = text.split("\n")
+    noted = [f"r{row},{line}" if line else line for row, line in enumerate(body, start=1)]
+    return "\n".join(["note," + header, *noted])
+
+
+def _one_more_field(message: str) -> str:
+    return re.sub(
+        r"expected (\d+) fields, found (\d+)",
+        lambda m: f"expected {int(m[1]) + 1} fields, found {int(m[2]) + 1}",
+        message,
+    )
+
+
+def test_both_dataset_read_paths_agree(path):
+    # A header of only the two named columns takes the typed parse, and a
+    # header with one more text column the byte-class scan. Each file must
+    # give the same dataset both ways, or the same error: same class, same
+    # message, its field counts one apart.
+    data = Dataset(outcome=[1.5, -2.0, 0.1], treatment=[0, 1, 1])
+    spelled = "outcome,treatment\n1.5,1.0\n2.5,-0\n3.5,1e0\n"
+    for text in [spelled, *every_single_cell_corruption(oracle_write_dataset(data))]:
+        path.write_bytes(text.encode("utf-8"))
+        typed = _outcome(read_dataset, path)
+        path.write_bytes(with_note_column(text).encode("utf-8"))
+        scanned = _outcome(read_dataset, path)
+        if isinstance(typed, Dataset):
+            assert isinstance(scanned, Dataset) and _same_dataset(scanned, typed), text
+        else:
+            assert scanned == (typed[0], _one_more_field(typed[1])), text
+    path.write_bytes(spelled.encode("utf-8"))
+    assert read_dataset(path).treatment.tolist() == [1, 0, 1]
+
+
+class TestWriterBlocks:
+    """Writers format 4,096 rows per ``%``: files that end one row short
+    of a block, on it, one row past it and five rows into a third block
+    are the oracle's bytes, as is the smallest file each writer takes."""
+
+    @pytest.mark.parametrize(
+        "chains, iterations",
+        [(1, 2), (3, 1365), (2, 2048), (17, 241), (7, 1171)],  # 2; 4,095; 4,096; 4,097; 8,197 rows
+    )
+    def test_write_draws(self, path, chains, iterations):
+        rng = np.random.default_rng(iterations)
+        shape = (2, chains, iterations)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        values[0, 0, 0], values[1, -1, -1] = -0.0, 5e-324
+        d = validate({"a": values[0], "b": values[1]})
+        write_draws(d, path)
+        assert path.read_bytes() == oracle_write_draws(d).encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [3, 4095, 4096, 4097, 2 * 4096 + 5])
+    def test_write_dataset(self, path, rows):
+        rng = np.random.default_rng(rows)
+        outcome = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        outcome[-1] = -0.0
+        data = Dataset(outcome=outcome, treatment=rng.integers(0, 2, size=rows))
+        write_dataset(data, path)
+        assert path.read_bytes() == oracle_write_dataset(data).encode("utf-8")
+
+
 class TestChainLabels:
     def test_skipped_label_names_the_line(self, path):
         path.write_text("chain,iter,a\n1,1,0.5\n1,2,0.6\n7,1,0.7\n7,2,0.8\n")
@@ -565,6 +629,9 @@ class TestAcceptedLanguage:
     # both lines.
     @example(content=b"outcome,treatment,note\n1.5,0,x,5\n1,0\n2,1,y\n")
     @example(content=b"outcome,treatment\n1_0,1\n")
+    # loadtxt skips a blank line; the two-column typed parse refuses it.
+    @example(content=b"outcome,treatment\n1.5,0\n\n2.5,1\n")
+    @example(content=b"treatment,outcome\n0,1.5\n1,+2.5e-3\n")
     @example(content=b"outcome,treatment\n1.5,1\n2.5,0,\n")
     @example(content=b"outcome,treatment")
     def test_dataset_files(self, path, content):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -119,6 +120,21 @@ class TestSpecs:
     def test_extreme_priors_in_range_fit(self, small_data, kwargs):
         result = fit(small_data, ModelSpec(PriorSpec(**kwargs), chains=2, iterations=200, warmup=50))
         assert result.draws.iterations_per_chain == 150
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("beta1", {"beta1_mean": 1.8e68, "beta1_sd": 1e-120}),
+            ("beta0", {"beta0_mean": -1e300, "beta0_sd": 1e-10}),
+        ],
+    )
+    def test_prior_mean_beyond_its_sds_reach_is_refused(self, name, kwargs):
+        # (mean - estimate) / sd^2 overflows. Unchecked, every iteration
+        # ran on NaN and the fit failed only at the end, naming beta0.
+        data = simulate_experiment(60, 52.0, -2.49, 24.0, seed=3)
+        spec = ModelSpec(PriorSpec(**kwargs), chains=2, iterations=100, warmup=10)
+        with pytest.raises(InvalidArgument, match=f"^the {name} prior's mean"):
+            fit(data, spec)
 
     def test_model_spec_rejects_bad_protocol(self):
         with pytest.raises(InvalidArgument):
@@ -268,8 +284,95 @@ def sigma_conditional_moments(n, ssr, rate):
     return mean, math.sqrt(var), kurtosis
 
 
+def log_sigma_target(u, n, ssr, rate):
+    """The sigma conditional's log density on u = log(sigma), in a form
+    independent of the kernel's inline one: -(n-1) u - exp(log(ssr / 2)
+    - 2u) - rate e^u, -inf above u = 354 or where the middle term's
+    exponent passes 709."""
+    log_half_ssr = math.log(ssr) - math.log(2.0) if ssr != 0.0 else -math.inf
+    x = log_half_ssr - 2.0 * u
+    if u > 354.0 or x > 709.0:
+        return -math.inf
+    return -(n - 1.0) * u - math.exp(x) - rate * math.exp(u)
+
+
+def reference_slice_update(u0, height, n, ssr, rate, width, uniform):
+    """The slice update with one call of :func:`log_sigma_target` per
+    evaluation: the reference for the kernel's inline evaluations, drawing
+    the same variates."""
+    left = u0 - width * uniform()
+    right = left + width
+    budget_left = int(50 * uniform())
+    budget_right = 49 - budget_left
+    evals, stepouts = 1, 0
+    while budget_left > 0:
+        evals += 1
+        if log_sigma_target(left, n, ssr, rate) <= height:
+            break
+        left -= width
+        budget_left -= 1
+        stepouts += 1
+    while budget_right > 0:
+        evals += 1
+        if log_sigma_target(right, n, ssr, rate) <= height:
+            break
+        right += width
+        budget_right -= 1
+        stepouts += 1
+    while right - left >= 1e-15 * (abs(u0) + 1.0):
+        u1 = left + (right - left) * uniform()
+        evals += 1
+        if log_sigma_target(u1, n, ssr, rate) > height:
+            return u1, evals, stepouts, False
+        if u1 < u0:
+            left = u1
+        else:
+            right = u1
+    return u0, evals, stepouts, True
+
+
 class TestSliceUpdate:
     """The log(sigma) slice update alone, against quadrature of its target."""
+
+    @pytest.mark.parametrize(
+        "u0, n, ssr, rate",
+        [
+            (math.log(24.0), 996, 995 * 24.0**2, 0.5),  # the application scale
+            (math.log(24.0), 200_000, 199_999 * 24.0**2, 0.5),  # large n
+            (math.log(24.0), 996, 995 * 24e8**2, 0.5),  # the prior dominates
+            (-380.0, 0, 0.0, 0.5),  # ssr = 0 where e * e underflows: the middle term is 0
+            # The mode near u = 352, so steps cross u = 354, where the target is -inf.
+            (352.0, 4, 4e306, 1e-300),
+            (-300.0, 996, 1e-300, 1e140),  # sigma near 1e-130
+            (0.0, 5, math.nan, 0.5),  # a NaN residual sum: every comparison is false
+        ],
+    )
+    def test_inline_target_matches_the_reference_update(self, u0, n, ssr, rate):
+        # The sampler sees its target only through comparisons with the
+        # slice height, so the inline target must take every branch the
+        # per-call one took: the same points, counts and collapses.
+        width = _slice_width(n) if n > 1 else 1.0
+        drops = np.random.default_rng(10).standard_exponential(500).tolist()
+        uniforms = [_uniforms(np.random.default_rng(11), 2_000).__next__ for _ in range(2)]
+        u = u0
+        for drop in drops:
+            height = log_sigma_target(u, n, ssr, rate) - drop
+            want = reference_slice_update(u, height, n, ssr, rate, width, uniforms[0])
+            got_u, sigma, *got = _slice_log_sigma(u, height, n, ssr / 2, rate, width, uniforms[1])
+            assert (got_u, *got) == want
+            assert sigma == math.exp(got_u)
+            u = got_u
+
+    def test_underflowing_square_is_outside_every_slice(self):
+        # Below u = -372.5, e * e underflows to 0. With ssr > 0 the target
+        # is -inf there, not a ZeroDivisionError; the step-out stops at the
+        # first such point and the shrink accepts a point above it.
+        uniform = _uniforms(np.random.default_rng(3), 100).__next__
+        u, sigma, _, stepouts, collapsed = _slice_log_sigma(-371.0, -1e300, 5, 1e-300, 0.5, 1.0, uniform)
+        assert -372.5 < u and sigma == math.exp(u) and not collapsed
+        # Every point right of u0 within the budget is inside the slice, so
+        # only the left step-out can have stopped short of it.
+        assert stepouts < 49
 
     @pytest.mark.parametrize(
         "n, ssr, rate, seed",
@@ -290,9 +393,9 @@ class TestSliceUpdate:
         chain = np.empty(iterations)
         collapses = 0
         for i, drop in enumerate(drops):
-            u, _, _, collapsed = _slice_log_sigma(u, n, ssr, rate, width, drop, uniform)
+            height = log_sigma_target(u, n, ssr, rate) - drop
+            u, chain[i], _, _, collapsed = _slice_log_sigma(u, height, n, ssr / 2, rate, width, uniform)
             collapses += collapsed
-            chain[i] = math.exp(u)
         assert collapses == 0
         n_eff = ess(make_view(chain.reshape(1, -1)))
         se_mean = sd / math.sqrt(n_eff)
@@ -359,6 +462,69 @@ class TestExactPosterior:
             result = fit(data, ModelSpec(chains=4, iterations=1_250, warmup=250, seed=seed))
             inside += abs(standard_errors_off(result, exact)["P(beta1 < 0)"]) <= 1.96
         assert inside >= 34, inside
+
+
+class TestPinnedDraws:
+    """SHA-256 of the draws and of each chain's ChainStats, pinned in
+    criterion 3's three regimes (4 chains x 2,000 iterations, seed 42).
+
+    The slice update sees its target only through comparisons with the
+    slice height, so a change in how the target is evaluated must leave
+    every bit of every chain alone. The hashes were computed with the
+    target evaluated as :func:`log_sigma_target` evaluates it.
+    """
+
+    PINNED = {
+        "application": (
+            "38e066117cdf55a5978f9d1425f9a115258f0ca8856165ef86e9fa26ecabd70c",
+            (
+                "fa8b16107ffd1fa8ca4086f9db66458f455f7315bec097f71aac999b2fd2df8d",
+                "1784b67a951b004d76266fdcec4270d3b759abc8d1bb494fde5e9f572298cc12",
+                "29f4688267a0d8121714a61a2d0f23229715506f8e259d21c060ec5aff53c8b1",
+                "43adfb9b6b1c274a9001253bb9572a799b98493b8dae1296169413a21f07704c",
+            ),
+        ),
+        "outcome x 1e8": (
+            "2f1848e6dadc2bddd1e86a6e31256fefdcfdb8b626590200bd90e64af40cbb1c",
+            (
+                "ef2512149b08b19b345033f36edaea222947784dfd3cc2302eea92bb926dd527",
+                "3c357ebaac125cd9c465239248789ce7ffc5c0a1734161882026ea7f80cc2e10",
+                "b4d336926154ead130a4687d830a255382db373daf27ea112a320472ae4cd419",
+                "e10d3a633eb5da520013322e45f567e78bae19b54661001467ff8247d00acfb3",
+            ),
+        ),
+        "n = 60, prior sd 1e6": (
+            "cd71307fee113afe6cbc5ed2508f9f008f04c26a6c425517ad91f408f8b2ba6f",
+            (
+                "d35598b7f6ca61d1298c0dfae18388fd1685eddc13e137f28239e12ab86e250e",
+                "635d6d288cce787801048eb691e518eb4e6be156ac702f8bf5153643794a9fa3",
+                "df0b5857a4dbc95be3b311459ffe69f825495b2b058b0587556d86f38f4000c2",
+                "7cc760035d16a06f960a512213144205940c262755e7364fa84d7fcf7e9e5aeb",
+            ),
+        ),
+    }
+
+    @staticmethod
+    def regimes() -> dict[str, tuple[Dataset, PriorSpec]]:
+        application = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
+        rng = np.random.default_rng(2024)
+        d = rng.permutation(np.repeat([1, 0], 30))
+        small = Dataset(outcome=1.0 + 2.0 * d + rng.normal(0.0, 1.5, size=60), treatment=d)
+        scaled = Dataset(outcome=application.outcome * 1e8, treatment=application.treatment)
+        return {
+            "application": (application, PriorSpec()),
+            "outcome x 1e8": (scaled, PriorSpec()),
+            "n = 60, prior sd 1e6": (small, PriorSpec(0.0, 1e6, 0.0, 1e6)),
+        }
+
+    @pytest.mark.parametrize("regime", list(PINNED))
+    def test_draws_and_effort_are_unchanged(self, regime):
+        data, priors = self.regimes()[regime]
+        result = fit(data, ModelSpec(priors=priors, chains=4, iterations=2_000, seed=42))
+        draws_sha, stats_sha = self.PINNED[regime]
+        assert hashlib.sha256(result.draws.values.tobytes()).hexdigest() == draws_sha
+        got = tuple(hashlib.sha256(repr(s).encode()).hexdigest() for s in result.chain_stats)
+        assert got == stats_sha, result.chain_stats
 
 
 class TestNumericalRange:
@@ -454,8 +620,9 @@ class TestFuzz:
         warmup_share=0.0,
         seed=40,
     )
-    # A prior mean beyond the reach of its sd: the residual sum is NaN,
-    # which the slice update must not take for 0, or sigma walks down to 0.
+    # A prior mean beyond the reach of its sd. Before fit refused it, the
+    # residual sum was NaN, which the slice update must not take for 0, or
+    # sigma walks down to 0; a NaN sum is now pinned in TestSliceUpdate.
     @example(
         data=(np.array([0.0, 0.0, 1.0, 0.0]), np.array([0, 0, 0, 1])),
         prior=(0.0, 1.0, 1.7976931348623159e68, 1e-120, 1.0),
