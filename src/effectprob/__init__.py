@@ -23,7 +23,6 @@ from .regress import (
 )
 from .render import (
     AxisMap,
-    PlotConfig,
     ccdf_axis_maps,
     density_axis_maps,
     render_ccdf,
@@ -54,7 +53,6 @@ __all__ = [
     "FitResult",
     "ModelSpec",
     "ParameterView",
-    "PlotConfig",
     "PosteriorSummary",
     "PriorSpec",
     "ccdf",

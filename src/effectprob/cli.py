@@ -22,7 +22,7 @@ from .diagnostics import diagnose
 from .draws import Draws, view
 from .errors import EffectProbError, InvalidArgument, InvalidLevel, UnknownParameter
 from .regress import ModelSpec, PriorSpec, _check_seed, fit, simulate_experiment
-from .render import PlotConfig, render_ccdf, render_density
+from .render import render_ccdf, render_density
 from .summary import PosteriorSummary, ccdf, kde, prob_below, prob_exceeds, summarize
 
 RHAT_WARN = 1.01
@@ -106,10 +106,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         iterations=args.iters,
         warmup=args.warmup,
         seed=args.seed,
-        outcome_column=args.outcome,
-        treatment_column=args.treatment,
     )
-    data = io.read_dataset(args.data, spec.outcome_column, spec.treatment_column)
+    data = io.read_dataset(args.data, args.outcome, args.treatment)
     result = fit(data, spec)
     io.write_draws(result.draws, args.out)
 
@@ -141,16 +139,14 @@ def _cmd_plot(args: argparse.Namespace, curve, render) -> int:
     draws = io.read_draws(args.draws)
     name = _select_parameter(draws, args.param)
     v = view(draws, name)
-    document = render(curve(v, args.points), _plot_config(args))
+    # An absent or empty --x-label keeps the renderer's default label.
+    label = {"x_label": args.x_label} if args.x_label else {}
+    document = render(curve(v, args.points), **label)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
     print(f"P({name}>0) = {prob_exceeds(v, 0.0)!r}")
     print(f"P({name}<0) = {prob_below(v, 0.0)!r}")
     return 0
-
-
-def _plot_config(args: argparse.Namespace) -> PlotConfig:
-    return PlotConfig(x_label=args.x_label) if args.x_label else PlotConfig()
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:

@@ -79,24 +79,19 @@ class Draws:
 class ParameterView:
     """One parameter's draws, both chain-separated and pooled.
 
-    ``pooled`` is the concatenation of the per-chain series in
-    (chain-major, iteration-minor) order, so its length is always
-    ``chains * iterations_per_chain``. Construction copies ``per_chain``
-    into a C-ordered, read-only float64 array and makes ``pooled`` a
-    flat view of it, after raising :class:`InvalidDraws` unless
-    ``per_chain`` is 2-d and ``pooled`` equals it flattened, and
+    Construction copies ``per_chain`` into a C-ordered, read-only
+    float64 array that the view owns, after raising
+    :class:`InvalidDraws` unless it is 2-d ``(chains, iterations)`` and
     :class:`NonFiniteValue` for a NaN or infinity. An empty view is
     legal; the summaries reject it.
     """
 
     name: str
     per_chain: np.ndarray
-    pooled: np.ndarray
 
     def __post_init__(self) -> None:
         try:
             per_chain = np.array(self.per_chain, dtype=np.float64, order="C")
-            pooled = np.asarray(self.pooled, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidDraws(f"parameter {self.name!r}: {exc}") from exc
         if per_chain.ndim != 2:
@@ -108,11 +103,13 @@ class ParameterView:
                 f"parameter {self.name!r}, chain {bad[0] + 1}, iteration {bad[1] + 1}"
             )
         per_chain.setflags(write=False)
-        flat = per_chain.reshape(-1)
-        if pooled.shape != flat.shape or not (pooled == flat).all():
-            raise InvalidDraws(f"parameter {self.name!r}: pooled must be per_chain flattened")
         object.__setattr__(self, "per_chain", per_chain)
-        object.__setattr__(self, "pooled", flat)
+
+    @property
+    def pooled(self) -> np.ndarray:
+        """The per-chain series concatenated chain-major: a flat, read-only
+        view of ``per_chain``, of length ``chains * iterations``."""
+        return self.per_chain.reshape(-1)
 
 
 RawDraws = Mapping[str, object] | Iterable[tuple[str, object]]
@@ -158,5 +155,4 @@ def view(d: Draws, name: str) -> ParameterView:
         idx = d.parameter_names.index(name)
     except ValueError:
         raise UnknownParameter(name) from None
-    per_chain = d.values[idx]
-    return ParameterView(name=name, per_chain=per_chain, pooled=per_chain.reshape(-1))
+    return ParameterView(name=name, per_chain=d.values[idx])

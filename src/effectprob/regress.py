@@ -58,13 +58,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .diagnostics import Diagnostics, diagnose
-from .draws import Draws, view
+from .diagnostics import Diagnostics, diagnose, ess
+from .draws import Draws, ParameterView, view
 from .errors import (
     DegenerateDesign,
     InvalidArgument,
     NonBinaryTreatment,
     NonFiniteData,
+    ZeroWithinVariance,
 )
 
 # Slice width in conditional standard deviations, and the step-out budget.
@@ -113,11 +114,14 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Sampler protocol: chains, iterations, warmup, seed, column names.
+    """Sampler protocol: priors, chains, iterations, warmup, seed.
 
     Defaults are 4 chains of 10,000 iterations with the first 1,000
     discarded. Chain c draws from an independent stream derived from
     ``(seed, c)``, so a fit is bit-reproducible from the spec alone.
+    Construction raises :class:`InvalidArgument` for a negative seed or
+    warmup, no chains, or fewer than 4 iterations kept after warmup,
+    which split R-hat needs (two per split half).
     """
 
     priors: PriorSpec = field(default_factory=PriorSpec)
@@ -125,17 +129,15 @@ class ModelSpec:
     iterations: int = 10_000
     warmup: int = 1_000
     seed: int = 0
-    outcome_column: str = "outcome"
-    treatment_column: str = "treatment"
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
         if self.chains < 1:
             raise InvalidArgument(f"chains must be >= 1, got {self.chains}")
-        if self.warmup < 0 or self.warmup >= self.iterations:
+        if self.warmup < 0 or self.iterations - self.warmup < 4:
             raise InvalidArgument(
-                f"need 0 <= warmup < iterations, got warmup={self.warmup}, "
-                f"iterations={self.iterations}"
+                f"need warmup >= 0 and at least 4 iterations after it, got "
+                f"warmup={self.warmup}, iterations={self.iterations}"
             )
 
 
@@ -293,7 +295,10 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     ``spec.iterations`` iterations; the first ``spec.warmup`` are
     discarded. Chains use independent RNG streams seeded from
     ``(spec.seed, chain_index)``, so identical inputs give bit-identical
-    results.
+    results. A parameter whose split sequences are all constant, such as
+    a coefficient held at one double by a very narrow prior, gets an
+    R-hat of NaN rather than :class:`ZeroWithinVariance`, so a fit that
+    has sampled does not fail on its diagnostics.
 
     Raises
     ------
@@ -318,8 +323,16 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         parameter_names=("beta0", "beta1", "sigma"),
         values=np.stack([values for values, _ in runs], axis=1),
     )
-    diagnostics = {name: diagnose(view(draws, name)) for name in draws.parameter_names}
+    diagnostics = {name: _diagnose_fit(view(draws, name)) for name in draws.parameter_names}
     return FitResult(draws, diagnostics, tuple(effort for _, effort in runs))
+
+
+def _diagnose_fit(v: ParameterView) -> Diagnostics:
+    """:func:`diagnose`, with R-hat NaN where it is undefined (constant sequences)."""
+    try:
+        return diagnose(v)
+    except ZeroWithinVariance:
+        return Diagnostics(parameter=v.name, rhat=math.nan, ess=ess(v))
 
 
 def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarray, ChainStats]:

@@ -1,10 +1,12 @@
 """Standalone SVG renderers for curve and density figures.
 
-Output is deterministic text: identical inputs produce byte-identical
-documents. Each branch of a curve becomes one polyline whose vertices are
-affine maps of (threshold, probability); the maps are exposed through
+Both figures have one fixed look: a 960x600 px canvas, a blue stroke
+(red for a curve's negative branch), and generic font family names only.
+The x-axis label is the one setting. Output is deterministic text:
+identical inputs produce byte-identical documents. Each polyline's
+vertices are affine maps of (x, y) data; the maps are exposed through
 :func:`ccdf_axis_maps` / :func:`density_axis_maps` so coordinates can be
-inverted and checked. Only generic font family names are used.
+inverted and checked.
 """
 
 from __future__ import annotations
@@ -12,42 +14,26 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateDraws, EmptyCurve, InvalidArgument
+from .errors import DegenerateDraws, EmptyCurve
 from .summary import CcdfCurve, DensityEstimate
 
-_MARGIN_LEFT = 78.0
-_MARGIN_RIGHT = 24.0
-_MARGIN_TOP = 24.0
-_MARGIN_BOTTOM = 58.0
-
-
-@dataclass(frozen=True)
-class PlotConfig:
-    """Figure dimensions, axis labels, and branch stroke styles.
-
-    Labels left as None are resolved per figure kind. Default y tick
-    labels are percent ticks whose endpoints read "near 0%" and
-    "near 100%" when ``unbounded_support`` is set (a draw-based curve
-    cannot reach exact 0% or 100% for an unbounded posterior) and plain
-    "0%"/"100%" otherwise.
-    """
-
-    width_px: int = 960
-    height_px: int = 600
-    x_label: str = "Effect size"
-    y_label: str | None = None
-    positive_stroke: str = "#2166ac"
-    negative_stroke: str = "#b2182b"
-    stroke_width: float = 2.0
-    unbounded_support: bool = True
-    y_tick_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.width_px < 100 or self.height_px < 100:
-            raise InvalidArgument("figure must be at least 100x100 px")
+_WIDTH = 960
+_HEIGHT = 600
+# The data rectangle: the canvas less margins of 78 (left), 24 (right),
+# 24 (top) and 58 px (bottom).
+_LEFT = 78.0
+_RIGHT = _WIDTH - 24.0
+_TOP = 24.0
+_BOTTOM = _HEIGHT - 58.0
+_POSITIVE_STYLE = "stroke:#2166ac;stroke-width:2"
+_NEGATIVE_STYLE = "stroke:#b2182b;stroke-width:2"
+# A draw-based curve cannot reach exactly 0% or 100% for an unbounded
+# posterior, so the end ticks read "near".
+_PERCENT_TICKS = ((0.0, "near 0%"), (0.25, "25%"), (0.5, "50%"), (0.75, "75%"), (1.0, "near 100%"))
 
 
 @dataclass(frozen=True)
@@ -70,13 +56,7 @@ class AxisMap:
         return self.data_lo + t * (self.data_hi - self.data_lo)
 
 
-def _data_rect(cfg: PlotConfig) -> tuple[float, float, float, float]:
-    x0 = _MARGIN_LEFT
-    y0 = _MARGIN_TOP
-    return x0, y0, cfg.width_px - x0 - _MARGIN_RIGHT, cfg.height_px - y0 - _MARGIN_BOTTOM
-
-
-def _x_map(x_lo: float, x_hi: float, cfg: PlotConfig) -> AxisMap:
+def _x_map(x_lo: float, x_hi: float) -> AxisMap:
     """The x axis over [x_lo, x_hi], widened by 0.5 each way when empty.
 
     Raises :class:`DegenerateDraws` when the span overflows: every point
@@ -86,11 +66,10 @@ def _x_map(x_lo: float, x_hi: float, cfg: PlotConfig) -> AxisMap:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if not math.isfinite(x_hi - x_lo):
         raise DegenerateDraws(f"x axis from {x_lo!r} to {x_hi!r} spans more than a double holds")
-    rx, _, rw, _ = _data_rect(cfg)
-    return AxisMap(x_lo, x_hi, rx, rx + rw)
+    return AxisMap(x_lo, x_hi, _LEFT, _RIGHT)
 
 
-def ccdf_axis_maps(curve: CcdfCurve, cfg: PlotConfig) -> tuple[AxisMap, AxisMap]:
+def ccdf_axis_maps(curve: CcdfCurve) -> tuple[AxisMap, AxisMap]:
     """Axis maps for a curve figure: signed x over both branches, y in [0, 1]."""
     has_pos = curve.positive_thresholds.size > 0
     has_neg = curve.negative_thresholds.size > 0
@@ -98,26 +77,20 @@ def ccdf_axis_maps(curve: CcdfCurve, cfg: PlotConfig) -> tuple[AxisMap, AxisMap]
         raise EmptyCurve("both branches are empty")
     x_lo = float(curve.negative_thresholds[0]) if has_neg else 0.0
     x_hi = float(curve.positive_thresholds[-1]) if has_pos else 0.0
-    _, ry, _, rh = _data_rect(cfg)
-    return _x_map(x_lo, x_hi, cfg), AxisMap(0.0, 1.0, ry + rh, ry)
+    return _x_map(x_lo, x_hi), AxisMap(0.0, 1.0, _BOTTOM, _TOP)
 
 
-def density_axis_maps(dens: DensityEstimate, cfg: PlotConfig) -> tuple[AxisMap, AxisMap]:
+def density_axis_maps(dens: DensityEstimate) -> tuple[AxisMap, AxisMap]:
     """Axis maps for a density figure: x over the grid, y from 0 to the peak."""
     y_hi = float(dens.density.max()) * 1.05
     if y_hi <= 0.0:
         y_hi = 1.0
-    _, ry, _, rh = _data_rect(cfg)
-    return _x_map(float(dens.grid[0]), float(dens.grid[-1]), cfg), AxisMap(0.0, y_hi, ry + rh, ry)
+    return _x_map(float(dens.grid[0]), float(dens.grid[-1])), AxisMap(0.0, y_hi, _BOTTOM, _TOP)
 
 
 def _fmt_px(value: float) -> str:
     text = format(value, ".10f").rstrip("0").rstrip(".")
     return text if text not in ("", "-0") else "0"
-
-
-def _fmt_tick(value: float) -> str:
-    return format(value, "g")
 
 
 def _escape(text: str) -> str:
@@ -148,99 +121,78 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _percent_labels(cfg: PlotConfig) -> tuple[str, ...]:
-    if cfg.y_tick_labels is not None:
-        return cfg.y_tick_labels
-    labels = [format(t * 100, "g") + "%" for t in np.linspace(0.0, 1.0, 5)]
-    if cfg.unbounded_support:
-        labels[0] = "near 0%"
-        labels[-1] = "near 100%"
-    return tuple(labels)
-
-
-def _polyline(xs: np.ndarray, ps: np.ndarray, xmap: AxisMap, ymap: AxisMap, style: str) -> str:
+def _polyline(xs: np.ndarray, ys: np.ndarray, xmap: AxisMap, ymap: AxisMap, style: str) -> str:
     points = " ".join(
-        f"{_fmt_px(xmap.to_px(float(x)))},{_fmt_px(ymap.to_px(float(p)))}"
-        for x, p in zip(xs, ps)
+        f"{_fmt_px(xmap.to_px(float(x)))},{_fmt_px(ymap.to_px(float(y)))}"
+        for x, y in zip(xs, ys)
     )
     return f'<polyline fill="none" style="{style}" points="{points}"/>'
 
 
-def _frame(
-    cfg: PlotConfig,
+def _document(
     xmap: AxisMap,
     ymap: AxisMap,
+    y_ticks: Iterable[tuple[float, str]],
     x_label: str,
     y_label: str,
-    y_ticks: list[float],
-    y_labels: tuple[str, ...],
-) -> list[str]:
-    """Axes, gridlines, ticks, and labels shared by both figure kinds."""
-    rx, ry, rw, rh = _data_rect(cfg)
-    bottom = ry + rh
+    lines: Iterable[tuple[np.ndarray, np.ndarray, str]],
+) -> str:
+    """The SVG document: canvas, gridlines at the labelled ``y_ticks``,
+    x ticks, axes, labels, then one polyline per ``(xs, ys, style)``."""
     parts = [
-        f'<rect x="0" y="0" width="{cfg.width_px}" height="{cfg.height_px}" fill="#ffffff"/>'
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
+    left, right, top, bottom = map(_fmt_px, (_LEFT, _RIGHT, _TOP, _BOTTOM))
 
-    for tick, label in zip(y_ticks, y_labels):
+    for tick, label in y_ticks:
         py = ymap.to_px(tick)
         parts.append(
-            f'<line x1="{_fmt_px(rx)}" y1="{_fmt_px(py)}" x2="{_fmt_px(rx + rw)}" '
+            f'<line x1="{left}" y1="{_fmt_px(py)}" x2="{right}" '
             f'y2="{_fmt_px(py)}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{_fmt_px(rx - 8)}" y="{_fmt_px(py + 4)}" text-anchor="end" '
+            f'<text x="{_fmt_px(_LEFT - 8)}" y="{_fmt_px(py + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="13">{_escape(label)}</text>'
         )
 
     for tick in _nice_ticks(xmap.data_lo, xmap.data_hi):
-        px = xmap.to_px(tick)
+        px = _fmt_px(xmap.to_px(tick))
         parts.append(
-            f'<line x1="{_fmt_px(px)}" y1="{_fmt_px(bottom)}" x2="{_fmt_px(px)}" '
-            f'y2="{_fmt_px(bottom + 6)}" stroke="#333333" stroke-width="1"/>'
+            f'<line x1="{px}" y1="{bottom}" x2="{px}" '
+            f'y2="{_fmt_px(_BOTTOM + 6)}" stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{_fmt_px(px)}" y="{_fmt_px(bottom + 22)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_escape(_fmt_tick(tick))}</text>'
+            f'<text x="{px}" y="{_fmt_px(_BOTTOM + 22)}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13">{_escape(format(tick, "g"))}</text>'
         )
 
     if xmap.data_lo < 0.0 < xmap.data_hi:
-        zero = xmap.to_px(0.0)
+        zero = _fmt_px(xmap.to_px(0.0))
         parts.append(
-            f'<line x1="{_fmt_px(zero)}" y1="{_fmt_px(ry)}" x2="{_fmt_px(zero)}" '
-            f'y2="{_fmt_px(bottom)}" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
+            f'<line x1="{zero}" y1="{top}" x2="{zero}" y2="{bottom}" '
+            f'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
         )
 
-    parts.append(
-        f'<line x1="{_fmt_px(rx)}" y1="{_fmt_px(bottom)}" x2="{_fmt_px(rx + rw)}" '
-        f'y2="{_fmt_px(bottom)}" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt_px(rx)}" y1="{_fmt_px(ry)}" x2="{_fmt_px(rx)}" '
-        f'y2="{_fmt_px(bottom)}" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt_px(rx + rw / 2)}" y="{_fmt_px(cfg.height_px - 14)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="15">{_escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_fmt_px(ry + rh / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" '
-        f'transform="rotate(-90 18 {_fmt_px(ry + rh / 2)})">{_escape(y_label)}</text>'
-    )
-    return parts
+    y_mid = _fmt_px((_TOP + _BOTTOM) / 2)
+    parts += [
+        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" '
+        f'stroke="#333333" stroke-width="1"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
+        f'stroke="#333333" stroke-width="1"/>',
+        f'<text x="{_fmt_px((_LEFT + _RIGHT) / 2)}" y="{_fmt_px(_HEIGHT - 14)}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="15">{_escape(x_label)}</text>',
+        f'<text x="18" y="{y_mid}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="15" transform="rotate(-90 18 {y_mid})">{_escape(y_label)}</text>',
+    ]
+    parts += [_polyline(xs, ys, xmap, ymap, style) for xs, ys, style in lines]
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
-def _document(cfg: PlotConfig, body: list[str]) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cfg.width_px}" '
-        f'height="{cfg.height_px}" viewBox="0 0 {cfg.width_px} {cfg.height_px}">'
-    )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
-def render_ccdf(curve: CcdfCurve, cfg: PlotConfig | None = None) -> str:
+def render_ccdf(curve: CcdfCurve, x_label: str = "Effect size") -> str:
     """Render both branches of a curve on one signed x-axis.
 
     The negative branch sits left of zero and the positive branch right
@@ -248,33 +200,25 @@ def render_ccdf(curve: CcdfCurve, cfg: PlotConfig | None = None) -> str:
     each polyline meets the zero line. Raises :class:`EmptyCurve` when
     both branches are empty.
     """
-    cfg = cfg if cfg is not None else PlotConfig()
-    xmap, ymap = ccdf_axis_maps(curve, cfg)
-    labels = _percent_labels(cfg)
-    y_ticks = list(np.linspace(0.0, 1.0, len(labels)))
-    y_label = cfg.y_label if cfg.y_label is not None else "Probability of a larger effect"
-    body = _frame(cfg, xmap, ymap, cfg.x_label, y_label, y_ticks, labels)
-    if curve.negative_thresholds.size:
-        style = f"stroke:{cfg.negative_stroke};stroke-width:{_fmt_tick(cfg.stroke_width)}"
-        body.append(
-            _polyline(curve.negative_thresholds, curve.negative_probabilities, xmap, ymap, style)
-        )
-    if curve.positive_thresholds.size:
-        style = f"stroke:{cfg.positive_stroke};stroke-width:{_fmt_tick(cfg.stroke_width)}"
-        body.append(
-            _polyline(curve.positive_thresholds, curve.positive_probabilities, xmap, ymap, style)
-        )
-    return _document(cfg, body)
+    xmap, ymap = ccdf_axis_maps(curve)
+    branches = (
+        (curve.negative_thresholds, curve.negative_probabilities, _NEGATIVE_STYLE),
+        (curve.positive_thresholds, curve.positive_probabilities, _POSITIVE_STYLE),
+    )
+    return _document(
+        xmap,
+        ymap,
+        _PERCENT_TICKS,
+        x_label,
+        "Probability of a larger effect",
+        [branch for branch in branches if branch[0].size],
+    )
 
 
-def render_density(dens: DensityEstimate, cfg: PlotConfig | None = None) -> str:
+def render_density(dens: DensityEstimate, x_label: str = "Effect size") -> str:
     """Render a density estimate as a single polyline over its grid."""
-    cfg = cfg if cfg is not None else PlotConfig()
-    xmap, ymap = density_axis_maps(dens, cfg)
-    tick_values = list(np.linspace(0.0, ymap.data_hi, 5))
-    labels = tuple(format(t, ".3g") for t in tick_values)
-    y_label = cfg.y_label if cfg.y_label is not None else "Density"
-    body = _frame(cfg, xmap, ymap, cfg.x_label, y_label, tick_values, labels)
-    style = f"stroke:{cfg.positive_stroke};stroke-width:{_fmt_tick(cfg.stroke_width)}"
-    body.append(_polyline(dens.grid, dens.density, xmap, ymap, style))
-    return _document(cfg, body)
+    xmap, ymap = density_axis_maps(dens)
+    y_ticks = [(t, format(t, ".3g")) for t in np.linspace(0.0, ymap.data_hi, 5)]
+    return _document(
+        xmap, ymap, y_ticks, x_label, "Density", [(dens.grid, dens.density, _POSITIVE_STYLE)]
+    )

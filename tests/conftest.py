@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from effectprob.draws import ParameterView, validate, view
+from effectprob.draws import ParameterView
 
 
 def make_view(per_chain, name: str = "theta") -> ParameterView:
     """Build a ParameterView from a chain matrix (or one bare chain)."""
-    return view(validate({name: np.asarray(per_chain, dtype=float)}), name)
+    return ParameterView(name, np.atleast_2d(np.asarray(per_chain, dtype=float)))
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import validate, view
 from effectprob.io import read_draws, write_draws
 from effectprob.regress import Dataset, ModelSpec, PriorSpec, fit, simulate_experiment
-from effectprob.render import PlotConfig, ccdf_axis_maps, density_axis_maps, render_ccdf, render_density
+from effectprob.render import ccdf_axis_maps, density_axis_maps, render_ccdf, render_density
 from effectprob.summary import ccdf, kde, prob_below, prob_between, prob_exceeds
 
 from conftest import make_view
@@ -204,21 +204,20 @@ def test_criterion_5_diagnostics():
 
 
 def test_criterion_6_rendering(normal_draws):
-    cfg = PlotConfig()
     curve = ccdf(normal_draws, 256)
     density = kde(normal_draws, 128)
-    curve_svg = render_ccdf(curve, cfg)
-    density_svg = render_density(density, cfg)
+    curve_svg = render_ccdf(curve)
+    density_svg = render_density(density)
 
     for svg in (curve_svg, density_svg):
         ET.fromstring(svg)  # well-formed XML
-    assert curve_svg == render_ccdf(curve, cfg)  # byte-deterministic
-    assert density_svg == render_density(density, cfg)
+    assert curve_svg == render_ccdf(curve)  # byte-deterministic
+    assert density_svg == render_density(density)
 
     labels = [el.text for el in ET.fromstring(curve_svg).iter("{http://www.w3.org/2000/svg}text")]
     assert "near 0%" in labels and "near 100%" in labels
 
-    xmap, ymap = ccdf_axis_maps(curve, cfg)
+    xmap, ymap = ccdf_axis_maps(curve)
     polys = list(ET.fromstring(curve_svg).iter("{http://www.w3.org/2000/svg}polyline"))
     branches = [
         (curve.negative_thresholds, curve.negative_probabilities),
@@ -232,7 +231,7 @@ def test_criterion_6_rendering(normal_draws):
             assert abs(xmap.to_data(px) - float(x)) <= 1e-9
             assert abs(ymap.to_data(py) - float(p)) <= 1e-9
 
-    dmapx, dmapy = density_axis_maps(density, cfg)
+    dmapx, dmapy = density_axis_maps(density)
     poly = list(ET.fromstring(density_svg).iter("{http://www.w3.org/2000/svg}polyline"))[0]
     points = [tuple(map(float, token.split(","))) for token in poly.attrib["points"].split()]
     for (px, py), x, dens in zip(points, density.grid, density.density):

@@ -166,6 +166,40 @@ class TestFit:
         assert stderr.startswith("error: DegenerateDesign: ")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("warmup", ["97", "99"])
+    def test_too_few_kept_iterations_exit_2_before_fitting(self, tmp_path, capsys, warmup):
+        # Checked before the data file is read, so a missing file is not
+        # reported instead; unchecked, every iteration ran before exit 2.
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            "fit", str(tmp_path / "nope.csv"), "--iters", "100", "--warmup", warmup,
+            "--out", str(out), capsys=capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (
+            "error: InvalidArgument: need warmup >= 0 and at least 4 iterations after it, "
+            f"got warmup={warmup}, iterations=100\n"
+        )
+        assert not out.exists()
+
+    def test_constant_parameter_prints_nan_rhat(self, tmp_path, capsys):
+        # The arm means differ by exactly 1.0, and a prior of sd 1e-140 at
+        # 1.0 holds every beta1 draw there: its R-hat is undefined.
+        data = tmp_path / "data.csv"
+        outcome, treatment = [1.0, 2.0, 3.0, 4.0, 2.5, 3.5, 4.5, 3.5], [0, 0, 0, 0, 1, 1, 1, 1]
+        write_dataset(Dataset(outcome, treatment), data)
+        draws = tmp_path / "draws.csv"
+        code, stdout, stderr = run(
+            "fit", str(data), "--iters", "400", "--warmup", "100", "--beta1-mean", "1",
+            "--beta1-sd", "1e-140", "--out", str(draws), capsys=capsys,
+        )
+        assert (code, stderr) == (0, "")
+        assert "beta1    rhat=nan  ess=1.0\n" in stdout
+        # diagnose on the file still refuses the constant parameter.
+        code, _, stderr = run("diagnose", str(draws), capsys=capsys)
+        assert (code, stderr) == (2, "error: ZeroWithinVariance: beta1\n")
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, stderr = run(
             "fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.csv"), capsys=capsys
@@ -243,6 +277,15 @@ class TestPlots:
         code, _, _ = run("density", self._draws(tmp_path), "--out", str(out), capsys=capsys)
         assert code == 0
         assert "<polyline" in out.read_text()
+
+    @pytest.mark.parametrize("command", ["ccdf", "density"])
+    def test_empty_x_label_keeps_the_default(self, tmp_path, capsys, command):
+        draws = self._draws(tmp_path)
+        default, empty = tmp_path / "default.svg", tmp_path / "empty.svg"
+        assert run(command, draws, "--out", str(default), capsys=capsys)[0] == 0
+        assert run(command, draws, "--x-label", "", "--out", str(empty), capsys=capsys)[0] == 0
+        assert empty.read_bytes() == default.read_bytes()
+        assert ">Effect size</text>" in default.read_text()
 
 
 class TestDiagnose:

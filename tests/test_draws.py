@@ -167,31 +167,30 @@ class TestParameterViewChecksItself:
     def test_infinite_draw_rejected_before_summarize(self):
         # summarize once returned ci_high=nan, with a RuntimeWarning, here.
         with pytest.raises(NonFiniteValue, match=r"^parameter 'x', chain 1, iteration 3$"):
-            summarize(ParameterView("x", [[1, 2, np.inf]], [1, 2, np.inf]), 0.95)
+            summarize(ParameterView("x", [[1, 2, np.inf]]), 0.95)
 
     @pytest.mark.parametrize(
-        "per_chain, pooled",
+        "per_chain, error",
         [
-            ([[1.0, 2.0], [3.0, 4.0]], [1.0, 3.0, 2.0, 4.0]),  # iteration-major
-            ([[1.0, 2.0]], [1.0, 2.0, 2.0]),
-            ([[1.0, 2.0]], [[1.0, 2.0]]),
-            ([1.0, 2.0], [1.0, 2.0]),
-            ([[1.0, 2.0]], [1.0, np.nan]),
+            ([1.0, 2.0], InvalidDraws),
+            ([[[1.0, 2.0]]], InvalidDraws),
+            ([[1.0, np.nan]], NonFiniteValue),
         ],
+        ids=["one-dimensional", "three-dimensional", "nan"],
     )
-    def test_pooled_must_be_per_chain_flattened(self, per_chain, pooled):
-        with pytest.raises(InvalidDraws):
-            ParameterView("x", per_chain, pooled)
+    def test_rejects(self, per_chain, error):
+        with pytest.raises(error):
+            ParameterView("x", per_chain)
 
     def test_copy_is_owned(self):
         per_chain = np.array([[1.0, 2.0], [3.0, 4.0]])
-        v = ParameterView("x", per_chain, per_chain.reshape(-1))
+        v = ParameterView("x", per_chain)
         per_chain[0, 0] = np.inf
         assert v.per_chain.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert v.pooled.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert not v.per_chain.flags.writeable and not v.pooled.flags.writeable
 
     def test_lists_become_float_arrays(self):
-        v = ParameterView("x", [[1, 2], [3, 4]], [1, 2, 3, 4])
+        v = ParameterView("x", [[1, 2], [3, 4]])
         assert v.per_chain.dtype == v.pooled.dtype == np.float64
         assert summarize(v, 0.5).mean == 2.5

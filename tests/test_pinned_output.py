@@ -3,8 +3,8 @@
 The other render tests check structure (well-formed XML, inverted
 coordinates, labels). These pin every byte, so a refactor of the SVG
 writer that changes any attribute, number format or element order fails
-here. The digests were computed from the CLI and renderer as they stand
-and must not be re-pinned to accept a change in output.
+here. A change meant to alter the figures re-pins these digests and
+says so; any other change must leave them passing.
 
 The density case is built from given arrays rather than from ``kde``:
 its values come only from correctly rounded arithmetic, so its digest
@@ -64,5 +64,5 @@ def test_ccdf_command_bytes(figure1_draws, tmp_path, capsys, flags, stdout_diges
 def test_density_document_bytes():
     grid = np.arange(-40, 41) / 16.0
     est = DensityEstimate(grid=grid, density=1.0 / (1.0 + grid * grid), bandwidth=0.25)
-    svg = render_density(est)
-    assert sha256(svg.encode("utf-8")) == "e3784d6a33647c16e3de2be8b1d18afad3ddc549493bd93a65394ac76717e18c"
+    digest = sha256(render_density(est).encode("utf-8"))
+    assert digest == "e3784d6a33647c16e3de2be8b1d18afad3ddc549493bd93a65394ac76717e18c"

@@ -142,6 +142,20 @@ class TestSpecs:
         with pytest.raises(InvalidArgument):
             ModelSpec(iterations=100, warmup=100)
 
+    @pytest.mark.parametrize(
+        "iterations, warmup", [(100, 97), (100, 99), (100, 100), (3, 0), (100, -1)]
+    )
+    def test_model_spec_needs_four_kept_iterations(self, iterations, warmup):
+        # Split R-hat needs 4. Unchecked, 3 kept iterations ran the whole
+        # fit and then raised TooFewIterations, and 1 raised InvalidDraws.
+        with pytest.raises(InvalidArgument, match="at least 4 iterations after it"):
+            ModelSpec(iterations=iterations, warmup=warmup)
+
+    def test_four_kept_iterations_fit(self, small_data):
+        result = fit(small_data, ModelSpec(chains=2, iterations=100, warmup=96))
+        assert result.draws.iterations_per_chain == 4
+        assert all(math.isfinite(d.rhat) for d in result.diagnostics.values())
+
     def test_model_spec_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed must be >= 0"):
             ModelSpec(seed=-1)
@@ -200,6 +214,17 @@ class TestFit:
         data = Dataset(outcome=[1.0, 1.0, 2.0, 2.0], treatment=[0, 0, 1, 1])
         with pytest.raises(DegenerateDesign):
             fit(data, ModelSpec(iterations=10, warmup=2))
+
+    def test_constant_parameter_gets_nan_rhat(self, small_data):
+        # A prior so narrow that every beta1 draw is one double. Its R-hat
+        # is undefined; the fit once failed here with ZeroWithinVariance.
+        priors = PriorSpec(beta1_mean=1.0, beta1_sd=1e-140)
+        result = fit(small_data, ModelSpec(priors, chains=2, iterations=400, warmup=100))
+        assert np.unique(view(result.draws, "beta1").pooled).size == 1
+        beta1 = result.diagnostics["beta1"]
+        assert math.isnan(beta1.rhat) and beta1.ess == 1.0
+        for name in ("beta0", "sigma"):
+            assert result.diagnostics[name].rhat < 1.05
 
     def test_sigma_draws_positive_and_posterior_finite(self, small_data):
         spec = ModelSpec(chains=2, iterations=400, warmup=100, seed=5)

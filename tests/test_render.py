@@ -5,9 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from effectprob.errors import DegenerateDraws, EmptyCurve, InvalidArgument
+from effectprob.errors import DegenerateDraws, EmptyCurve
 from effectprob.render import (
-    PlotConfig,
     ccdf_axis_maps,
     density_axis_maps,
     render_ccdf,
@@ -49,7 +48,7 @@ def normal_curve(normal_draws):
 
 class TestRenderCcdf:
     def test_well_formed_xml_with_axis_labels(self, normal_curve):
-        svg = render_ccdf(normal_curve, PlotConfig(x_label="Minimum change"))
+        svg = render_ccdf(normal_curve, "Minimum change")
         labels = texts(svg)
         assert "Minimum change" in labels
         assert "Probability of a larger effect" in labels
@@ -60,9 +59,8 @@ class TestRenderCcdf:
         assert len(lines) == 2
 
     def test_positive_branch_endpoint_probabilities(self, two_point_curve):
-        cfg = PlotConfig()
-        svg = render_ccdf(two_point_curve, cfg)
-        xmap, ymap = ccdf_axis_maps(two_point_curve, cfg)
+        svg = render_ccdf(two_point_curve)
+        xmap, ymap = ccdf_axis_maps(two_point_curve)
         positive = polylines(svg)[-1]  # rendered after the negative branch
         assert ymap.to_data(positive[0][1]) == pytest.approx(0.5, abs=1e-9)
         assert ymap.to_data(positive[-1][1]) == pytest.approx(0.0, abs=1e-9)
@@ -70,18 +68,16 @@ class TestRenderCcdf:
         assert xmap.to_data(positive[-1][0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_normal_curve_reads_084_at_zero(self, normal_curve):
-        cfg = PlotConfig()
-        svg = render_ccdf(normal_curve, cfg)
-        xmap, ymap = ccdf_axis_maps(normal_curve, cfg)
+        svg = render_ccdf(normal_curve)
+        xmap, ymap = ccdf_axis_maps(normal_curve)
         positive = polylines(svg)[-1]
         x0_px = xmap.to_px(0.0)
         at_zero = min(positive, key=lambda pt: abs(pt[0] - x0_px))
         assert ymap.to_data(at_zero[1]) == pytest.approx(0.84, abs=0.02)
 
     def test_coordinate_map_inversion(self, normal_curve):
-        cfg = PlotConfig()
-        svg = render_ccdf(normal_curve, cfg)
-        xmap, ymap = ccdf_axis_maps(normal_curve, cfg)
+        svg = render_ccdf(normal_curve)
+        xmap, ymap = ccdf_axis_maps(normal_curve)
         neg, pos = polylines(svg)
         for branch, xs, ps in (
             (neg, normal_curve.negative_thresholds, normal_curve.negative_probabilities),
@@ -93,9 +89,8 @@ class TestRenderCcdf:
                 assert ymap.to_data(py) == pytest.approx(float(p), abs=1e-9)
 
     def test_vertices_inside_data_rectangle(self, normal_curve):
-        cfg = PlotConfig()
-        svg = render_ccdf(normal_curve, cfg)
-        xmap, ymap = ccdf_axis_maps(normal_curve, cfg)
+        svg = render_ccdf(normal_curve)
+        xmap, ymap = ccdf_axis_maps(normal_curve)
         x_lo, x_hi = xmap.px_lo, xmap.px_hi
         y_lo, y_hi = min(ymap.px_lo, ymap.px_hi), max(ymap.px_lo, ymap.px_hi)
         for branch in polylines(svg):
@@ -107,15 +102,9 @@ class TestRenderCcdf:
         assert render_ccdf(normal_curve) == render_ccdf(normal_curve)
 
     def test_near_labels_for_unbounded_posterior(self, normal_curve):
-        labels = texts(render_ccdf(normal_curve, PlotConfig(unbounded_support=True)))
+        labels = texts(render_ccdf(normal_curve))
         assert "near 0%" in labels
         assert "near 100%" in labels
-
-    def test_exact_labels_for_bounded_posterior(self, normal_curve):
-        labels = texts(render_ccdf(normal_curve, PlotConfig(unbounded_support=False)))
-        assert "0%" in labels
-        assert "100%" in labels
-        assert "near 0%" not in labels
 
     def test_empty_curve_rejected(self):
         curve = CcdfCurve(
@@ -132,10 +121,6 @@ class TestRenderCcdf:
         curve = ccdf(make_view([[1.0, 2.0, 3.0]]), 8)
         assert len(polylines(render_ccdf(curve))) == 1
 
-    def test_config_rejects_tiny_canvas(self):
-        with pytest.raises(InvalidArgument):
-            PlotConfig(width_px=50)
-
 
 class TestOverflowingSpan:
     """An x span past the largest double would map every point to one edge."""
@@ -143,7 +128,7 @@ class TestOverflowingSpan:
     def test_curve_over_overflowing_span_is_degenerate(self):
         curve = ccdf(make_view([[-1.7e308, 1.7e308, 1.0, 2.0]]), 64)
         with pytest.raises(DegenerateDraws, match="x axis from"):
-            ccdf_axis_maps(curve, PlotConfig())
+            ccdf_axis_maps(curve)
         with pytest.raises(DegenerateDraws):
             render_ccdf(curve)
 
@@ -152,13 +137,13 @@ class TestOverflowingSpan:
             grid=np.array([-1.7e308, 0.0, 1.7e308]), density=np.array([0.0, 1.0, 0.0]), bandwidth=1.0
         )
         with pytest.raises(DegenerateDraws, match="x axis from"):
-            density_axis_maps(est, PlotConfig())
+            density_axis_maps(est)
         with pytest.raises(DegenerateDraws):
             render_density(est)
 
     def test_largest_finite_span_still_renders(self):
         curve = ccdf(make_view([[-8e307, 8e307, 1.0, 2.0]]), 64)
-        xmap, _ = ccdf_axis_maps(curve, PlotConfig())
+        xmap, _ = ccdf_axis_maps(curve)
         assert xmap.to_px(8e307) > xmap.to_px(-8e307)
         assert len(polylines(render_ccdf(curve))) == 2
 
@@ -176,9 +161,8 @@ class TestRenderDensity:
 
     def test_peak_near_one(self, normal_draws):
         est = kde(normal_draws, 256)
-        cfg = PlotConfig()
-        xmap, _ = density_axis_maps(est, cfg)
-        line = polylines(render_density(est, cfg))[0]
+        xmap, _ = density_axis_maps(est)
+        line = polylines(render_density(est))[0]
         peak_px = min(line, key=lambda pt: pt[1])[0]  # smallest py = highest point
         assert xmap.to_data(peak_px) == pytest.approx(1.0, abs=0.15)
 
@@ -186,8 +170,7 @@ class TestRenderDensity:
         rng = np.random.default_rng(6)
         half = rng.normal(size=1500)
         est = kde(make_view(np.concatenate([half, -half]).reshape(1, -1)), 128)
-        cfg = PlotConfig()
-        line = polylines(render_density(est, cfg))[0]
+        line = polylines(render_density(est))[0]
         xs = [px for px, _ in line]
         ys = [py for _, py in line]
         center = (xs[0] + xs[-1]) / 2
@@ -197,10 +180,9 @@ class TestRenderDensity:
 
     def test_inversion_and_determinism(self, normal_draws):
         est = kde(normal_draws, 64)
-        cfg = PlotConfig()
-        svg = render_density(est, cfg)
-        assert svg == render_density(est, cfg)
-        xmap, ymap = density_axis_maps(est, cfg)
+        svg = render_density(est)
+        assert svg == render_density(est)
+        xmap, ymap = density_axis_maps(est)
         line = polylines(svg)[0]
         for (px, py), x, dens in zip(line, est.grid, est.density):
             assert xmap.to_data(px) == pytest.approx(float(x), abs=1e-9)

@@ -112,8 +112,7 @@ class TestProbabilities:
             prob_between(v, 4.0, 3.0)
 
     def test_empty_view_rejected(self):
-        empty = np.empty((1, 0))
-        v = ParameterView(name="x", per_chain=empty, pooled=empty.reshape(-1))
+        v = ParameterView(name="x", per_chain=np.empty((1, 0)))
         with pytest.raises(EmptyDraws):
             prob_exceeds(v, 0.0)
 
