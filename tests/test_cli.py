@@ -207,6 +207,17 @@ class TestFit:
         assert code == 2
         assert "error:" in stderr
 
+    def test_bad_level_exits_2_before_reading_the_data(self, tmp_path, capsys):
+        # Checked first, so the missing file is not what is reported.
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            "fit", str(tmp_path / "nope.csv"), "--level", "1.5", "--out", str(out), capsys=capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: InvalidLevel: ")
+        assert not out.exists()
+
 
 class TestSummarize:
     def test_machine_line_round_trip(self, tmp_path, capsys):
@@ -331,6 +342,10 @@ class TestUsage:
         name, back = parse_summary_line(summary_machine_line("x", s))
         assert name == "x"
         assert back == s
+
+    def test_parse_rejects_a_line_that_is_not_a_summary(self):
+        with pytest.raises(ValueError, match="not a summary line"):
+            parse_summary_line("beta1    rhat=1.0001  ess=3000.0")
 
 
 class TestEndToEnd:

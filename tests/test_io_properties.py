@@ -617,6 +617,8 @@ class TestAcceptedLanguage:
     @example(content=b"chain,iter,a\n+1,1,1\n1,2,2\n")
     @example(content=b"chain,iter,a\n1,1,1e+20\n1,2,2\n")
     @example(content=b"chain,iter,a\n1,1,1\n1,2,2\n\n")
+    @example(content=b"")
+    @example(content=b"chain,iter,a\n")
     def test_draws_files(self, path, content):
         assert_draws_agree(path, content)
         assert_draws_agree(path, content, oracle=line_regex_read_draws)
@@ -634,6 +636,8 @@ class TestAcceptedLanguage:
     @example(content=b"treatment,outcome\n0,1.5\n1,+2.5e-3\n")
     @example(content=b"outcome,treatment\n1.5,1\n2.5,0,\n")
     @example(content=b"outcome,treatment")
+    @example(content=b"")
+    @example(content=b"outcome,treatment,outcome\n1,0,2\n")
     def test_dataset_files(self, path, content):
         assert_dataset_agree(path, content)
         assert_dataset_agree(path, content, oracle=line_regex_read_dataset)

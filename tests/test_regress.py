@@ -589,6 +589,12 @@ class TestNumericalRange:
             with pytest.raises(NonFiniteData):
                 fit(huge, ModelSpec(iterations=10, warmup=2))
 
+    def test_overflowing_arm_sum_is_nonfinite_data(self):
+        # The control arm's exact sum overflows inside math.fsum.
+        data = Dataset(outcome=[1e308, 1e308, 1e308, 1.0, 2.0], treatment=[0, 0, 0, 1, 1])
+        with pytest.raises(NonFiniteData):
+            fit(data, ModelSpec(iterations=10, warmup=2))
+
     @pytest.mark.parametrize("scale", [1e-154, 1e-156, 1e-158, 1e-160])
     def test_vanishing_spread_is_degenerate_design(self, scale):
         # sigma ~ scale: the data precision n / sigma^2 would overflow.

@@ -11,6 +11,7 @@ from effectprob.draws import ParameterView
 from effectprob.errors import (
     DegenerateDraws,
     EmptyDraws,
+    InvalidArgument,
     InvalidLevel,
     InvalidRange,
 )
@@ -110,6 +111,18 @@ class TestProbabilities:
             prob_between(v, 3.0, 3.0)
         with pytest.raises(InvalidRange):
             prob_between(v, 4.0, 3.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, x):
+        v = make_view([[1.0, 2.0]])
+        with pytest.raises(InvalidArgument, match="threshold must be finite"):
+            prob_exceeds(v, x)
+        with pytest.raises(InvalidArgument, match="threshold must be finite"):
+            prob_below(v, x)
+        with pytest.raises(InvalidArgument, match="threshold must be finite"):
+            prob_between(v, x, 3.0)
+        with pytest.raises(InvalidArgument, match="threshold must be finite"):
+            prob_between(v, 0.0, x)
 
     def test_empty_view_rejected(self):
         v = ParameterView(name="x", per_chain=np.empty((1, 0)))
