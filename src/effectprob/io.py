@@ -19,8 +19,8 @@ accepted draws file is exactly what :func:`write_draws` would write for
 its values, up to the spelling of the numbers.
 
 Cost model. A read keeps the file as one ``bytes`` buffer and decodes
-its header only, unless a check fails or a dataset's text column holds
-non-ASCII bytes. Every step below is an O(file bytes) or O(rows) pass
+its header only, unless a check fails or a dataset with other columns
+holds a non-ASCII byte. Every step below is an O(file bytes) or O(rows) pass
 in C, with no Python call per cell.
 
 A draws read makes three passes over the body. One
@@ -46,11 +46,15 @@ count, and one ``np.loadtxt`` into two float64 fields per row. It peaks
 at about twice the file's size. Columns other than the named ones may
 hold any text, so a dataset with them scans bytes instead. One
 vectorised scan finds every comma and newline, which gives every cell's
-span and checks every line's field count. A 256-entry byte-class table,
-applied with :meth:`bytes.translate` and reduced over the cell spans
-with ``np.maximum.reduceat``, checks that number cells hold only
-``[0-9.+-eE]``. ``np.loadtxt`` then reads the two numeric columns from
-the same buffer. This read peaks at about three times the file's size.
+span and checks every line's field count. A 256-entry table sorts the
+bytes into three classes, separator, number byte ``[0-9.+-eE]`` and
+other; applied with :meth:`bytes.translate` and reduced over the cell
+spans with ``np.maximum.reduceat``, it checks that every cell of the two
+named columns is non-empty and holds number bytes only. The other
+columns' cells are not checked, but a file that is not all ASCII
+(:meth:`bytes.isascii`) has its body decoded once, so that a byte which
+is not UTF-8 is refused. ``np.loadtxt`` then reads the two numeric
+columns from the same buffer. This read peaks at about three times the file's size.
 Either way, the treatment cells are checked in one O(rows) pass.
 
 Only when a check fails is the body decoded and walked line by line, to
@@ -85,19 +89,12 @@ _INDEX_RE = re.compile(r"[0-9]+")
 
 # Byte classes, in increasing order. A cell's class is the highest class
 # among its bytes and the separator that ends it, so an empty cell has
-# class _SEPARATOR.
-_SEPARATOR, _DIGIT, _SYMBOL, _ASCII, _NON_ASCII = range(5)
+# class _SEPARATOR and a number cell class _NUMBER.
+_SEPARATOR, _NUMBER, _OTHER = range(3)
 _BYTE_CLASS = bytes(
-    _SEPARATOR if byte in b",\n"
-    else _DIGIT if byte in b"0123456789"
-    else _SYMBOL if byte in b".+-eE"
-    else _ASCII if byte < 0x80
-    else _NON_ASCII
+    _SEPARATOR if byte in b",\n" else _NUMBER if byte in b"0123456789.+-eE" else _OTHER
     for byte in range(256)
 )
-# The lowest and highest class a column of each kind allows.
-_NUMBER_CELL = (_DIGIT, _SYMBOL)
-_TEXT_CELL = (_SEPARATOR, _NON_ASCII)  # neither outcome nor treatment
 
 # Every byte a body of numbers may hold: a draws file, or a dataset with
 # only its two named columns. The typed parse and the sign checks in
@@ -134,16 +131,13 @@ def _decode(data: bytes, start: int, stop: int | None = None) -> str:
         raise ParseError(f"line {line}: invalid UTF-8 byte {data[at]:#04x}") from None
 
 
-def _table(
-    data: bytes, start: int, columns: list[tuple[int, int]], usecols: tuple[int, ...]
-) -> np.ndarray | None:
-    """Check a non-empty body and parse its numeric cells into a table.
+def _table(data: bytes, start: int, fields: int, usecols: tuple[int, ...]) -> np.ndarray | None:
+    """Check a non-empty body and parse its ``usecols`` columns into a table.
 
-    ``columns`` gives each field's lowest and highest allowed byte class.
-    Returns None when a line has the wrong number of fields, a cell holds
-    a byte its column does not allow, or numpy does not parse every row.
+    Returns None when a line has the wrong number of fields, a cell of a
+    used column is empty or holds a byte outside ``[0-9.+-eE]``, or numpy
+    does not parse every row. Other cells may hold any UTF-8, and only UTF-8.
     """
-    fields = len(columns)
     raw = np.frombuffer(data, np.uint8)
     is_end = raw == ord(",")
     is_end |= raw == ord("\n")
@@ -162,11 +156,10 @@ def _table(
     classes = np.frombuffer(data.translate(_BYTE_CLASS), np.uint8)
     cells = np.maximum.reduceat(classes, ends[fields - 1 : -1]).reshape(-1, fields)
     del classes, ends
-    lowest, highest = np.array(columns, dtype=np.uint8).T
-    if not ((lowest <= cells) & (cells <= highest)).all():
+    if not (cells[:, list(usecols)] == _NUMBER).all():
         return None
-    if (cells == _NON_ASCII).any():
-        _decode(data, start)  # text cells may hold any UTF-8, and only UTF-8
+    if not data.isascii():
+        _decode(data, start)
 
     try:
         table = np.loadtxt(
@@ -381,8 +374,7 @@ def read_dataset(
         table = _typed_table(data, start, [("cells", np.float64, (2,))])
         columns = None if table is None else (table["cells"][:, y_idx], table["cells"][:, d_idx])
     else:
-        cells = [_NUMBER_CELL if i in (y_idx, d_idx) else _TEXT_CELL for i in range(len(header))]
-        table = _table(data, start, cells, (y_idx, d_idx))
+        table = _table(data, start, len(header), (y_idx, d_idx))
         columns = None if table is None else (table[:, 0], table[:, 1])
     if columns is None:
         _raise_dataset_error(data, start, header, y_idx, d_idx)

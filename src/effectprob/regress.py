@@ -16,10 +16,15 @@ bits. The coefficients are drawn as offsets from the arm means, and the
 sum of squared residuals is ``SS_within + n_c d0^2 + n_t (d0 + d1)^2``
 with d0 = b0 - mean_c and d0 + d1 = b0 + b1 - mean_t. Nothing is
 computed from raw totals, so nothing cancels when the outcome sits far
-from zero (Chan, Golub & LeVeque 1983). Outcomes whose squared
-deviations overflow are rejected with :class:`NonFiniteData`, and
-outcomes whose spread is so small that n / sigma^2 would overflow (an sd
-below about 1e-151 at n = 1000) with :class:`DegenerateDesign`.
+from zero (Chan, Golub & LeVeque 1983).
+
+One setup per fit, before the first chain, forms these statistics and
+the prior terms, and makes every refusal that needs both the data and
+the priors, in the order :func:`fit` lists. Constancy within the arms is
+read from the values, not from a rounded sum of squares; a spread whose
+n / sigma^2 would overflow (an sd below about 1e-151 at n = 1000) is
+refused, squared deviations that underflow to 0 included. The chains
+then raise nothing.
 
 Slice width. The sigma conditional on the log scale is
 f(u) = -(n-1) u - ssr / (2 e^(2u)) - rate e^u. At its mode u*,
@@ -31,12 +36,12 @@ width must not depend on the current point, or the update stops being
 reversible (Neal 2003, *Annals of Statistics*, section 4.1). The
 step-out budget is 50.
 
-Cost model. Computing the statistics is O(n), four exact sums over the
-outcome, read through memoryviews rather than list copies. Each chain
-then costs O(iterations * E) scalar Python work, E being the target
-evaluations per iteration: about 6 at n = 996 and at n = 200,000 (one
-for the slice height, about three to step out, about two to shrink),
-and up to about 13 where the prior dominates. The height costs no
+Cost model. The setup is O(n): four exact sums over the outcome, read
+through memoryviews rather than list copies, and one equality pass.
+Each chain then costs O(iterations * E) scalar Python work, E being the
+target evaluations per iteration: about 6 at n = 996 and at n = 200,000
+(one for the slice height, about three to step out, about two to
+shrink), and up to about 13 where the prior dominates. The height costs no
 ``exp``: it is f(u0) - drop, formed from the sigma and 1 / sigma^2 the
 coefficient step already has. Every other evaluation costs one ``exp``,
 e = e^u, and is written inline in the update, with no function call. A
@@ -202,52 +207,64 @@ class FitResult:
     chain_stats: tuple[ChainStats, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class _SuffStats:
-    """Per-arm count, mean and centred sum of squares of the outcome.
+def _fit_constants(data: Dataset, priors: PriorSpec) -> tuple[float, ...]:
+    """Make every refusal that needs both the data and the priors, then
+    return the floats each chain's loop reads.
 
-    Every sum is exact (``math.fsum``), so any permutation of the rows
-    yields bit-identical statistics, hence bit-identical chains.
+    The refusals, in order: an empty arm (:class:`DegenerateDesign`); an
+    overflowing sum (:class:`NonFiniteData`); constant arms, then a spread
+    too small for n / sigma^2, squared deviations that underflow to 0
+    included (both :class:`DegenerateDesign`); a prior mean whose k
+    overflows (:class:`InvalidArgument`). Returns ``(n_ctrl, n_trt,
+    ss_within, base0, base1, prec0, prec1, k0, k1)``, k being the prior
+    precision times the prior mean of the offsets from (base0, base1) =
+    (mean_c, mean_t - mean_c). Every sum is exact (``math.fsum``), so any
+    row order gives the same bits, hence the same chains.
     """
-
-    n_ctrl: int
-    mean_ctrl: float
-    ss_ctrl: float
-    n_trt: int
-    mean_trt: float
-    ss_trt: float
-
-    @classmethod
-    def from_dataset(cls, data: Dataset) -> "_SuffStats":
-        """Statistics of both arms; each arm must hold at least one unit.
-
-        Raises :class:`NonFiniteData` when a sum or a squared deviation
-        overflows, and :class:`DegenerateDesign` when every arm is
-        constant, which leaves sigma's posterior improper, or when the
-        spread is so small that the kernel's n / sigma^2 would overflow.
-        """
-        treated = data.treatment == 1
-        stats = cls(
-            *_arm_stats(data.outcome[~treated]),
-            *_arm_stats(data.outcome[treated]),
+    treated = data.treatment == 1
+    n_trt = int(np.count_nonzero(treated))
+    if n_trt in (0, data.n):
+        raise DegenerateDesign(
+            f"all {data.n} units are in arm {int(n_trt > 0)}; the effect is unidentified"
         )
-        ss_within = stats.ss_ctrl + stats.ss_trt
-        if ss_within == 0.0:
-            raise DegenerateDesign(
-                "the outcome is constant within each arm; the residual scale's "
-                "posterior is improper"
+    ctrl, trt = data.outcome[~treated], data.outcome[treated]
+    mean_ctrl, ss_ctrl = _arm_stats(ctrl)
+    mean_trt, ss_trt = _arm_stats(trt)
+    # Decided from the values: a mean that fsum / n rounds leaves a
+    # constant arm a nonzero sum of squares.
+    if (ctrl == ctrl[0]).all() and (trt == trt[0]).all():
+        raise DegenerateDesign(
+            "the outcome is constant within each arm; the residual scale's "
+            "posterior is improper"
+        )
+    ss_within = ss_ctrl + ss_trt
+    if ss_within == 0.0 or data.n * data.n / ss_within > _MAX_DATA_PRECISION:
+        raise DegenerateDesign(
+            f"the outcome's spread within arms is too small to fit (sd about "
+            f"{math.sqrt(ss_within / data.n):.3g} over {data.n} units); rescale it"
+        )
+
+    prec0 = 1.0 / (priors.beta0_sd * priors.beta0_sd)
+    prec1 = 1.0 / (priors.beta1_sd * priors.beta1_sd)
+    base0, base1 = mean_ctrl, mean_trt - mean_ctrl
+    k0 = (priors.beta0_mean - base0) * prec0
+    k1 = (priors.beta1_mean - base1) * prec1
+    for name, k, mean, sd, base in (
+        ("beta0", k0, priors.beta0_mean, priors.beta0_sd, base0),
+        ("beta1", k1, priors.beta1_mean, priors.beta1_sd, base1),
+    ):
+        if not math.isfinite(k):
+            raise InvalidArgument(
+                f"the {name} prior's mean {mean:g} is too far from the data's estimate "
+                f"{base:g} for its sd {sd:g}: their difference over sd^2 overflows"
             )
-        n = stats.n_ctrl + stats.n_trt
-        if n * n / ss_within > _MAX_DATA_PRECISION:
-            raise DegenerateDesign(
-                f"the outcome's spread within arms is too small to fit (sd about "
-                f"{math.sqrt(ss_within / n):.3g} over {n} units); rescale it"
-            )
-        return stats
+    # Floats, so that no product in the loop converts an int.
+    n_ctrl = float(data.n - n_trt)
+    return n_ctrl, float(n_trt), ss_within, base0, base1, prec0, prec1, k0, k1
 
 
-def _arm_stats(y: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations from the mean) of one arm."""
+def _arm_stats(y: np.ndarray) -> tuple[float, float]:
+    """(mean, sum of squared deviations from the mean) of one arm."""
     with np.errstate(over="ignore"):
         try:
             mean = math.fsum(memoryview(y)) / len(y)
@@ -259,7 +276,7 @@ def _arm_stats(y: np.ndarray) -> tuple[int, float, float]:
         raise NonFiniteData(
             "the outcome's squared deviations from its arm means overflow; rescale it"
         )
-    return len(y), mean, ss
+    return mean, ss
 
 
 def simulate_experiment(
@@ -298,27 +315,26 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     results. A parameter whose split sequences are all constant, such as
     a coefficient held at one double by a very narrow prior, gets an
     R-hat of NaN rather than :class:`ZeroWithinVariance`, so a fit that
-    has sampled does not fail on its diagnostics.
+    has sampled does not fail on its diagnostics. Every refusal below is
+    made once, before the first iteration, in the order listed.
 
     Raises
     ------
     DegenerateDesign
-        All units share one arm, leaving the effect unidentified; the
-        outcome is constant within each arm, leaving sigma's posterior
-        improper; or its spread within arms is too small for the data
-        precision n / sigma^2 to fit in a double.
+        All units share one arm, leaving the effect unidentified.
     NonFiniteData
-        The outcome's squared deviations from its arm means, or their
-        sum, overflow a double.
+        An arm's sum, or its squared deviations from its mean, overflow
+        a double.
+    DegenerateDesign
+        The outcome is constant within each arm, leaving sigma's
+        posterior improper; or its spread within arms is too small for
+        the data precision n / sigma^2 to fit in a double.
+    InvalidArgument
+        A prior mean is too far from the data's estimate for its sd:
+        their difference over sd^2 overflows.
     """
-    n_treated = int(np.count_nonzero(data.treatment))
-    if n_treated in (0, data.n):
-        raise DegenerateDesign(
-            f"all {data.n} units are in arm {int(n_treated > 0)}; the effect is unidentified"
-        )
-    stats = _SuffStats.from_dataset(data)
-
-    runs = [_run_chain(stats, spec, c) for c in range(spec.chains)]
+    constants = _fit_constants(data, spec.priors)
+    runs = [_run_chain(constants, spec, c) for c in range(spec.chains)]
     draws = Draws(
         parameter_names=("beta0", "beta1", "sigma"),
         values=np.stack([values for values, _ in runs], axis=1),
@@ -335,7 +351,9 @@ def _diagnose_fit(v: ParameterView) -> Diagnostics:
         return Diagnostics(parameter=v.name, rhat=math.nan, ess=ess(v))
 
 
-def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarray, ChainStats]:
+def _run_chain(
+    constants: tuple[float, ...], spec: ModelSpec, chain: int
+) -> tuple[np.ndarray, ChainStats]:
     """One chain: rows (beta0, beta1, sigma) of post-warmup draws, and its effort.
 
     The coefficients are drawn as offsets d = (d0, d1) from (mean_c,
@@ -346,32 +364,10 @@ def _run_chain(stats: _SuffStats, spec: ModelSpec, chain: int) -> tuple[np.ndarr
     is L'^-1 L^-1 k and the noise L'^-1 z for a standard normal pair z,
     so d = L'^-1 (L^-1 k + z): one forward and one back substitution,
     and no determinant to overflow.
-
-    Raises :class:`InvalidArgument` before the first iteration when k
-    overflows: a prior mean too far from the data for its sd.
     """
-    priors = spec.priors
-    prec0 = 1.0 / (priors.beta0_sd * priors.beta0_sd)
-    prec1 = 1.0 / (priors.beta1_sd * priors.beta1_sd)
-    rate = priors.sigma_rate
-    # Floats, so that no product in the loop converts an int.
-    n_ctrl, n_trt = float(stats.n_ctrl), float(stats.n_trt)
+    n_ctrl, n_trt, ss_within, base0, base1, prec0, prec1, k0, k1 = constants
     n = n_ctrl + n_trt
-    ss_within = stats.ss_ctrl + stats.ss_trt
-    base0 = stats.mean_ctrl
-    base1 = stats.mean_trt - stats.mean_ctrl
-    # Prior precision times prior mean, in the offset coordinates.
-    k0 = (priors.beta0_mean - base0) * prec0
-    k1 = (priors.beta1_mean - base1) * prec1
-    for name, k, mean, sd, base in (
-        ("beta0", k0, priors.beta0_mean, priors.beta0_sd, base0),
-        ("beta1", k1, priors.beta1_mean, priors.beta1_sd, base1),
-    ):
-        if not math.isfinite(k):
-            raise InvalidArgument(
-                f"the {name} prior's mean {mean:g} is too far from the data's estimate "
-                f"{base:g} for its sd {sd:g}: their difference over sd^2 overflows"
-            )
+    rate = spec.priors.sigma_rate
 
     rng = np.random.default_rng([spec.seed, chain])
     sigma = rng.exponential(1.0 / rate)

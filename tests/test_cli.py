@@ -166,6 +166,18 @@ class TestFit:
         assert stderr.startswith("error: DegenerateDesign: ")
         assert stderr.count("\n") == 1
 
+    def test_constant_arms_exit_2_before_fitting(self, tmp_path, capsys):
+        # Every outcome is one value, whose control mean fsum / 6 rounds.
+        path = tmp_path / "constant.csv"
+        write_dataset(Dataset([3002399751580331.0] * 7, [0] * 6 + [1]), path)
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run("fit", str(path), "--out", str(out), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: DegenerateDesign: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("warmup", ["97", "99"])
     def test_too_few_kept_iterations_exit_2_before_fitting(self, tmp_path, capsys, warmup):
         # Checked before the data file is read, so a missing file is not

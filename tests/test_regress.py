@@ -214,6 +214,11 @@ class TestFit:
         data = Dataset(outcome=[1.0, 1.0, 2.0, 2.0], treatment=[0, 0, 1, 1])
         with pytest.raises(DegenerateDesign):
             fit(data, ModelSpec(iterations=10, warmup=2))
+        # Constant, though fsum / 6 rounds the control mean to ...330.5 and
+        # leaves a sum of squares of 1.5. Judged by that sum, it once fit.
+        data = Dataset(outcome=[3002399751580331.0] * 7, treatment=[0] * 6 + [1])
+        with pytest.raises(DegenerateDesign, match="constant within each arm"):
+            fit(data, ModelSpec(iterations=10, warmup=2))
 
     def test_constant_parameter_gets_nan_rhat(self, small_data):
         # A prior so narrow that every beta1 draw is one double. Its R-hat
@@ -584,20 +589,19 @@ class TestNumericalRange:
     def test_overflowing_outcome_is_nonfinite_data(self):
         data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
         huge = Dataset(outcome=data.outcome * 1e200, treatment=data.treatment)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteData):
-                fit(huge, ModelSpec(iterations=10, warmup=2))
-
-    def test_overflowing_arm_sum_is_nonfinite_data(self):
         # The control arm's exact sum overflows inside math.fsum.
-        data = Dataset(outcome=[1e308, 1e308, 1e308, 1.0, 2.0], treatment=[0, 0, 0, 1, 1])
-        with pytest.raises(NonFiniteData):
-            fit(data, ModelSpec(iterations=10, warmup=2))
+        summed = Dataset(outcome=[1e308, 1e308, 1e308, 1.0, 2.0], treatment=[0, 0, 0, 1, 1])
+        for overflowing in (huge, summed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteData):
+                    fit(overflowing, ModelSpec(iterations=10, warmup=2))
 
-    @pytest.mark.parametrize("scale", [1e-154, 1e-156, 1e-158, 1e-160])
+    @pytest.mark.parametrize("scale", [1e-154, 1e-156, 1e-158, 1e-160, 1e-170, 1e-200])
     def test_vanishing_spread_is_degenerate_design(self, scale):
-        # sigma ~ scale: the data precision n / sigma^2 would overflow.
+        # sigma ~ scale: the data precision n / sigma^2 would overflow. From
+        # about 1e-165 the squared deviations underflow to 0 as well; the
+        # outcome still varies, so it is not reported as constant.
         data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
         tiny = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
         with warnings.catch_warnings():
