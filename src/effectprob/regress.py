@@ -215,7 +215,9 @@ def _fit_constants(data: Dataset, priors: PriorSpec) -> tuple[float, ...]:
     overflowing sum (:class:`NonFiniteData`); constant arms, then a spread
     too small for n / sigma^2, squared deviations that underflow to 0
     included (both :class:`DegenerateDesign`); a prior mean whose k
-    overflows (:class:`InvalidArgument`). Returns ``(n_ctrl, n_trt,
+    overflows, then prior means whose residual sum n (|D0| + |D1|)^2,
+    times 1024 for headroom, overflows, D being a prior mean minus its
+    estimate (both :class:`InvalidArgument`). Returns ``(n_ctrl, n_trt,
     ss_within, base0, base1, prec0, prec1, k0, k1)``, k being the prior
     precision times the prior mean of the offsets from (base0, base1) =
     (mean_c, mean_t - mean_c). Every sum is exact (``math.fsum``), so any
@@ -258,6 +260,15 @@ def _fit_constants(data: Dataset, priors: PriorSpec) -> tuple[float, ...]:
                 f"the {name} prior's mean {mean:g} is too far from the data's estimate "
                 f"{base:g} for its sd {sd:g}: their difference over sd^2 overflows"
             )
+    # The residual sum at the prior means, with headroom. Past it, a draw
+    # near the prior means overflows that sum, and the posterior can lie
+    # beyond the double range.
+    far = abs(priors.beta0_mean - base0) + abs(priors.beta1_mean - base1)
+    if not math.isfinite(data.n * far * far * 1024.0):
+        raise InvalidArgument(
+            f"the prior means ({priors.beta0_mean:g}, {priors.beta1_mean:g}) are too far from "
+            f"the data's estimates ({base0:g}, {base1:g}): the residual sum there overflows"
+        )
     # Floats, so that no product in the loop converts an int.
     n_ctrl = float(data.n - n_trt)
     return n_ctrl, float(n_trt), ss_within, base0, base1, prec0, prec1, k0, k1

@@ -54,6 +54,23 @@ class TestSimulate:
         assert stderr.startswith("error: NonFiniteData: ")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "names",
+        [["--outcome", "y,z"], ["--outcome", "x", "--treatment", "x"], ["--outcome", "\udcff"]],
+        ids=["comma", "equal", "not-utf8"],
+    )
+    def test_header_the_reader_refuses_exits_2_without_a_file(self, tmp_path, capsys, names):
+        # "\udcff" is how Python passes the argv byte 0xff. Unchecked, the
+        # first two wrote a file that fit cannot read, and the last raised
+        # UnicodeEncodeError after creating an empty file.
+        out = tmp_path / "data.csv"
+        code, stdout, stderr = run("simulate", *names, "--out", str(out), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: InvalidArgument: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_dataset_mode_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("simulate", "--n", "50", "--seed", "3", "--out", str(a), capsys=capsys)
@@ -128,12 +145,16 @@ class TestFit:
             ["--sigma-rate", "1e-320"],
             # A prior mean beyond its sd's reach: (mean - estimate) / sd^2 overflows.
             ["--beta1-mean", "1.8e68", "--beta1-sd", "1e-120"],
+            # Prior means whose residual sum overflows: the sampler cannot
+            # hold such a posterior in doubles.
+            ["--beta0-mean", "1.7976931348623157e308", "--beta0-sd", "243"],
         ],
     )
     def test_unusable_prior_exits_2_before_fitting(self, tmp_path, capsys, prior):
         # Refused before any iteration runs. Unchecked, the first loops
-        # forever drawing a start sigma of 0, the next three divide by zero
-        # and the last two fail only after the whole fit.
+        # forever drawing a start sigma of 0, the next three divide by zero,
+        # the next two fail only after the whole fit, and the last exited 0
+        # with beta0 draws near 1e303 and R-hats above 1e15.
         data = simulate_experiment(50, 52.0, -2.49, 24.0, seed=3)
         path = tmp_path / "data.csv"
         write_dataset(data, path)

@@ -8,6 +8,7 @@ import pytest
 
 from effectprob.draws import validate
 from effectprob.errors import (
+    InvalidArgument,
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
@@ -195,6 +196,40 @@ class TestDatasetFiles:
         assert data.treatment.tolist() == [0, 1, 1]
 
 
+class TestWriterNames:
+    """A writer refuses a header name its reader would not read back,
+    before it opens the file."""
+
+    BAD = ["a,b", "x\ny", "x\ry", "\udcff"]  # comma, line ends, a surrogate (not UTF-8)
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_write_draws_refuses(self, tmp_path, name):
+        path = tmp_path / "d.csv"
+        with pytest.raises(InvalidArgument, match="^column name "):
+            write_draws(validate({"ok": [[1.0, 2.0]], name: [[3.0, 4.0]]}), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "outcome, treatment", [*((name, "treatment") for name in BAD), ("outcome", BAD[0]), ("x", "x")]
+    )
+    def test_write_dataset_refuses(self, tmp_path, outcome, treatment):
+        path = tmp_path / "d.csv"
+        with pytest.raises(InvalidArgument):
+            write_dataset(simulate_experiment(5, 1.0, 1.0, 1.0, seed=0), path, outcome, treatment)
+        assert not path.exists()
+
+    def test_names_the_readers_take_round_trip(self, tmp_path):
+        # Non-ASCII text, a Unicode line break that is not a line end, and
+        # a parameter named like an index column.
+        path = tmp_path / "d.csv"
+        names = ("café", "a\u2028b", "chain")
+        write_draws(validate({name: [[1.0, 2.0]] for name in names}), path)
+        assert read_draws(path).parameter_names == names
+        data = simulate_experiment(5, 1.0, 1.0, 1.0, seed=0)
+        write_dataset(data, path, "日本", "\x85")
+        assert np.array_equal(read_dataset(path, "日本", "\x85").outcome, data.outcome)
+
+
 class TestAllocationPeaks:
     """A read holds a few copies of its file at most, a write one block of
     rows rather than the whole text."""
@@ -237,3 +272,15 @@ class TestAllocationPeaks:
         path = tmp_path / "file.csv"
         write(value, path)
         assert self.peak_bytes(lambda: read(path)) <= 2.5 * path.stat().st_size
+
+    def test_walked_dataset_read_peak_is_at_most_eight_times_the_file(self, tmp_path):
+        # A text column sends the read to the line walk: the bytes, the
+        # decoded body, its lines and one Python float per value.
+        value, write, read = self.sample("dataset")
+        path = tmp_path / "file.csv"
+        write(value, path)
+        header, *body = path.read_text().splitlines()
+        noted = [f"note,{header}"] + [f"r{row},{line}" for row, line in enumerate(body, 1)]
+        path.write_text("\n".join(noted) + "\n")
+        assert self.peak_bytes(lambda: read(path)) <= 8 * path.stat().st_size
+        assert read(path).outcome.tobytes() == value.outcome.tobytes()

@@ -2,10 +2,11 @@
 
 The per-line oracles read a file one line and one cell at a time with
 Python's ``float()``, exactly as the grammar in ``effectprob.io`` is
-documented. The line-regex oracles are the readers as they were before
-the byte scan. The production readers check and parse the whole body at
-once; they must agree with the oracles on every input: the same values,
-or the same error class with the same message.
+documented. The line-regex oracles are the readers as they once were,
+one regular expression per body line. The production readers parse a
+body of numbers at once and walk any other body line by line; they must
+agree with the oracles on every input: the same values, or the same
+error class with the same message.
 """
 
 from __future__ import annotations
@@ -373,9 +374,9 @@ def _one_more_field(message: str) -> str:
 
 
 def test_both_dataset_read_paths_agree(path):
-    # A header of only the two named columns takes the typed parse, and a
-    # header with one more text column the byte-class scan. Each file must
-    # give the same dataset both ways, or the same error: same class, same
+    # A file of numbers only takes the typed parse; with a text column in
+    # front (cells r1, r2, ...) it takes the line walk. Each file must give
+    # the same dataset both ways, or the same error: same class, same
     # message, its field counts one apart.
     data = Dataset(outcome=[1.5, -2.0, 0.1], treatment=[0, 1, 1])
     spelled = "outcome,treatment\n1.5,1.0\n2.5,-0\n3.5,1e0\n"
@@ -383,11 +384,11 @@ def test_both_dataset_read_paths_agree(path):
         path.write_bytes(text.encode("utf-8"))
         typed = _outcome(read_dataset, path)
         path.write_bytes(with_note_column(text).encode("utf-8"))
-        scanned = _outcome(read_dataset, path)
+        walked = _outcome(read_dataset, path)
         if isinstance(typed, Dataset):
-            assert isinstance(scanned, Dataset) and _same_dataset(scanned, typed), text
+            assert isinstance(walked, Dataset) and _same_dataset(walked, typed), text
         else:
-            assert scanned == (typed[0], _one_more_field(typed[1])), text
+            assert walked == (typed[0], _one_more_field(typed[1])), text
     path.write_bytes(spelled.encode("utf-8"))
     assert read_dataset(path).treatment.tolist() == [1, 0, 1]
 
@@ -599,8 +600,8 @@ def insert_invalid_utf8(data: bytes, draw) -> bytes:
 
 
 class TestAcceptedLanguage:
-    """The byte scan accepts what the line regex accepted, with the same
-    values, and rejects the rest with the per-line error."""
+    """The readers accept what the line regex accepted, with the same
+    values, and reject the rest with the per-line error."""
 
     @settings(PROPERTY, max_examples=300)
     @given(content=tricky_draws_files())
@@ -638,6 +639,12 @@ class TestAcceptedLanguage:
     @example(content=b"outcome,treatment")
     @example(content=b"")
     @example(content=b"outcome,treatment,outcome\n1,0,2\n")
+    # Numbers only: the typed parse, one field per column. An unused cell
+    # that loadtxt refuses sends the file to the walk, which accepts it,
+    # and a bad used cell gives the walk's line-numbered error.
+    @example(content=b"id,outcome,treatment\n1,1.5,0\n2,-2.5e3,1\n3,.5,1\n")
+    @example(content=b"id,outcome,treatment\n1.2.3,1.5,0\n,2.5,1\n--,3.5,1\n")
+    @example(content=b"id,outcome,treatment\n1,1.5,0\n2,1.2.3,1\n3,3.5,1\n")
     def test_dataset_files(self, path, content):
         assert_dataset_agree(path, content)
         assert_dataset_agree(path, content, oracle=line_regex_read_dataset)

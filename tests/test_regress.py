@@ -14,7 +14,6 @@ from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import view
 from effectprob.errors import (
     DegenerateDesign,
-    EffectProbError,
     InvalidArgument,
     NonBinaryTreatment,
     NonFiniteData,
@@ -134,6 +133,16 @@ class TestSpecs:
         data = simulate_experiment(60, 52.0, -2.49, 24.0, seed=3)
         spec = ModelSpec(PriorSpec(**kwargs), chains=2, iterations=100, warmup=10)
         with pytest.raises(InvalidArgument, match=f"^the {name} prior's mean"):
+            fit(data, spec)
+
+    def test_prior_means_whose_residual_sum_overflows_are_refused(self):
+        # k is finite, but the posterior lies beyond the double range.
+        # Unchecked, both chains ran and Draws then refused beta0's
+        # infinite draws with NonFiniteValue.
+        data = Dataset(outcome=np.arange(7.0), treatment=[0, 0, 0, 0, 0, 0, 1])
+        priors = PriorSpec(1.7976931348623157e308, 243.0, 0.0, 1.0, 1e-11)
+        spec = ModelSpec(priors, chains=2, iterations=200, warmup=100, seed=0)
+        with pytest.raises(InvalidArgument, match="^the prior means .* residual sum there overflows$"):
             fit(data, spec)
 
     def test_model_spec_rejects_bad_protocol(self):
@@ -666,12 +675,23 @@ class TestFuzz:
         warmup_share=0.0,
         seed=0,
     )
+    # A prior mean near the largest double on seven units: the posterior
+    # lies beyond the double range. It sampled, then Draws refused beta0's
+    # infinite draws with NonFiniteValue; fit now refuses it up front.
+    @example(
+        data=(np.arange(7.0), np.array([0, 0, 0, 0, 0, 0, 1])),
+        prior=(1.7976931348623157e308, 243.0, 0.0, 1.0, 1e-11),
+        chains=2,
+        iterations=200,
+        warmup_share=0.5,
+        seed=0,
+    )
     def test_fit_raises_only_package_errors(
         self, data, prior, chains, iterations, warmup_share, seed
     ):
-        # Any input either fits, or fails with a typed error: no other
-        # exception, no numpy warning (the suite makes those errors) and
-        # no hang.
+        # Any input either fits, or fails with a typed error checked before
+        # the first iteration: no error after sampling, no other exception,
+        # no numpy warning (the suite makes those errors) and no hang.
         try:
             spec = ModelSpec(
                 PriorSpec(*prior),
@@ -681,5 +701,5 @@ class TestFuzz:
                 seed=seed,
             )
             fit(Dataset(*data), spec)
-        except EffectProbError:
+        except (InvalidArgument, DegenerateDesign, NonFiniteData):
             pass
