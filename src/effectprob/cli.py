@@ -4,9 +4,10 @@ Subcommands: simulate, fit, summarize, ccdf, density, diagnose. Every run
 is fully determined by argv (seeds are explicit flags with fixed
 defaults), so repeating a command reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 1 diagnostic warning (a parameter failed the
-R-hat check), 2 usage or validation error. Module errors are reported as
-one line on stderr: ``error: <ErrorClass>: <detail>``.
+Exit codes: 0 success, 1 diagnostic warning (a parameter's R-hat is
+above 1.01, or undefined because its draws are constant), 2 usage or
+validation error. Module errors are reported as one line on stderr:
+``error: <ErrorClass>: <detail>``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Iterable
 
 import numpy as np
 
 from . import io
-from .diagnostics import diagnose
-from .draws import Draws, view
-from .errors import EffectProbError, InvalidArgument, InvalidLevel, UnknownParameter
+from .diagnostics import Diagnostics, diagnose
+from .draws import Draws, ParameterView, view
+from .errors import EffectProbError, InvalidArgument, InvalidLevel
 from .regress import ModelSpec, PriorSpec, _check_seed, fit, simulate_experiment
 from .render import render_ccdf, render_density
 from .summary import PosteriorSummary, ccdf, kde, prob_below, prob_exceeds, summarize
@@ -40,12 +42,13 @@ def summary_machine_line(name: str, s: PosteriorSummary) -> str:
 
 
 def parse_summary_line(line: str) -> tuple[str, PosteriorSummary]:
-    """Inverse of :func:`summary_machine_line`."""
-    tokens = line.split()
-    if not tokens or tokens[0] != "summary":
+    """Inverse of :func:`summary_machine_line`. The line is split from the
+    right: its six numbers hold no spaces, and a parameter name may."""
+    head, *tokens = line.strip().rsplit(" ", 6)
+    if not head.startswith("summary param=") or len(tokens) != 6:
         raise ValueError(f"not a summary line: {line!r}")
-    fields = dict(token.split("=", 1) for token in tokens[1:])
-    return fields.pop("param"), PosteriorSummary(
+    fields = dict(token.split("=", 1) for token in tokens)
+    return head.removeprefix("summary param="), PosteriorSummary(
         mean=float(fields["mean"]),
         ci_low=float(fields["ci_low"]),
         ci_high=float(fields["ci_high"]),
@@ -63,16 +66,12 @@ def _human_summary(name: str, s: PosteriorSummary) -> str:
     )
 
 
-def _select_parameter(draws: Draws, requested: str | None) -> str:
-    if requested is not None:
-        if requested not in draws.parameter_names:
-            raise UnknownParameter(requested)
-        return requested
-    if len(draws.parameter_names) == 1:
-        return draws.parameter_names[0]
-    raise InvalidArgument(
-        f"--param is required; file has parameters {', '.join(draws.parameter_names)}"
-    )
+def _select(draws: Draws, requested: str | None) -> ParameterView:
+    """The view of ``--param``, which may be left out when the file has one parameter."""
+    names = draws.parameter_names
+    if requested is None and len(names) > 1:
+        raise InvalidArgument(f"--param is required; file has parameters {', '.join(names)}")
+    return view(draws, names[0] if requested is None else requested)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -118,48 +117,52 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for name, s in summaries.items():
         print(_human_summary(name, s))
     print(f"N = {data.n}")
-    for name, d in result.diagnostics.items():
-        print(f"{name:<8s} rhat={d.rhat:.4f}  ess={d.ess:.1f}")
+    _print_diagnostics(result.diagnostics.values())
     for name, s in summaries.items():
         print(summary_machine_line(name, s))
     return 0
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    draws = io.read_draws(args.draws)
-    name = _select_parameter(draws, args.param)
-    s = summarize(view(draws, name), args.level)
-    print(_human_summary(name, s))
-    print(summary_machine_line(name, s))
+    v = _select(io.read_draws(args.draws), args.param)
+    s = summarize(v, args.level)
+    print(_human_summary(v.name, s))
+    print(summary_machine_line(v.name, s))
     return 0
 
 
 def _cmd_plot(args: argparse.Namespace, curve, render) -> int:
     """``ccdf`` and ``density``: compute ``curve`` on a grid, render it, write the SVG."""
-    draws = io.read_draws(args.draws)
-    name = _select_parameter(draws, args.param)
-    v = view(draws, name)
+    v = _select(io.read_draws(args.draws), args.param)
     # An absent or empty --x-label keeps the renderer's default label.
     label = {"x_label": args.x_label} if args.x_label else {}
     document = render(curve(v, args.points), **label)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
-    print(f"P({name}>0) = {prob_exceeds(v, 0.0)!r}")
-    print(f"P({name}<0) = {prob_below(v, 0.0)!r}")
+    print(f"P({v.name}>0) = {prob_exceeds(v, 0.0)!r}")
+    print(f"P({v.name}<0) = {prob_below(v, 0.0)!r}")
     return 0
+
+
+def _print_diagnostics(diagnostics: Iterable[Diagnostics]) -> None:
+    for d in diagnostics:
+        print(f"{d.parameter:<8s} rhat={d.rhat:.4f}  ess={d.ess:.1f}")
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     draws = io.read_draws(args.draws)
-    worst = 0.0
-    for name in draws.parameter_names:
-        d = diagnose(view(draws, name))
-        worst = max(worst, d.rhat)
-        print(f"{name:<8s} rhat={d.rhat:.4f}  ess={d.ess:.1f}")
-    if worst > RHAT_WARN:
-        print(f"warning: max rhat {worst:.4f} exceeds {RHAT_WARN}", file=sys.stderr)
-        return 1
-    return 0
+    diagnostics = [diagnose(view(draws, name)) for name in draws.parameter_names]
+    _print_diagnostics(diagnostics)
+    undefined = ", ".join(d.parameter for d in diagnostics if np.isnan(d.rhat))
+    worst = max(d.rhat for d in diagnostics)
+    if undefined:
+        warning = f"undefined rhat for {undefined}: every split half is constant"
+    elif worst > RHAT_WARN:
+        warning = f"max rhat {worst:.4f} exceeds {RHAT_WARN}"
+    else:
+        return 0
+    print(f"warning: {warning}", file=sys.stderr)
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

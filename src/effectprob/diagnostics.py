@@ -7,7 +7,9 @@ show up as between-sequence disagreement.
 
 Reductions across sequences are order-independent (exact summation for
 R-hat, sorted summation for ESS), so relabeling chains permutes
-intermediate terms without changing either statistic, bit for bit.
+intermediate terms without changing either statistic, bit for bit. When
+every split sequence is constant, judged from the draws, R-hat is NaN
+and ESS is 1: a value, not an error.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import ParameterView
-from .errors import TooFewIterations, ZeroWithinVariance
+from .draws import ParameterView, _unit_scaled
+from .errors import TooFewIterations
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,9 @@ class Diagnostics:
     ess: float
 
 
-def _split_sequences(per_chain: np.ndarray) -> np.ndarray:
+def _split_sequences(per_chain: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The 2m split sequences, scaled to |x| <= 1 (both statistics are
+    scale-free), and whether every one is constant."""
     iterations = per_chain.shape[1]
     if iterations < 4:
         raise TooFewIterations(
@@ -38,12 +42,7 @@ def _split_sequences(per_chain: np.ndarray) -> np.ndarray:
         )
     half = iterations // 2
     seqs = np.concatenate([per_chain[:, :half], per_chain[:, iterations - half :]], axis=0)
-    # Both statistics are scale-free, and scaling by a power of two is
-    # exact (short of subnormals), so it changes no bit of them. Bringing
-    # every |draw| to at most 1 keeps squares and sums of draws near the
-    # largest doubles finite.
-    _, exponent = math.frexp(float(np.abs(seqs).max()))
-    return np.ldexp(seqs, -exponent)
+    return _unit_scaled(seqs)[0], bool((seqs == seqs[:, :1]).all())
 
 
 def _fft_length(target: int) -> int:
@@ -78,22 +77,18 @@ def split_rhat(v: ParameterView) -> float:
         sqrt(((n - 1) / n * W + B / n) / W)
 
     which is exactly sqrt((n - 1) / n) when every sequence mean agrees,
-    and grows past 1 as the sequences disagree.
+    and grows past 1 as the sequences disagree. When every split
+    sequence is constant, or W rounds to 0, the ratio is undefined and
+    the result is NaN: a constant chain shows a stuck sampler or a pinned
+    parameter, not perfect convergence.
 
-    Raises
-    ------
-    TooFewIterations
-        Fewer than 4 iterations per chain.
-    ZeroWithinVariance
-        Every split sequence is constant, so the ratio is undefined; a
-        constant chain indicates a broken sampler rather than perfect
-        convergence.
+    Raises :class:`TooFewIterations` for chains shorter than 4.
     """
-    seqs = _split_sequences(v.per_chain)
+    seqs, constant = _split_sequences(v.per_chain)
     n = seqs.shape[1]
     within = _mean_over_sequences(seqs.var(axis=1, ddof=1))
-    if within == 0.0:
-        raise ZeroWithinVariance(v.name)
+    if constant or within == 0.0:
+        return math.nan
     means = seqs.mean(axis=1)
     grand = _mean_over_sequences(means)
     between = n * math.fsum((m - grand) ** 2 for m in means) / (len(means) - 1)
@@ -112,8 +107,8 @@ def ess(v: ParameterView) -> float:
 
         ESS = (2m * n) / (1 + 2 * sum of retained correlations)
 
-    clamped to [1, 2m * n]. A constant input returns the clamped minimum
-    of 1 instead of failing on the zero lag-0 autocovariance.
+    clamped to [1, 2m * n]. Constant split sequences, or a lag-0
+    autocovariance that rounds to 0, give the clamped minimum of 1.
 
     Every sequence's autocovariances at all lags come from one batched
     real FFT, zero-padded to the smallest 2^a 3^b 5^c >= 2n - 1 points so
@@ -125,7 +120,7 @@ def ess(v: ParameterView) -> float:
 
     Raises :class:`TooFewIterations` for chains shorter than 4.
     """
-    seqs = _split_sequences(v.per_chain)
+    seqs, constant = _split_sequences(v.per_chain)
     n_seq, n = seqs.shape
     total = n_seq * n
     centered = seqs - seqs.mean(axis=1, keepdims=True)
@@ -137,7 +132,7 @@ def ess(v: ParameterView) -> float:
     gamma = np.sort(lagged, axis=0).sum(axis=0) / n_seq / n
 
     gamma0 = gamma[0]
-    if gamma0 == 0.0:
+    if constant or gamma0 == 0.0:
         return 1.0
 
     # Pair lags (0,1), (2,3), ... (lag n, past the end, is 0) and stop at

@@ -3,10 +3,13 @@
 All downstream summaries consume this representation. :class:`Draws`
 checks itself whichever way it is built and copies its input once, into
 a read-only array it owns, so draws can be shared freely across threads.
+:class:`ParameterView`, one parameter's draws, is built through it and
+so keeps the same rules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -79,30 +82,17 @@ class Draws:
 class ParameterView:
     """One parameter's draws, both chain-separated and pooled.
 
-    Construction copies ``per_chain`` into a C-ordered, read-only
-    float64 array that the view owns, after raising
-    :class:`InvalidDraws` unless it is 2-d ``(chains, iterations)`` and
-    :class:`NonFiniteValue` for a NaN or infinity. An empty view is
-    legal; the summaries reject it.
+    Construction builds a one-parameter :class:`Draws` from ``name`` and
+    ``per_chain`` and keeps its read-only ``(chains, iterations)`` array,
+    so a view follows the same rules and raises the same errors: at least
+    one chain of at least two iterations, and every draw finite.
     """
 
     name: str
     per_chain: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            per_chain = np.array(self.per_chain, dtype=np.float64, order="C")
-        except (TypeError, ValueError) as exc:
-            raise InvalidDraws(f"parameter {self.name!r}: {exc}") from exc
-        if per_chain.ndim != 2:
-            raise InvalidDraws(f"parameter {self.name!r}: per_chain must be (chains, iterations)")
-        finite = np.isfinite(per_chain)
-        if not finite.all():
-            bad = np.argwhere(~finite)[0]
-            raise NonFiniteValue(
-                f"parameter {self.name!r}, chain {bad[0] + 1}, iteration {bad[1] + 1}"
-            )
-        per_chain.setflags(write=False)
+        per_chain = Draws((self.name,), [self.per_chain]).values[0]
         object.__setattr__(self, "per_chain", per_chain)
 
     @property
@@ -110,6 +100,14 @@ class ParameterView:
         """The per-chain series concatenated chain-major: a flat, read-only
         view of ``per_chain``, of length ``chains * iterations``."""
         return self.per_chain.reshape(-1)
+
+
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` times 2^-e, every |value| then at most 1, and e. Scaling
+    by a power of two is exact short of subnormals, so it changes no bit of
+    a result scaled back, and keeps squares and spans of huge draws finite."""
+    _, exponent = math.frexp(float(np.abs(values).max()))
+    return np.ldexp(values, -exponent), exponent
 
 
 RawDraws = Mapping[str, object] | Iterable[tuple[str, object]]
@@ -121,7 +119,8 @@ def validate(raw: RawDraws) -> Draws:
     ``raw`` maps parameter names to their per-chain series: either a
     2-d layout ``(chains, iterations)`` or a single 1-d chain. Chains of
     unequal length, or layouts that differ between parameters, raise
-    :class:`RaggedChains`; :class:`Draws` checks the rest.
+    :class:`RaggedChains`; :class:`Draws` checks the rest, the shape
+    included.
     """
     items = list(raw.items()) if isinstance(raw, Mapping) else [(n, v) for n, v in raw]
     blocks: list[np.ndarray] = []
@@ -135,15 +134,12 @@ def validate(raw: RawDraws) -> Draws:
             raise InvalidDraws(f"parameter {name!r}: {exc}") from exc
         if block.ndim == 1:
             block = block.reshape(1, -1)
-        if block.ndim != 2:
-            raise InvalidDraws(f"parameter {name!r}: expected a (chains, iterations) layout")
         if blocks and block.shape != blocks[0].shape:
             raise RaggedChains(
                 f"parameter {name!r} has layout {block.shape}, expected {blocks[0].shape}"
             )
         blocks.append(block)
-    values = np.stack(blocks) if blocks else np.empty((0, 0, 0))
-    return Draws(parameter_names=tuple(name for name, _ in items), values=values)
+    return Draws(parameter_names=tuple(name for name, _ in items), values=blocks)
 
 
 def view(d: Draws, name: str) -> ParameterView:

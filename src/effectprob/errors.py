@@ -32,10 +32,6 @@ class UnknownParameter(EffectProbError):
     """Requested parameter does not exist in the draws."""
 
 
-class EmptyDraws(EffectProbError):
-    """Operation requires at least one draw."""
-
-
 # --- summaries -------------------------------------------------------------
 
 class InvalidRange(EffectProbError):
@@ -55,10 +51,6 @@ class DegenerateDraws(EffectProbError):
 
 class TooFewIterations(EffectProbError):
     """Chains are too short for split-half diagnostics."""
-
-
-class ZeroWithinVariance(EffectProbError):
-    """All split sequences are constant; R-hat is undefined."""
 
 
 # --- regression ------------------------------------------------------------

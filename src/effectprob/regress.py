@@ -63,15 +63,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .diagnostics import Diagnostics, diagnose, ess
-from .draws import Draws, ParameterView, view
-from .errors import (
-    DegenerateDesign,
-    InvalidArgument,
-    NonBinaryTreatment,
-    NonFiniteData,
-    ZeroWithinVariance,
-)
+from .diagnostics import Diagnostics, diagnose
+from .draws import Draws, view
+from .errors import DegenerateDesign, InvalidArgument, NonBinaryTreatment, NonFiniteData
 
 # Slice width in conditional standard deviations, and the step-out budget.
 # The budget is what lets a chain started from the prior walk down to the
@@ -217,7 +211,8 @@ def _fit_constants(data: Dataset, priors: PriorSpec) -> tuple[float, ...]:
     included (both :class:`DegenerateDesign`); a prior mean whose k
     overflows, then prior means whose residual sum n (|D0| + |D1|)^2,
     times 1024 for headroom, overflows, D being a prior mean minus its
-    estimate (both :class:`InvalidArgument`). Returns ``(n_ctrl, n_trt,
+    estimate and counted only where |D| exceeds its prior sd (both
+    :class:`InvalidArgument`). Returns ``(n_ctrl, n_trt,
     ss_within, base0, base1, prec0, prec1, k0, k1)``, k being the prior
     precision times the prior mean of the offsets from (base0, base1) =
     (mean_c, mean_t - mean_c). Every sum is exact (``math.fsum``), so any
@@ -251,6 +246,10 @@ def _fit_constants(data: Dataset, priors: PriorSpec) -> tuple[float, ...]:
     base0, base1 = mean_ctrl, mean_trt - mean_ctrl
     k0 = (priors.beta0_mean - base0) * prec0
     k1 = (priors.beta1_mean - base1) * prec1
+    # The residual sum at the prior means, with headroom: past it, the
+    # posterior can lie beyond the double range. An offset within its sd is
+    # left out, as the prior's penalty at the data is then at most 1/2.
+    far = 0.0
     for name, k, mean, sd, base in (
         ("beta0", k0, priors.beta0_mean, priors.beta0_sd, base0),
         ("beta1", k1, priors.beta1_mean, priors.beta1_sd, base1),
@@ -260,10 +259,8 @@ def _fit_constants(data: Dataset, priors: PriorSpec) -> tuple[float, ...]:
                 f"the {name} prior's mean {mean:g} is too far from the data's estimate "
                 f"{base:g} for its sd {sd:g}: their difference over sd^2 overflows"
             )
-    # The residual sum at the prior means, with headroom. Past it, a draw
-    # near the prior means overflows that sum, and the posterior can lie
-    # beyond the double range.
-    far = abs(priors.beta0_mean - base0) + abs(priors.beta1_mean - base1)
+        if abs(mean - base) > sd:
+            far += abs(mean - base)
     if not math.isfinite(data.n * far * far * 1024.0):
         raise InvalidArgument(
             f"the prior means ({priors.beta0_mean:g}, {priors.beta1_mean:g}) are too far from "
@@ -325,9 +322,9 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     ``(spec.seed, chain_index)``, so identical inputs give bit-identical
     results. A parameter whose split sequences are all constant, such as
     a coefficient held at one double by a very narrow prior, gets an
-    R-hat of NaN rather than :class:`ZeroWithinVariance`, so a fit that
-    has sampled does not fail on its diagnostics. Every refusal below is
-    made once, before the first iteration, in the order listed.
+    R-hat of NaN (see :func:`~effectprob.diagnostics.split_rhat`). Every
+    refusal below is made once, before the first iteration, in the order
+    listed.
 
     Raises
     ------
@@ -342,7 +339,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         the data precision n / sigma^2 to fit in a double.
     InvalidArgument
         A prior mean is too far from the data's estimate for its sd:
-        their difference over sd^2 overflows.
+        their difference over sd^2, or the residual sum at the prior
+        means that lie more than their sds away, overflows.
     """
     constants = _fit_constants(data, spec.priors)
     runs = [_run_chain(constants, spec, c) for c in range(spec.chains)]
@@ -350,16 +348,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         parameter_names=("beta0", "beta1", "sigma"),
         values=np.stack([values for values, _ in runs], axis=1),
     )
-    diagnostics = {name: _diagnose_fit(view(draws, name)) for name in draws.parameter_names}
+    diagnostics = {name: diagnose(view(draws, name)) for name in draws.parameter_names}
     return FitResult(draws, diagnostics, tuple(effort for _, effort in runs))
-
-
-def _diagnose_fit(v: ParameterView) -> Diagnostics:
-    """:func:`diagnose`, with R-hat NaN where it is undefined (constant sequences)."""
-    try:
-        return diagnose(v)
-    except ZeroWithinVariance:
-        return Diagnostics(parameter=v.name, rhat=math.nan, ess=ess(v))
 
 
 def _run_chain(

@@ -2,7 +2,8 @@
 
 Both figures have one fixed look: a 960x600 px canvas, a blue stroke
 (red for a curve's negative branch), and generic font family names only.
-The x-axis label is the one setting. Output is deterministic text:
+The x-axis label is the one setting; one holding a character that XML 1.0
+forbids raises :class:`InvalidArgument`. Output is deterministic text:
 identical inputs produce byte-identical documents. Each polyline's
 vertices are affine maps of (x, y) data; the maps are exposed through
 :func:`ccdf_axis_maps` / :func:`density_axis_maps` so coordinates can be
@@ -12,13 +13,14 @@ inverted and checked.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateDraws, EmptyCurve
+from .errors import DegenerateDraws, EmptyCurve, InvalidArgument
 from .summary import CcdfCurve, DensityEstimate
 
 _WIDTH = 960
@@ -34,6 +36,8 @@ _NEGATIVE_STYLE = "stroke:#b2182b;stroke-width:2"
 # A draw-based curve cannot reach exactly 0% or 100% for an unbounded
 # posterior, so the end ticks read "near".
 _PERCENT_TICKS = ((0.0, "near 0%"), (0.25, "25%"), (0.5, "50%"), (0.75, "75%"), (1.0, "near 100%"))
+# What XML 1.0 forbids: C0 controls but tab, LF and CR; surrogates; U+FFFE/F.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,9 @@ def _document(
 ) -> str:
     """The SVG document: canvas, gridlines at the labelled ``y_ticks``,
     x ticks, axes, labels, then one polyline per ``(xs, ys, style)``."""
+    bad = _NOT_XML.search(x_label)
+    if bad:
+        raise InvalidArgument(f"x_label {x_label!r} holds {bad.group()!r}, which XML forbids")
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '

@@ -6,6 +6,9 @@ gives the two branches of a complementary cumulative curve, one for
 positive effect sizes and one for negative. Conventional summaries (mean,
 equal-tailed credible interval, one-sided probabilities at zero) and a
 Gaussian kernel density estimate are provided for comparison plots.
+
+Every function takes a :class:`~effectprob.draws.ParameterView`, which
+holds at least two finite draws, and checks only its other arguments.
 """
 
 from __future__ import annotations
@@ -16,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import ParameterView
-from .errors import (
-    DegenerateDraws,
-    EmptyDraws,
-    InvalidArgument,
-    InvalidLevel,
-    InvalidRange,
-)
+from .draws import ParameterView, _unit_scaled
+from .errors import DegenerateDraws, InvalidArgument, InvalidLevel, InvalidRange
 
 # Binned KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, at most
 # _KDE_MAX_BINS of them, and the kernel cut at +-_KDE_TRUNCATE bandwidths
@@ -80,13 +77,6 @@ class DensityEstimate:
     bandwidth: float
 
 
-def _pooled(v: ParameterView) -> np.ndarray:
-    pooled = v.pooled
-    if pooled.size == 0:
-        raise EmptyDraws(v.name)
-    return pooled
-
-
 def _check_threshold(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -102,9 +92,8 @@ def prob_exceeds(v: ParameterView, x: float) -> float:
     with continuous posteriors ties have measure zero, but exact tests
     rely on the choice being pinned down.
     """
-    pooled = _pooled(v)
     x = _check_threshold(x)
-    return int(np.count_nonzero(pooled > x)) / pooled.size
+    return int(np.count_nonzero(v.pooled > x)) / v.pooled.size
 
 
 def prob_below(v: ParameterView, x: float) -> float:
@@ -112,9 +101,8 @@ def prob_below(v: ParameterView, x: float) -> float:
 
     Mirror of :func:`prob_exceeds`: ``(#draws < x) / n``.
     """
-    pooled = _pooled(v)
     x = _check_threshold(x)
-    return int(np.count_nonzero(pooled < x)) / pooled.size
+    return int(np.count_nonzero(v.pooled < x)) / v.pooled.size
 
 
 def prob_between(v: ParameterView, a: float, b: float) -> float:
@@ -126,7 +114,7 @@ def prob_between(v: ParameterView, a: float, b: float) -> float:
 
     Raises :class:`InvalidRange` unless ``a < b``.
     """
-    pooled = _pooled(v)
+    pooled = v.pooled
     a = _check_threshold(a)
     b = _check_threshold(b)
     if not a < b:
@@ -149,12 +137,11 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
     P grid points. The counts are the same strict-inequality counts
     :func:`prob_exceeds` and :func:`prob_below` make.
     """
-    pooled = _pooled(v)
     points_per_branch = int(points_per_branch)
     if points_per_branch < 2:
         raise InvalidArgument(f"points_per_branch must be >= 2, got {points_per_branch}")
 
-    ordered = np.sort(pooled)
+    ordered = np.sort(v.pooled)
     n = ordered.size
     lo = float(ordered[0])
     hi = float(ordered[-1])
@@ -178,7 +165,7 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
         positive_probabilities=pos_p,
         negative_thresholds=neg_x,
         negative_probabilities=neg_p,
-        n_draws=int(pooled.size),
+        n_draws=n,
     )
 
 
@@ -187,20 +174,23 @@ def summarize(v: ParameterView, level: float = 0.95) -> PosteriorSummary:
 
     The interval bounds are the ``(1 - level) / 2`` and
     ``1 - (1 - level) / 2`` quantiles with linear interpolation between
-    order statistics. One-sided probabilities are evaluated at zero.
+    order statistics. One-sided probabilities are evaluated at zero. The
+    mean and bounds come from draws scaled to |x| <= 1 by a power of two,
+    then scaled back, so they are finite and ordered for any draws.
 
     Raises :class:`InvalidLevel` unless ``0 < level < 1``.
     """
-    pooled = _pooled(v)
     level = float(level)
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must be in (0, 1), got {level!r}")
     alpha = (1.0 - level) / 2.0
-    ci_low, ci_high = np.quantile(pooled, [alpha, 1.0 - alpha])
+    scaled, exponent = _unit_scaled(v.pooled)
+    moments = [scaled.mean(), *np.quantile(scaled, [alpha, 1.0 - alpha])]
+    mean, ci_low, ci_high = np.ldexp(moments, exponent).tolist()
     return PosteriorSummary(
-        mean=float(pooled.mean()),
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
+        mean=mean,
+        ci_low=ci_low,
+        ci_high=ci_high,
         level=level,
         p_greater_zero=prob_exceeds(v, 0.0),
         p_less_zero=prob_below(v, 0.0),
@@ -236,18 +226,15 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     estimated like any others: the bandwidth comes from draws scaled by a
     power of two, so their squared deviations do not underflow.
     """
-    pooled = _pooled(v)
     grid_points = int(grid_points)
     if grid_points < 16:
         raise InvalidArgument(f"grid_points must be >= 16, got {grid_points}")
-    # The bandwidth and the binning are scale-equivariant, and scaling by
-    # a power of two is exact short of subnormals, so they are computed on
-    # draws scaled to |draw| <= 1, whose squared deviations neither
+    # The bandwidth and the binning are scale-equivariant, so they are
+    # computed on the scaled draws, whose squared deviations neither
     # underflow nor overflow. For draws whose bandwidth and grid are
     # normal doubles, that changes no bit of the result.
-    _, exponent = math.frexp(float(np.abs(pooled).max()))
-    scaled = np.ldexp(pooled, -exponent)
-    sd = float(scaled.std(ddof=1)) if scaled.size > 1 else 0.0
+    scaled, exponent = _unit_scaled(v.pooled)
+    sd = float(scaled.std(ddof=1))
     if sd == 0.0:
         raise DegenerateDraws(v.name)
     q25, q75 = np.quantile(scaled, [0.25, 0.75])
@@ -290,6 +277,6 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     kernel[: reach + 1] = half
     kernel[size - reach :] = half[:0:-1]
     smoothed = np.fft.irfft(np.fft.rfft(weights, size) * np.fft.rfft(kernel), size)
-    norm = 1.0 / (pooled.size * bandwidth * math.sqrt(2.0 * math.pi))
+    norm = 1.0 / (scaled.size * bandwidth * math.sqrt(2.0 * math.pi))
     density = norm * np.maximum(smoothed[:bins:refine], 0.0)
     return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)

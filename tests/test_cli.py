@@ -229,9 +229,12 @@ class TestFit:
         )
         assert (code, stderr) == (0, "")
         assert "beta1    rhat=nan  ess=1.0\n" in stdout
-        # diagnose on the file still refuses the constant parameter.
-        code, _, stderr = run("diagnose", str(draws), capsys=capsys)
-        assert (code, stderr) == (2, "error: ZeroWithinVariance: beta1\n")
+        # diagnose on the file prints the same rows and warns of it.
+        code, stdout, stderr = run("diagnose", str(draws), capsys=capsys)
+        assert "beta1    rhat=nan  ess=1.0\n" in stdout
+        assert (code, stderr) == (
+            1, "warning: undefined rhat for beta1: every split half is constant\n"
+        )
 
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -331,6 +334,23 @@ class TestPlots:
         assert empty.read_bytes() == default.read_bytes()
         assert ">Effect size</text>" in default.read_text()
 
+    @pytest.mark.parametrize("command", ["ccdf", "density"])
+    @pytest.mark.parametrize(
+        "label", ["a\x01b", "\x0c", "\ufffe", "\udcff"], ids=["x01", "x0c", "ufffe", "not-utf8"]
+    )
+    def test_label_xml_forbids_exits_2_without_a_file(self, tmp_path, capsys, command, label):
+        # "\udcff" is how Python decodes the argv byte 0xff. The controls
+        # and U+FFFE once made an SVG that XML parsers reject; 0xff once
+        # ended in a UnicodeEncodeError traceback and an empty file.
+        out = tmp_path / "x.svg"
+        code, stdout, stderr = run(
+            command, self._draws(tmp_path), "--x-label", label, "--out", str(out), capsys=capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: InvalidArgument: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_healthy_chains_exit_0(self, tmp_path, capsys):
@@ -375,6 +395,24 @@ class TestUsage:
         name, back = parse_summary_line(summary_machine_line("x", s))
         assert name == "x"
         assert back == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.text(
+            st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"), min_size=1
+        ),
+        numbers=st.lists(st.floats(allow_nan=False), min_size=6, max_size=6),
+    )
+    @example(name="treatment effect", numbers=[0.95, 0.125, -1.5, 2.25, 0.75, 0.25])
+    @example(name=" p=1 level=2 ", numbers=[0.95, 0.125, -1.5, 2.25, 0.75, 0.25])
+    def test_machine_line_round_trips_any_writable_name(self, tmp_path_factory, name, numbers):
+        # Every name write_draws accepts; one with a space once made
+        # parse_summary_line raise ValueError from dict().
+        path = tmp_path_factory.mktemp("names") / "draws.csv"
+        write_draws(validate({name: [[0.0, 1.0]]}), path)
+        level, mean, ci_low, ci_high, above, below = numbers
+        s = PosteriorSummary(mean, ci_low, ci_high, level, above, below)
+        assert parse_summary_line(summary_machine_line(name, s)) == (name, s)
 
     def test_parse_rejects_a_line_that_is_not_a_summary(self):
         with pytest.raises(ValueError, match="not a summary line"):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectprob.diagnostics import _fft_length, diagnose, ess, split_rhat
-from effectprob.errors import TooFewIterations, ZeroWithinVariance
+from effectprob.errors import TooFewIterations
 
 from conftest import make_view
 
@@ -114,8 +114,25 @@ class TestSplitRhat:
             split_rhat(make_view([[1.0, 2.0, 3.0]]))
 
     def test_constant_sequences_rejected(self):
-        with pytest.raises(ZeroWithinVariance):
-            split_rhat(make_view([[2.0, 2.0, 2.0, 2.0]]))
+        # R-hat is undefined: NaN, not an error.
+        assert math.isnan(split_rhat(make_view([[2.0, 2.0, 2.0, 2.0]])))
+
+    @pytest.mark.parametrize(
+        "chains",
+        [
+            # Their numpy means round, leaving variances near 1e-34: R-hat
+            # and ESS read 0.99 and 8 when judged from them.
+            [[0.1] * 100] * 4,
+            [[52.43] * 9000] * 4,
+            # Stuck at a different value in each chain.
+            [[1.0] * 8, [2.0] * 8],
+        ],
+        ids=["0.1", "52.43", "two-values"],
+    )
+    def test_constant_sequences_judged_from_the_draws(self, chains):
+        v = make_view(chains)
+        assert math.isnan(split_rhat(v))
+        assert ess(v) == 1.0
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(8)

@@ -175,8 +175,10 @@ class TestParameterViewChecksItself:
             ([1.0, 2.0], InvalidDraws),
             ([[[1.0, 2.0]]], InvalidDraws),
             ([[1.0, np.nan]], NonFiniteValue),
+            ([[]], InvalidDraws),
+            ([[1.0]], InvalidDraws),
         ],
-        ids=["one-dimensional", "three-dimensional", "nan"],
+        ids=["one-dimensional", "three-dimensional", "nan", "empty", "one-iteration"],
     )
     def test_rejects(self, per_chain, error):
         with pytest.raises(error):

@@ -145,6 +145,27 @@ class TestSpecs:
         with pytest.raises(InvalidArgument, match="^the prior means .* residual sum there overflows$"):
             fit(data, spec)
 
+    def test_prior_mean_within_its_sd_of_the_data_fits(self):
+        # The prior's sd makes it flat (its precision underflows to 0), so
+        # however far its mean lies, it does not pull the posterior there.
+        # Counted in the residual sum, it was refused.
+        data = simulate_experiment(996, 52.0, -2.49, 24.0, seed=3)
+        priors = PriorSpec(beta0_mean=1e152, beta0_sd=1e300)
+        result = fit(data, ModelSpec(priors, chains=2, iterations=2000, warmup=500))
+        assert view(result.draws, "beta0").pooled.mean() == pytest.approx(52.4, abs=0.5)
+        assert result.diagnostics["beta0"].rhat < 1.01
+
+    @pytest.mark.parametrize("mean, sd", [(1.7e308, 1e300), (1e160, 1e154)])
+    def test_prior_mean_beyond_its_sd_whose_residual_sum_overflows_is_refused(self, mean, sd):
+        # The prior's penalty at the data, (mean / sd)^2 / 2, outweighs the
+        # likelihood's cost of moving there. Unrefused, (1e160, 1e154)
+        # reported a beta0 near 52 from a chain stuck in a negligible mode.
+        data = simulate_experiment(996, 52.0, -2.49, 24.0, seed=3)
+        spec = ModelSpec(PriorSpec(beta0_mean=mean, beta0_sd=sd), chains=2, iterations=200,
+                         warmup=50)
+        with pytest.raises(InvalidArgument, match="residual sum there overflows$"):
+            fit(data, spec)
+
     def test_model_spec_rejects_bad_protocol(self):
         with pytest.raises(InvalidArgument):
             ModelSpec(chains=0)

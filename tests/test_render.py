@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from effectprob.errors import DegenerateDraws, EmptyCurve
+from effectprob.errors import DegenerateDraws, EmptyCurve, InvalidArgument
 from effectprob.render import (
     ccdf_axis_maps,
     density_axis_maps,
@@ -116,6 +116,18 @@ class TestRenderCcdf:
         )
         with pytest.raises(EmptyCurve):
             render_ccdf(curve)
+
+    @pytest.mark.parametrize("label", ["\x00", "a\x1fb", "\ud800", "\uffff"])
+    def test_label_xml_forbids_rejected(self, normal_curve, normal_draws, label):
+        with pytest.raises(InvalidArgument, match="which XML forbids$"):
+            render_ccdf(normal_curve, x_label=label)
+        with pytest.raises(InvalidArgument, match="which XML forbids$"):
+            render_density(kde(normal_draws, 64), x_label=label)
+
+    def test_label_xml_allows_parses(self, normal_curve):
+        # Tab, LF, CR, markup characters and non-ASCII text are all legal XML.
+        label = "a\tb\nc\rd <&> \u00e9\u2028\U0001f600"
+        assert ET.fromstring(render_ccdf(normal_curve, x_label=label)) is not None
 
     def test_single_branch_curve_renders(self):
         curve = ccdf(make_view([[1.0, 2.0, 3.0]]), 8)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from effectprob.draws import ParameterView
 from effectprob.errors import (
     DegenerateDraws,
-    EmptyDraws,
     InvalidArgument,
+    InvalidDraws,
     InvalidLevel,
     InvalidRange,
 )
@@ -125,9 +126,8 @@ class TestProbabilities:
             prob_between(v, 0.0, x)
 
     def test_empty_view_rejected(self):
-        v = ParameterView(name="x", per_chain=np.empty((1, 0)))
-        with pytest.raises(EmptyDraws):
-            prob_exceeds(v, 0.0)
+        with pytest.raises(InvalidDraws):
+            ParameterView(name="x", per_chain=np.empty((1, 0)))
 
     def test_seeded_normal_matches_analytic(self, normal_draws):
         assert prob_exceeds(normal_draws, 0.0) == pytest.approx(P_ABOVE_0, abs=0.011)
@@ -306,6 +306,43 @@ class TestSummarize:
         for level in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(InvalidLevel):
                 summarize(v, level)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["normal", "bimodal", "heavy", "skewed"]),
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        power=st.integers(-900, 900),
+        level=st.floats(0.01, 0.99),
+    )
+    def test_scaling_changes_no_bit(self, family, n, seed, power, level):
+        # In the normal range, the mean and bounds are those of the draws
+        # themselves, bit for bit, and scale exactly with them by 2^power.
+        values = np.ldexp(family_draws(family, n, seed), power)
+        s = summarize(make_view(values.reshape(1, -1)), level)
+        alpha = (1.0 - level) / 2.0
+        assert s.mean == float(values.mean())
+        assert (s.ci_low, s.ci_high) == tuple(np.quantile(values, [alpha, 1.0 - alpha]))
+        unscaled = summarize(make_view(np.ldexp(values, -power).reshape(1, -1)), level)
+        assert (s.mean, s.ci_low, s.ci_high) == tuple(
+            np.ldexp([unscaled.mean, unscaled.ci_low, unscaled.ci_high], power)
+        )
+
+    @pytest.mark.parametrize(
+        "draws, level, expected",
+        [
+            # The span overflowed the interpolation: ci_low=inf, ci_high=-inf.
+            ([-1.7e308, 1.7e308], 0.5, (0.0, -8.5e307, 8.5e307)),
+            # The sum overflowed: mean=inf.
+            ([1.7e308, 1.6e308, 1.5e308, 1.7e308], 0.95, (1.625e308, 1.5075e308, 1.7e308)),
+        ],
+    )
+    def test_draws_near_the_largest_double(self, draws, level, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = summarize(make_view([draws]), level)
+        assert (s.mean, s.ci_low, s.ci_high) == pytest.approx(expected, rel=1e-15)
+        assert s.ci_low <= s.ci_high
 
 
 class TestKde:
