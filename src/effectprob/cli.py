@@ -3,6 +3,8 @@
 Subcommands: simulate, fit, summarize, ccdf, density, diagnose. Every run
 is fully determined by argv (seeds are explicit flags with fixed
 defaults), so repeating a command reproduces its outputs byte for byte.
+``fit``'s prior flags are :class:`PriorSpec`'s fields, with its defaults,
+and its protocol defaults are :class:`ModelSpec`'s.
 
 Exit codes: 0 success, 1 diagnostic warning (a parameter's R-hat is
 above 1.01, or undefined because its draws are constant), 2 usage or
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from typing import Iterable
 
 import numpy as np
@@ -22,10 +25,10 @@ import numpy as np
 from . import io
 from .diagnostics import Diagnostics, diagnose
 from .draws import Draws, ParameterView, view
-from .errors import EffectProbError, InvalidArgument, InvalidLevel
+from .errors import EffectProbError, InvalidArgument
 from .regress import ModelSpec, PriorSpec, _check_seed, fit, simulate_experiment
 from .render import render_ccdf, render_density
-from .summary import PosteriorSummary, ccdf, kde, prob_below, prob_exceeds, summarize
+from .summary import PosteriorSummary, _check_level, ccdf, kde, prob_below, prob_exceeds, summarize
 
 RHAT_WARN = 1.01
 
@@ -43,19 +46,15 @@ def summary_machine_line(name: str, s: PosteriorSummary) -> str:
 
 def parse_summary_line(line: str) -> tuple[str, PosteriorSummary]:
     """Inverse of :func:`summary_machine_line`. The line is split from the
-    right: its six numbers hold no spaces, and a parameter name may."""
-    head, *tokens = line.strip().rsplit(" ", 6)
-    if not head.startswith("summary param=") or len(tokens) != 6:
+    right: its numbers hold no spaces, and a parameter name may. Raises
+    ``ValueError`` unless its tokens name each summary field once."""
+    names = sorted(f.name for f in fields(PosteriorSummary))
+    head, *tokens = line.strip().rsplit(" ", len(names))
+    values = dict(token.partition("=")[::2] for token in tokens if "=" in token)
+    if not head.startswith("summary param=") or sorted(values) != names:
         raise ValueError(f"not a summary line: {line!r}")
-    fields = dict(token.split("=", 1) for token in tokens)
-    return head.removeprefix("summary param="), PosteriorSummary(
-        mean=float(fields["mean"]),
-        ci_low=float(fields["ci_low"]),
-        ci_high=float(fields["ci_high"]),
-        level=float(fields["level"]),
-        p_greater_zero=float(fields["p_greater_zero"]),
-        p_less_zero=float(fields["p_less_zero"]),
-    )
+    summary = PosteriorSummary(**{name: float(value) for name, value in values.items()})
+    return head.removeprefix("summary param="), summary
 
 
 def _human_summary(name: str, s: PosteriorSummary) -> str:
@@ -91,21 +90,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise InvalidLevel(f"level must be in (0, 1), got {args.level!r}")
-    spec = ModelSpec(
-        priors=PriorSpec(
-            beta0_mean=args.beta0_mean,
-            beta0_sd=args.beta0_sd,
-            beta1_mean=args.beta1_mean,
-            beta1_sd=args.beta1_sd,
-            sigma_rate=args.sigma_rate,
-        ),
-        chains=args.chains,
-        iterations=args.iters,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
+    _check_level(args.level)
+    priors = PriorSpec(**{f.name: getattr(args, f.name) for f in fields(PriorSpec)})
+    spec = ModelSpec(priors, args.chains, args.iters, args.warmup, args.seed)
     data = io.read_dataset(args.data, args.outcome, args.treatment)
     result = fit(data, spec)
     io.write_draws(result.draws, args.out)
@@ -189,16 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset file")
     p.add_argument("--outcome", default="outcome")
     p.add_argument("--treatment", default="treatment")
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--warmup", type=int, default=1_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--chains", type=int, default=ModelSpec.chains)
+    p.add_argument("--iters", type=int, default=ModelSpec.iterations)
+    p.add_argument("--warmup", type=int, default=ModelSpec.warmup)
+    p.add_argument("--seed", type=int, default=ModelSpec.seed)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--beta0-mean", type=float, default=50.0)
-    p.add_argument("--beta0-sd", type=float, default=20.0)
-    p.add_argument("--beta1-mean", type=float, default=0.0)
-    p.add_argument("--beta1-sd", type=float, default=5.0)
-    p.add_argument("--sigma-rate", type=float, default=0.5)
+    for prior in fields(PriorSpec):
+        p.add_argument("--" + prior.name.replace("_", "-"), type=float, default=prior.default)
     p.add_argument("--out", required=True, help="draws file to write")
     p.set_defaults(func=_cmd_fit)
 
@@ -208,21 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(func=_cmd_summarize)
 
-    p = sub.add_parser("ccdf", help="render the complementary cumulative curve as SVG")
-    p.add_argument("draws", help="draws file")
-    p.add_argument("--param", default=None)
-    p.add_argument("--points", type=int, default=512, help="grid points per branch")
-    p.add_argument("--x-label", default=None)
-    p.add_argument("--out", required=True, help="SVG file to write")
-    p.set_defaults(func=functools.partial(_cmd_plot, curve=ccdf, render=render_ccdf))
-
-    p = sub.add_parser("density", help="render a kernel density estimate as SVG")
-    p.add_argument("draws", help="draws file")
-    p.add_argument("--param", default=None)
-    p.add_argument("--points", type=int, default=512, help="density grid points")
-    p.add_argument("--x-label", default=None)
-    p.add_argument("--out", required=True, help="SVG file to write")
-    p.set_defaults(func=functools.partial(_cmd_plot, curve=kde, render=render_density))
+    for name, help_text, points_help, curve, render in (
+        ("ccdf", "render the complementary cumulative curve as SVG", "grid points per branch",
+         ccdf, render_ccdf),
+        ("density", "render a kernel density estimate as SVG", "density grid points",
+         kde, render_density),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("draws", help="draws file")
+        p.add_argument("--param", default=None)
+        p.add_argument("--points", type=int, default=512, help=points_help)
+        p.add_argument("--x-label", default=None)
+        p.add_argument("--out", required=True, help="SVG file to write")
+        p.set_defaults(func=functools.partial(_cmd_plot, curve=curve, render=render))
 
     p = sub.add_parser("diagnose", help="report split R-hat and effective sample size")
     p.add_argument("draws", help="draws file")

@@ -23,6 +23,10 @@ from .draws import ParameterView, _unit_scaled
 from .errors import TooFewIterations
 
 
+# Each split half needs two draws for a within-sequence variance.
+_MIN_ITERATIONS = 4
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     """Split R-hat and effective sample size for one parameter."""
@@ -36,9 +40,10 @@ def _split_sequences(per_chain: np.ndarray) -> tuple[np.ndarray, bool]:
     """The 2m split sequences, scaled to |x| <= 1 (both statistics are
     scale-free), and whether every one is constant."""
     iterations = per_chain.shape[1]
-    if iterations < 4:
+    if iterations < _MIN_ITERATIONS:
         raise TooFewIterations(
-            f"need >= 4 iterations per chain so each split half has >= 2, got {iterations}"
+            f"need >= {_MIN_ITERATIONS} iterations per chain so each split half has >= 2, "
+            f"got {iterations}"
         )
     half = iterations // 2
     seqs = np.concatenate([per_chain[:, :half], per_chain[:, iterations - half :]], axis=0)

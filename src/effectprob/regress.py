@@ -63,7 +63,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .diagnostics import Diagnostics, diagnose
+from .diagnostics import _MIN_ITERATIONS, Diagnostics, diagnose
 from .draws import Draws, view
 from .errors import DegenerateDesign, InvalidArgument, NonBinaryTreatment, NonFiniteData
 
@@ -133,9 +133,9 @@ class ModelSpec:
         _check_seed(self.seed)
         if self.chains < 1:
             raise InvalidArgument(f"chains must be >= 1, got {self.chains}")
-        if self.warmup < 0 or self.iterations - self.warmup < 4:
+        if self.warmup < 0 or self.iterations - self.warmup < _MIN_ITERATIONS:
             raise InvalidArgument(
-                f"need warmup >= 0 and at least 4 iterations after it, got "
+                f"need warmup >= 0 and at least {_MIN_ITERATIONS} iterations after it, got "
                 f"warmup={self.warmup}, iterations={self.iterations}"
             )
 

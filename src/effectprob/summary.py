@@ -169,6 +169,14 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
     )
 
 
+def _check_level(level: float) -> float:
+    """``level`` as a float; raises :class:`InvalidLevel` unless ``0 < level < 1``."""
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"level must be in (0, 1), got {level!r}")
+    return level
+
+
 def summarize(v: ParameterView, level: float = 0.95) -> PosteriorSummary:
     """Mean, equal-tailed credible interval, and one-sided probabilities.
 
@@ -176,16 +184,17 @@ def summarize(v: ParameterView, level: float = 0.95) -> PosteriorSummary:
     ``1 - (1 - level) / 2`` quantiles with linear interpolation between
     order statistics. One-sided probabilities are evaluated at zero. The
     mean and bounds come from draws scaled to |x| <= 1 by a power of two,
-    then scaled back, so they are finite and ordered for any draws.
+    then scaled back, so they are finite and ordered for any draws; the
+    mean is clipped to the range of the draws.
 
     Raises :class:`InvalidLevel` unless ``0 < level < 1``.
     """
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must be in (0, 1), got {level!r}")
+    level = _check_level(level)
     alpha = (1.0 - level) / 2.0
     scaled, exponent = _unit_scaled(v.pooled)
-    moments = [scaled.mean(), *np.quantile(scaled, [alpha, 1.0 - alpha])]
+    # numpy's pairwise sum can leave the mean of constant draws outside them.
+    mean = np.clip(scaled.mean(), scaled.min(), scaled.max())
+    moments = [mean, *np.quantile(scaled, [alpha, 1.0 - alpha])]
     mean, ci_low, ci_high = np.ldexp(moments, exponent).tolist()
     return PosteriorSummary(
         mean=mean,
@@ -219,8 +228,8 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     estimate coarser. Densities are clipped at zero, which the FFT's
     rounding can cross in the tails.
 
-    Raises :class:`DegenerateDraws` when the pooled draws have zero
-    variance, or a spread so small or so large that the bandwidth, the
+    Raises :class:`DegenerateDraws` when the pooled draws are all one
+    value, or a spread so small or so large that the bandwidth, the
     grid or the kernel's normalisation does not fit in a double. Draws
     that differ only far below 1, such as 1e-300 and 2e-300, are
     estimated like any others: the bandwidth comes from draws scaled by a
@@ -234,9 +243,9 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     # underflow nor overflow. For draws whose bandwidth and grid are
     # normal doubles, that changes no bit of the result.
     scaled, exponent = _unit_scaled(v.pooled)
-    sd = float(scaled.std(ddof=1))
-    if sd == 0.0:
+    if (scaled == scaled[0]).all():
         raise DegenerateDraws(v.name)
+    sd = float(scaled.std(ddof=1))
     q25, q75 = np.quantile(scaled, [0.25, 0.75])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from effectprob.cli import main, parse_summary_line, summary_machine_line
+from effectprob.cli import build_parser, main, parse_summary_line, summary_machine_line
 from effectprob.draws import validate
 from effectprob.io import write_dataset, write_draws
-from effectprob.regress import Dataset, simulate_experiment
+from effectprob.regress import Dataset, ModelSpec, PriorSpec, simulate_experiment
 from effectprob.summary import PosteriorSummary
 
 
@@ -254,6 +256,19 @@ class TestFit:
         assert stderr.startswith("error: InvalidLevel: ")
         assert not out.exists()
 
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["fit", "data.csv", "--out", "o"])
+        assert {f.name: getattr(args, f.name) for f in fields(PriorSpec)} == asdict(PriorSpec())
+        spec = ModelSpec()
+        assert (args.chains, args.iters, args.warmup, args.seed) == (
+            spec.chains, spec.iterations, spec.warmup, spec.seed,
+        )
+        subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+        flags = [s for a in subparsers.choices["fit"]._actions for s in a.option_strings]
+        for f in fields(PriorSpec):
+            assert flags.count("--" + f.name.replace("_", "-")) == 1
+
 
 class TestSummarize:
     def test_machine_line_round_trip(self, tmp_path, capsys):
@@ -291,6 +306,14 @@ class TestSummarize:
         assert code == 2
         assert "--param is required" in stderr
 
+    def test_constant_draws_have_their_value_as_mean(self, tmp_path, capsys):
+        # numpy's pairwise sum once printed mean=0.29999999999999993.
+        path = tmp_path / "draws.csv"
+        write_draws(validate({"a": np.full((4, 100), 0.3)}), path)
+        code, stdout, _ = run("summarize", str(path), capsys=capsys)
+        assert code == 0
+        assert " mean=0.3 " in machine_lines(stdout)[0]
+
 
 class TestPlots:
     def _draws(self, tmp_path) -> str:
@@ -324,6 +347,16 @@ class TestPlots:
         code, _, _ = run("density", self._draws(tmp_path), "--out", str(out), capsys=capsys)
         assert code == 0
         assert "<polyline" in out.read_text()
+
+    def test_density_of_constant_draws_exits_2_without_a_file(self, tmp_path, capsys):
+        # It once wrote an SVG with bandwidth 1.5e-17 and exited 0.
+        path, out = tmp_path / "draws.csv", tmp_path / "d.svg"
+        write_draws(validate({"a": np.full((4, 100), 0.3)}), path)
+        code, stdout, stderr = run("density", str(path), "--out", str(out), capsys=capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: DegenerateDraws: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ccdf", "density"])
     def test_empty_x_label_keeps_the_default(self, tmp_path, capsys, command):
@@ -417,6 +450,22 @@ class TestUsage:
     def test_parse_rejects_a_line_that_is_not_a_summary(self):
         with pytest.raises(ValueError, match="not a summary line"):
             parse_summary_line("beta1    rhat=1.0001  ess=3000.0")
+
+    @pytest.mark.parametrize(
+        "name, tokens",
+        [
+            ("b", "level=0.95 mean=1.0 mean=1.0 ci_high=2.0 p_greater_zero=0.5 p_less_zero=0.5"),
+            ("b c", "level=0.95 mean=1.0 ci_low=0.0 ci_high=2.0 p_greater_zero=0.5"),
+            ("b", "level=0.95 mean=1.0 ci_low=0.0 ci_high=2.0 p_greater_zero=0.5 p_below=0.5"),
+            ("b", "level=0.95 mean=1.0 ci_low=0.0 ci_high=2.0 p_greater_zero=0.5 p_less_zero"),
+        ],
+        ids=["repeated", "missing", "unknown", "no-equals"],
+    )
+    def test_parse_rejects_tokens_that_are_not_the_summary_fields(self, name, tokens):
+        # These raised KeyError, or ValueError from dict(). A name with a
+        # space gives the line without p_less_zero the full token count.
+        with pytest.raises(ValueError, match="not a summary line"):
+            parse_summary_line(f"summary param={name} {tokens}")
 
 
 class TestEndToEnd:

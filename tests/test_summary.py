@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from effectprob.draws import ParameterView
 from effectprob.errors import (
@@ -344,6 +345,34 @@ class TestSummarize:
         assert (s.mean, s.ci_low, s.ci_high) == pytest.approx(expected, rel=1e-15)
         assert s.ci_low <= s.ci_high
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(2, 120)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(values=np.full((4, 100), 0.3))
+    @example(values=np.full((4, 100), 3002399751580331.0))
+    def test_mean_lies_within_the_draws(self, values):
+        # numpy's pairwise sum rounds: 400 draws of 0.3 once gave a mean
+        # of 0.29999999999999993, below every draw.
+        s = summarize(make_view(values))
+        assert values.min() <= s.mean <= values.max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        chains=st.integers(1, 4),
+        iterations=st.integers(2, 200),
+    )
+    @example(value=0.3, chains=4, iterations=100)
+    @example(value=0.1, chains=4, iterations=100)
+    @example(value=3002399751580331.0, chains=4, iterations=100)
+    def test_constant_draws_have_their_value_as_mean(self, value, chains, iterations):
+        assert summarize(make_view(np.full((chains, iterations), value))).mean == value
+
 
 class TestKde:
     def test_peak_near_normal_mode(self, normal_draws):
@@ -366,6 +395,13 @@ class TestKde:
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateDraws):
             kde(make_view([[2.0, 2.0, 2.0]]), 64)
+
+    @pytest.mark.parametrize("value", [0.3, 0.1, 3002399751580331.0, 1e-300])
+    def test_constant_draws_rejected(self, value):
+        # The rounding of numpy's mean can leave their sd nonzero: 0.3 once
+        # gave bandwidth 1.5e-17 and a density peaking at 2.6e16.
+        with pytest.raises(DegenerateDraws):
+            kde(make_view(np.full((4, 100), value)), 64)
 
     def test_bandwidth_is_silverman(self, normal_draws):
         pooled = normal_draws.pooled
