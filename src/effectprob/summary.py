@@ -182,20 +182,27 @@ def summarize(v: ParameterView, level: float = 0.95) -> PosteriorSummary:
 
     The interval bounds are the ``(1 - level) / 2`` and
     ``1 - (1 - level) / 2`` quantiles with linear interpolation between
-    order statistics. One-sided probabilities are evaluated at zero. The
-    mean and bounds come from draws scaled to |x| <= 1 by a power of two,
-    then scaled back, so they are finite and ordered for any draws; the
-    mean is clipped to the range of the draws.
+    order statistics, ``np.quantile`` of the draws themselves. Where two
+    order statistics are so far apart that their interpolation overflows,
+    that bound, and the mean always, come from draws scaled to |x| <= 1 by
+    a power of two, then scaled back, so they are finite and ordered for
+    any draws. The scaled draws are not used for a finite bound: scaling
+    rounds draws far below the largest one to 0. The mean is clipped to
+    the range of the draws. One-sided probabilities are evaluated at zero.
 
     Raises :class:`InvalidLevel` unless ``0 < level < 1``.
     """
     level = _check_level(level)
-    alpha = (1.0 - level) / 2.0
+    probabilities = [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.quantile(v.pooled, probabilities)
     scaled, exponent = _unit_scaled(v.pooled)
     # numpy's pairwise sum can leave the mean of constant draws outside them.
-    mean = np.clip(scaled.mean(), scaled.min(), scaled.max())
-    moments = [mean, *np.quantile(scaled, [alpha, 1.0 - alpha])]
-    mean, ci_low, ci_high = np.ldexp(moments, exponent).tolist()
+    mean = float(np.ldexp(np.clip(scaled.mean(), scaled.min(), scaled.max()), exponent))
+    finite = np.isfinite(bounds)
+    if not finite.all():
+        bounds = np.where(finite, bounds, np.ldexp(np.quantile(scaled, probabilities), exponent))
+    ci_low, ci_high = bounds.tolist()
     return PosteriorSummary(
         mean=mean,
         ci_low=ci_low,
@@ -254,12 +261,16 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     hi = float(scaled.max()) + 3.0 * h
     with np.errstate(over="ignore"):
         bandwidth, grid_lo, grid_hi = np.ldexp([h, lo, hi], exponent).tolist()
-    # A normal bandwidth keeps 1 / (n h sqrt(2 pi)), and so every density,
-    # finite.
-    if not (bandwidth >= sys.float_info.min and math.isfinite(grid_hi - grid_lo)):
+    # A normal bandwidth keeps the normalisation 1 / (n h sqrt(2 pi)), and
+    # so every density, finite; a bandwidth near the largest double can
+    # round it to 0 or to a subnormal.
+    norm = 0.0
+    if bandwidth >= sys.float_info.min:
+        norm = 1.0 / (scaled.size * bandwidth * math.sqrt(2.0 * math.pi))
+    if not (norm >= sys.float_info.min and math.isfinite(grid_hi - grid_lo)):
         raise DegenerateDraws(
             f"{v.name}: bandwidth {bandwidth!r} over [{grid_lo!r}, {grid_hi!r}] leaves no"
-            " finite density grid"
+            " finite density grid or normalisation"
         )
     grid = np.linspace(grid_lo, grid_hi, grid_points)
 
@@ -286,6 +297,5 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     kernel[: reach + 1] = half
     kernel[size - reach :] = half[:0:-1]
     smoothed = np.fft.irfft(np.fft.rfft(weights, size) * np.fft.rfft(kernel), size)
-    norm = 1.0 / (scaled.size * bandwidth * math.sqrt(2.0 * math.pi))
     density = norm * np.maximum(smoothed[:bins:refine], 0.0)
     return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)

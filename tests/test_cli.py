@@ -358,6 +358,17 @@ class TestPlots:
         assert stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_density_whose_normalisation_overflows_exits_2_without_a_file(self, tmp_path, capsys):
+        # 40 draws of 0 and one of 1e308: n h sqrt(2 pi) overflows, and it
+        # once wrote a density of zeros and exited 0.
+        path, out = tmp_path / "draws.csv", tmp_path / "d.svg"
+        write_draws(validate({"a": [[0.0] * 40 + [1e308]]}), path)
+        code, stdout, stderr = run("density", str(path), "--out", str(out), capsys=capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: DegenerateDraws: ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ccdf", "density"])
     def test_empty_x_label_keeps_the_default(self, tmp_path, capsys, command):
         draws = self._draws(tmp_path)

@@ -22,6 +22,7 @@ from effectprob.regress import (
     Dataset,
     ModelSpec,
     PriorSpec,
+    _mh_sigma,
     _slice_log_sigma,
     _slice_width,
     _uniforms,
@@ -487,8 +488,76 @@ class TestSliceUpdate:
                 assert stats.collapses_per_iteration == 0.0, (n, stats)
 
 
+class TestIndependenceUpdate:
+    """The sigma Metropolis-Hastings step alone, at fixed (n, ssr, rate), against quadrature."""
+
+    @pytest.mark.parametrize(
+        "n, ssr, rate, min_acceptance, seed",
+        [
+            (996, 995 * 24.0**2, 0.5, 0.98, 1),  # the application scale
+            (200_000, 199_999 * 24.0**2, 0.5, 0.98, 2),  # large n
+            (60, 59 * 1.5**2, 0.5, 0.98, 3),  # the n = 60 regime
+            # rate * sigma_hat just under (n - 1) / 4, where the slice takes over.
+            (996, 995 * (0.999999 * 995 / 2.0) ** 2, 0.5, 0.85, 4),
+        ],
+    )
+    def test_matches_quadrature(self, n, ssr, rate, min_acceptance, seed):
+        mean, sd, kurtosis = sigma_conditional_moments(n, ssr, rate)
+        sigma_hat = math.sqrt(ssr / (n - 1))
+        assert rate * sigma_hat <= (n - 1) / 4
+        rng = np.random.default_rng(seed)
+        iterations = 20_000
+        gammas = rng.standard_gamma((n - 1) / 2, iterations).tolist()
+        drops = rng.standard_exponential(iterations).tolist()
+        sigma = mean
+        chain = np.empty(iterations)
+        accepted = 0
+        for i, (gamma, drop) in enumerate(zip(gammas, drops)):
+            proposal = _mh_sigma(sigma, ssr / 2, sigma_hat, n, rate, gamma, drop)
+            if proposal is not None:
+                sigma = proposal
+                accepted += 1
+            chain[i] = sigma
+        assert accepted / iterations >= min_acceptance
+        n_eff = ess(make_view(chain.reshape(1, -1)))
+        se_mean = sd / math.sqrt(n_eff)
+        se_sd = sd * math.sqrt((kurtosis - 1.0) / (4.0 * n_eff))
+        assert abs(chain.mean() - mean) < 3.0 * se_mean
+        assert abs(chain.std(ddof=1) - sd) < 3.0 * se_sd
+
+    def test_unrepresentable_proposal_is_rejected(self):
+        # With an infinite drop every finite weight ratio is accepted, so
+        # only the guards reject: a gamma of 0 would divide by zero, and
+        # 2e-303 proposes sigma near 1.2e154, above e^354 ~ 5.5e153, where
+        # sigma^2 overflows. 1e-302, proposing 5.3e153, is accepted.
+        def step(gamma):
+            return _mh_sigma(24.0, 995 * 24.0**2 / 2, 24.0, 996.0, 0.5, gamma, math.inf)
+
+        assert step(0.0) is None
+        assert step(2e-303) is None
+        assert step(1e-302) == pytest.approx(5.3e153, rel=0.01)
+
+
 class TestExactPosterior:
     """The full kernel against the exact posterior of tests/posterior_oracle.py."""
+
+    def test_alternating_sigma_updates(self):
+        # The outcome is scaled so that rate * sqrt(ssr / (n - 1)) lies
+        # within the draws' spread of (n - 1) / 4: sigma's update switches
+        # between the Metropolis-Hastings step and the slice from one
+        # iteration to the next, as the coefficients move ssr.
+        data = simulate_experiment(60, 0.0, 0.0, 1.0, seed=109)
+        arms = (data.outcome[data.treatment == arm] for arm in (0, 1))
+        ss_within = sum(((y - y.mean()) ** 2).sum() for y in arms)
+        scale = 0.995 * 59 / (4 * 0.5) / math.sqrt(ss_within / 59)
+        scaled = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
+        priors = PriorSpec(0.0, 1e4, 0.0, 1e3)
+        spec = ModelSpec(priors=priors, chains=4, iterations=5_000, warmup=500, seed=8)
+        result = fit(scaled, spec)
+        for stats in result.chain_stats:
+            assert stats.rejections_per_iteration > 0.0 and stats.stepouts_per_iteration > 0.0
+        for statistic, z in standard_errors_off(result, exact_posterior(scaled, priors)).items():
+            assert abs(z) < 4.0, (statistic, z)
 
     @pytest.mark.parametrize("shift", [1e4, 1e8])
     def test_shift_changes_neither_posterior_nor_fit(self, shift):
@@ -531,35 +600,39 @@ class TestPinnedDraws:
     The slice update sees its target only through comparisons with the
     slice height, so a change in how the target is evaluated must leave
     every bit of every chain alone. The hashes were computed with the
-    target evaluated as :func:`log_sigma_target` evaluates it.
+    target evaluated as :func:`log_sigma_target` evaluates it. Sigma is
+    updated by the Metropolis-Hastings step in the application and n = 60
+    regimes and by the slice update throughout the outcome x 1e8 one,
+    whose draws hash predates the step: its gamma variates come from a
+    child stream and leave the slice's variates alone.
     """
 
     PINNED = {
         "application": (
-            "38e066117cdf55a5978f9d1425f9a115258f0ca8856165ef86e9fa26ecabd70c",
+            "c29bc7a61c5676c1ad20c02eedba090d5936be301343dfb833328cfdcdeda2d6",
             (
-                "fa8b16107ffd1fa8ca4086f9db66458f455f7315bec097f71aac999b2fd2df8d",
-                "1784b67a951b004d76266fdcec4270d3b759abc8d1bb494fde5e9f572298cc12",
-                "29f4688267a0d8121714a61a2d0f23229715506f8e259d21c060ec5aff53c8b1",
-                "43adfb9b6b1c274a9001253bb9572a799b98493b8dae1296169413a21f07704c",
+                "83202fc0d1f478cbf8279f572a378166bbfa71da4e874e07716024f78d4cb7f6",
+                "d63eae3e8482597c9caae4b8e3c30df6fe34f540ef723ee6b0a2a1ed898b7d06",
+                "24971f074ebafe12e0f83746fe33fa5e76d20d27fc6a6b90c48b43542140b01c",
+                "474ebe5ed7750fcb89987b81d2394611a080a8759a8470c708e3ae6855724f9b",
             ),
         ),
         "outcome x 1e8": (
             "2f1848e6dadc2bddd1e86a6e31256fefdcfdb8b626590200bd90e64af40cbb1c",
             (
-                "ef2512149b08b19b345033f36edaea222947784dfd3cc2302eea92bb926dd527",
-                "3c357ebaac125cd9c465239248789ce7ffc5c0a1734161882026ea7f80cc2e10",
-                "b4d336926154ead130a4687d830a255382db373daf27ea112a320472ae4cd419",
-                "e10d3a633eb5da520013322e45f567e78bae19b54661001467ff8247d00acfb3",
+                "b146afa5558356b13aaf5875a0e7fd737d3433b6aa6350f2899be26c0b5266b7",
+                "dcd3821f6f4f13d95d18103e11f2a6d5c940eb02602734204d4a7cef23d67ee9",
+                "710755a73122e98ad5178867bc438d5fda547b5407a2f3cbb6a3a8d222af2a6e",
+                "c6e3d8bf79ef1a5746c96e3c320b331813070183e95ee758e3fbb94809808558",
             ),
         ),
         "n = 60, prior sd 1e6": (
-            "cd71307fee113afe6cbc5ed2508f9f008f04c26a6c425517ad91f408f8b2ba6f",
+            "a3a247683ff7233449e84496711f3bdd981c76a973f9936d59045921384537f0",
             (
-                "d35598b7f6ca61d1298c0dfae18388fd1685eddc13e137f28239e12ab86e250e",
-                "635d6d288cce787801048eb691e518eb4e6be156ac702f8bf5153643794a9fa3",
-                "df0b5857a4dbc95be3b311459ffe69f825495b2b058b0587556d86f38f4000c2",
-                "7cc760035d16a06f960a512213144205940c262755e7364fa84d7fcf7e9e5aeb",
+                "7da6ac4a2cbf81baaf2e1554e8c5b6dee580596711c952ddc4353e6e255014c2",
+                "c06aec581a70b1023ffca0cd4539bffab990116fbdc5737d20d9b251e04e951a",
+                "24971f074ebafe12e0f83746fe33fa5e76d20d27fc6a6b90c48b43542140b01c",
+                "af5cc046ba4a21908ed8da06e6f658234d6daec384f9731727e243b52450e6cc",
             ),
         ),
     }

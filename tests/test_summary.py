@@ -256,6 +256,20 @@ class TestCcdf:
         for p in np.concatenate([curve.positive_probabilities, curve.negative_probabilities]):
             assert (p * 5) == pytest.approx(round(p * 5), abs=1e-12)
 
+    def test_draws_tied_to_grid_points(self):
+        # Every grid point on both branches is a draw, most of them repeated,
+        # so each binary search meets ties: a count that took <= for > or
+        # >= for < on either branch differs here.
+        values = np.array([-4, -4, -3, -2, -1, -1, 0, 0, 1, 2, 2, 2, 3, 4], dtype=float)
+        curve = ccdf(make_view(values.reshape(1, -1)), 5)
+        assert curve.positive_thresholds.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert curve.negative_thresholds.tolist() == [-4.0, -3.0, -2.0, -1.0, 0.0]
+        n = values.size
+        for x, p in zip(curve.positive_thresholds, curve.positive_probabilities):
+            assert p == brute_count_above(values, x) / n
+        for x, p in zip(curve.negative_thresholds, curve.negative_probabilities):
+            assert p == brute_count_below(values, x) / n
+
     def test_branch_values_at_zero(self):
         # Sum of the two branch probabilities at x=0 is 1 minus the share
         # of draws exactly at zero.
@@ -345,6 +359,26 @@ class TestSummarize:
         assert (s.mean, s.ci_low, s.ci_high) == pytest.approx(expected, rel=1e-15)
         assert s.ci_low <= s.ci_high
 
+    @pytest.mark.parametrize(
+        "chains, level, expected",
+        [
+            # Scaling by 2^-1024 rounded the subnormal draws to 0: [0.0, 0.0].
+            ([[5e-324] * 40 + [1e308]], 0.95, (5e-324, 5e-324)),
+            # Scaled, 1e-300 to 4e-300 all rounded to 0: [0.0, 0.0], below every draw.
+            (
+                [[1e-300, 2e-300, 1e-300, 2e-300], [1e300, 3e-300, 4e-300, 3e-300]],
+                0.5,
+                (1.75e-300, 3.25e-300),
+            ),
+        ],
+    )
+    def test_interval_of_draws_far_below_the_largest(self, chains, level, expected):
+        s = summarize(make_view(chains), level)
+        assert (s.ci_low, s.ci_high) == pytest.approx(expected, rel=1e-15)
+        pooled = np.ravel(chains)
+        alpha = (1.0 - level) / 2.0
+        assert (s.ci_low, s.ci_high) == tuple(np.quantile(pooled, [alpha, 1.0 - alpha]))
+
     @settings(max_examples=300, deadline=None)
     @given(
         values=arrays(
@@ -402,6 +436,15 @@ class TestKde:
         # gave bandwidth 1.5e-17 and a density peaking at 2.6e16.
         with pytest.raises(DegenerateDraws):
             kde(make_view(np.full((4, 100), value)), 64)
+
+    def test_normalisation_that_overflows_rejected(self):
+        # The bandwidth, 6.7e306, is normal and the grid finite, but
+        # n h sqrt(2 pi) overflows: the density was 0 everywhere.
+        with pytest.raises(DegenerateDraws, match="normalisation"):
+            kde(make_view([[0.0] * 40 + [1e308]]), 64)
+        # With 1e300 in place of 1e308 it fits, and integrates to 1.
+        est = kde(make_view([[0.0] * 40 + [1e300]]), 512)
+        assert 0.99 <= float(np.trapezoid(est.density, est.grid)) <= 1.01
 
     def test_bandwidth_is_silverman(self, normal_draws):
         pooled = normal_draws.pooled
