@@ -10,7 +10,7 @@ the whole simulate / fit / summarize / plot pipeline.
 
 from . import errors
 from .diagnostics import Diagnostics, diagnose, ess, split_rhat
-from .draws import Draws, ParameterView, validate, view
+from .draws import Draws, ParameterView, view
 from .io import read_dataset, read_draws, write_dataset, write_draws
 from .regress import (
     ChainStats,
@@ -73,7 +73,6 @@ __all__ = [
     "simulate_experiment",
     "split_rhat",
     "summarize",
-    "validate",
     "view",
     "write_dataset",
     "write_draws",

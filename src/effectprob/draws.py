@@ -1,8 +1,9 @@
 """Canonical storage of posterior draws, organized by chain and iteration.
 
 All downstream summaries consume this representation. :class:`Draws`
-checks itself whichever way it is built and copies its input once, into
-a read-only array it owns, so draws can be shared freely across threads.
+is built one way, ``Draws(names, values)`` from a ``(parameters, chains,
+iterations)`` array: it checks itself and copies its input once, into a
+read-only array it owns, so draws can be shared freely across threads.
 :class:`ParameterView`, one parameter's draws, is built through it and
 so keeps the same rules.
 """
@@ -11,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
 import numpy as np
 
 from .errors import (
     DuplicateParameter,
     InvalidDraws,
     NonFiniteValue,
-    RaggedChains,
     UnknownParameter,
 )
 
@@ -69,14 +67,6 @@ class Draws:
         object.__setattr__(self, "parameter_names", names)
         object.__setattr__(self, "values", values)
 
-    @property
-    def chains(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def iterations_per_chain(self) -> int:
-        return self.values.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
 class ParameterView:
@@ -108,38 +98,6 @@ def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     a result scaled back, and keeps squares and spans of huge draws finite."""
     _, exponent = math.frexp(float(np.abs(values).max()))
     return np.ldexp(values, -exponent), exponent
-
-
-RawDraws = Mapping[str, object] | Iterable[tuple[str, object]]
-
-
-def validate(raw: RawDraws) -> Draws:
-    """Stack per-parameter series into :class:`Draws`, or reject them.
-
-    ``raw`` maps parameter names to their per-chain series: either a
-    2-d layout ``(chains, iterations)`` or a single 1-d chain. Chains of
-    unequal length, or layouts that differ between parameters, raise
-    :class:`RaggedChains`; :class:`Draws` checks the rest, the shape
-    included.
-    """
-    items = list(raw.items()) if isinstance(raw, Mapping) else [(n, v) for n, v in raw]
-    blocks: list[np.ndarray] = []
-    for name, series in items:
-        try:
-            block = np.asarray(series, dtype=float)
-        except (TypeError, ValueError) as exc:
-            probe = np.asarray(series, dtype=object)
-            if probe.ndim == 1 and probe.size and hasattr(probe[0], "__len__"):
-                raise RaggedChains(f"parameter {name!r}: chains have unequal lengths") from exc
-            raise InvalidDraws(f"parameter {name!r}: {exc}") from exc
-        if block.ndim == 1:
-            block = block.reshape(1, -1)
-        if blocks and block.shape != blocks[0].shape:
-            raise RaggedChains(
-                f"parameter {name!r} has layout {block.shape}, expected {blocks[0].shape}"
-            )
-        blocks.append(block)
-    return Draws(parameter_names=tuple(name for name, _ in items), values=blocks)
 
 
 def view(d: Draws, name: str) -> ParameterView:

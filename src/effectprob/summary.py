@@ -47,14 +47,6 @@ class CcdfCurve:
     negative_probabilities: np.ndarray
     n_draws: int
 
-    @property
-    def positive_branch(self) -> list[tuple[float, float]]:
-        return list(zip(self.positive_thresholds.tolist(), self.positive_probabilities.tolist()))
-
-    @property
-    def negative_branch(self) -> list[tuple[float, float]]:
-        return list(zip(self.negative_thresholds.tolist(), self.negative_probabilities.tolist()))
-
 
 @dataclass(frozen=True)
 class PosteriorSummary:
@@ -147,18 +139,16 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
     hi = float(ordered[-1])
     empty = np.empty(0)
 
-    if hi > 0:
-        pos_x = np.linspace(0.0, hi, points_per_branch)
-        # Draws > x are those after the last draw <= x.
-        pos_p = (n - np.searchsorted(ordered, pos_x, side="right")) / n
-    else:
-        pos_x, pos_p = empty, empty
-    if lo < 0:
-        neg_x = np.linspace(lo, 0.0, points_per_branch)
-        # Draws < x are those before the first draw >= x.
-        neg_p = np.searchsorted(ordered, neg_x, side="left") / n
-    else:
-        neg_x, neg_p = empty, empty
+    # Over a span near the largest double, linspace's step * (P - 1) can
+    # overflow. numpy then writes the endpoint itself, so every point is
+    # right, but it warns.
+    with np.errstate(over="ignore"):
+        pos_x = np.linspace(0.0, hi, points_per_branch) if hi > 0 else empty
+        neg_x = np.linspace(lo, 0.0, points_per_branch) if lo < 0 else empty
+    # Draws > x are those after the last draw <= x, and draws < x those
+    # before the first draw >= x.
+    pos_p = (n - np.searchsorted(ordered, pos_x, side="right")) / n
+    neg_p = np.searchsorted(ordered, neg_x, side="left") / n
 
     return CcdfCurve(
         positive_thresholds=pos_x,
@@ -218,8 +208,9 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
 
     Bandwidth is ``h = 0.9 * min(sd, IQR / 1.34) * n**(-1/5)`` (falling
     back to the standard deviation alone when the IQR is zero), evaluated
-    on a uniform grid spanning ``[min - 3h, max + 3h]`` so the trapezoidal
-    integral of the density stays within 1% of one.
+    on a uniform grid spanning ``[min - 3h, max + 3h]``. The trapezoidal
+    integral of the density stays within 1% of one while the grid spacing
+    is at most about 3h; past that, the direct sum's integral strays too.
 
     The estimate is binned, not a direct sum over draws (Silverman 1982,
     AS 176; Wand 1994). The output grid is refined r-fold into
@@ -237,7 +228,10 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
 
     Raises :class:`DegenerateDraws` when the pooled draws are all one
     value, or a spread so small or so large that the bandwidth, the
-    grid or the kernel's normalisation does not fit in a double. Draws
+    grid or the kernel's normalisation does not fit in a double. It also
+    raises it when the capped bins are wider than 4h, so that the kernel
+    reaches fewer than two bins either side: the estimate then strays
+    from the direct sum by more than 2e-3 of its peak. Draws
     that differ only far below 1, such as 1e-300 and 2e-300, are
     estimated like any others: the bandwidth comes from draws scaled by a
     power of two, so their squared deviations do not underflow.
@@ -272,13 +266,21 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
             f"{v.name}: bandwidth {bandwidth!r} over [{grid_lo!r}, {grid_hi!r}] leaves no"
             " finite density grid or normalisation"
         )
-    grid = np.linspace(grid_lo, grid_hi, grid_points)
+    with np.errstate(over="ignore"):  # as in ccdf
+        grid = np.linspace(grid_lo, grid_hi, grid_points)
 
     max_refine = max(1, (_KDE_MAX_BINS - 1) // (grid_points - 1))
     spacing = (hi - lo) / (grid_points - 1)
     refine = math.ceil(min(_KDE_BINS_PER_BANDWIDTH * spacing / h, max_refine))
     bins = refine * (grid_points - 1) + 1
     width = (hi - lo) / (bins - 1)
+    # Bins within the kernel's cut, either side of its centre.
+    reach = min(int(_KDE_TRUNCATE * h / width), bins - 1)
+    if reach < 2:
+        raise DegenerateDraws(
+            f"{v.name}: {bins} bins over [{grid_lo!r}, {grid_hi!r}] are wider than 4"
+            f" bandwidths of {bandwidth!r}"
+        )
 
     position = (scaled - lo) / width
     left = np.minimum(position.astype(np.int64), bins - 2)
@@ -290,7 +292,6 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     # Kernel value at every bin offset within +-8h, laid out circularly.
     # Padding to at least bins + reach keeps the wrap-around out of the
     # bins that are read back.
-    reach = min(int(_KDE_TRUNCATE * h / width), bins - 1)
     half = np.exp(-0.5 * (np.arange(reach + 1) * (width / h)) ** 2)
     size = 1 << (bins + reach - 1).bit_length()
     kernel = np.zeros(size)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from effectprob.diagnostics import ess
-from effectprob.draws import validate, view
+from effectprob.draws import ParameterView, view
 from effectprob.regress import Dataset, FitResult, PriorSpec
 
 # Trapezoid points over u, and how far below its peak log p(u | y) may
@@ -153,13 +153,20 @@ def standard_errors_off(result: FitResult, exact: ExactPosterior) -> dict[str, f
 
     For P(beta1 < 0) the error is sqrt(p (1 - p) / ESS) with the ESS of
     the indicator 1{beta1 < 0}; for a mean, sd / sqrt(ESS); for an sd,
-    sd sqrt((kurtosis - 1) / (4 ESS)). Each ESS comes from ``ess``.
+    sd sqrt((kurtosis - 1) / (4 ESS)). Each ESS comes from ``ess``. Where
+    p is 0 or 1 the error is 0, and the z is 0 if the fit's share equals
+    p and infinite otherwise, so that any bound fails.
     """
     p = exact.p_beta1_below_zero
     below = view(result.draws, "beta1").per_chain < 0.0
     p_hat = float(below.mean())
-    n_eff = ess(view(validate({"below": below.astype(float)}), "below"))
-    off = {"P(beta1 < 0)": (p_hat - p) / math.sqrt(p * (1.0 - p) / n_eff)}
+    n_eff = ess(ParameterView("below", below.astype(float)))
+    variance = p * (1.0 - p)
+    if variance > 0.0:
+        z = (p_hat - p) / math.sqrt(variance / n_eff)
+    else:
+        z = math.copysign(math.inf, p_hat - p) if p_hat != p else 0.0
+    off = {"P(beta1 < 0)": z}
     for name in ("beta0", "beta1", "sigma"):
         marginal = getattr(exact, name)
         draws = view(result.draws, name).pooled

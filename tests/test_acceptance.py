@@ -17,7 +17,7 @@ import pytest
 
 from effectprob.cli import main, parse_summary_line
 from effectprob.diagnostics import ess, split_rhat
-from effectprob.draws import validate, view
+from effectprob.draws import Draws, view
 from effectprob.io import read_draws, write_draws
 from effectprob.regress import Dataset, ModelSpec, PriorSpec, fit, simulate_experiment
 from effectprob.render import ccdf_axis_maps, density_axis_maps, render_ccdf, render_density
@@ -168,7 +168,7 @@ def test_criterion_4_application_replication(tmp_path, capsys):
     # Occupation arm through the library path.
     data = simulate_experiment(985, 52.0, -0.53, 24.0, seed=55)
     result = fit(data, ModelSpec(seed=42))
-    assert result.draws.iterations_per_chain == 9000
+    assert result.draws.values.shape[2] == 9000
     v = view(result.draws, "beta1")
     assert abs(v.pooled.mean() - (-0.53)) <= 0.5
     assert abs(prob_below(v, 0.0) - 0.64) <= 0.04
@@ -252,7 +252,7 @@ def test_criterion_7_interchange_round_trip(tmp_path):
         values[filled : filled + take] = good[:take]
         filled += take
 
-    draws = validate({"x": values.reshape(4, 2500)})
+    draws = Draws(("x",), values.reshape(1, 4, 2500))
     path = tmp_path / "draws.csv"
     write_draws(draws, path)
     back = read_draws(path)

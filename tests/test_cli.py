@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from effectprob.cli import build_parser, main, parse_summary_line, summary_machine_line
-from effectprob.draws import validate
+from effectprob.draws import Draws
 from effectprob.io import write_dataset, write_draws
 from effectprob.regress import Dataset, ModelSpec, PriorSpec, simulate_experiment
 from effectprob.summary import PosteriorSummary
@@ -274,7 +274,7 @@ class TestSummarize:
     def test_machine_line_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         path = tmp_path / "draws.csv"
-        write_draws(validate({"theta": rng.normal(1.0, 1.0, size=(1, 10_000))}), path)
+        write_draws(Draws(("theta",), [rng.normal(1.0, 1.0, size=(1, 10_000))]), path)
         code, stdout, _ = run("summarize", str(path), capsys=capsys)
         assert code == 0
         name, summary = parse_summary_line(machine_lines(stdout)[0])
@@ -287,21 +287,21 @@ class TestSummarize:
 
     def test_unknown_param_exits_2(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": [[1.0, 2.0, 3.0, 4.0]]}), path)
+        write_draws(Draws(("a",), [[[1.0, 2.0, 3.0, 4.0]]]), path)
         code, _, stderr = run("summarize", str(path), "--param", "beta9", capsys=capsys)
         assert code == 2
         assert "error: UnknownParameter" in stderr
 
     def test_bad_level_exits_2(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": [[1.0, 2.0, 3.0, 4.0]]}), path)
+        write_draws(Draws(("a",), [[[1.0, 2.0, 3.0, 4.0]]]), path)
         code, _, stderr = run("summarize", str(path), "--level", "1.5", capsys=capsys)
         assert code == 2
         assert "error: InvalidLevel" in stderr
 
     def test_param_required_when_ambiguous(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": [[1.0, 2.0]], "b": [[3.0, 4.0]]}), path)
+        write_draws(Draws(("a", "b"), [[[1.0, 2.0]], [[3.0, 4.0]]]), path)
         code, _, stderr = run("summarize", str(path), capsys=capsys)
         assert code == 2
         assert "--param is required" in stderr
@@ -309,7 +309,7 @@ class TestSummarize:
     def test_constant_draws_have_their_value_as_mean(self, tmp_path, capsys):
         # numpy's pairwise sum once printed mean=0.29999999999999993.
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": np.full((4, 100), 0.3)}), path)
+        write_draws(Draws(("a",), np.full((1, 4, 100), 0.3)), path)
         code, stdout, _ = run("summarize", str(path), capsys=capsys)
         assert code == 0
         assert " mean=0.3 " in machine_lines(stdout)[0]
@@ -319,7 +319,7 @@ class TestPlots:
     def _draws(self, tmp_path) -> str:
         rng = np.random.default_rng(2)
         path = tmp_path / "draws.csv"
-        write_draws(validate({"theta": rng.normal(0.5, 1.0, size=(1, 2_000))}), path)
+        write_draws(Draws(("theta",), [rng.normal(0.5, 1.0, size=(1, 2_000))]), path)
         return str(path)
 
     def test_ccdf_writes_svg_and_prints_tail_probabilities(self, tmp_path, capsys):
@@ -351,7 +351,7 @@ class TestPlots:
     def test_density_of_constant_draws_exits_2_without_a_file(self, tmp_path, capsys):
         # It once wrote an SVG with bandwidth 1.5e-17 and exited 0.
         path, out = tmp_path / "draws.csv", tmp_path / "d.svg"
-        write_draws(validate({"a": np.full((4, 100), 0.3)}), path)
+        write_draws(Draws(("a",), np.full((1, 4, 100), 0.3)), path)
         code, stdout, stderr = run("density", str(path), "--out", str(out), capsys=capsys)
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: DegenerateDraws: ")
@@ -362,7 +362,7 @@ class TestPlots:
         # 40 draws of 0 and one of 1e308: n h sqrt(2 pi) overflows, and it
         # once wrote a density of zeros and exited 0.
         path, out = tmp_path / "draws.csv", tmp_path / "d.svg"
-        write_draws(validate({"a": [[0.0] * 40 + [1e308]]}), path)
+        write_draws(Draws(("a",), [[[0.0] * 40 + [1e308]]]), path)
         code, stdout, stderr = run("density", str(path), "--out", str(out), capsys=capsys)
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: DegenerateDraws: ")
@@ -400,7 +400,7 @@ class TestDiagnose:
     def test_healthy_chains_exit_0(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": rng.standard_normal((4, 500))}), path)
+        write_draws(Draws(("a",), [rng.standard_normal((4, 500))]), path)
         code, stdout, _ = run("diagnose", str(path), capsys=capsys)
         assert code == 0
         assert "rhat=" in stdout and "ess=" in stdout
@@ -410,7 +410,7 @@ class TestDiagnose:
         chains = rng.standard_normal((2, 500))
         chains[1] += 5.0
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": chains}), path)
+        write_draws(Draws(("a",), [chains]), path)
         code, _, stderr = run("diagnose", str(path), capsys=capsys)
         assert code == 1
         assert "warning" in stderr
@@ -418,7 +418,7 @@ class TestDiagnose:
     def test_single_chain_still_reports(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         path = tmp_path / "draws.csv"
-        write_draws(validate({"a": rng.standard_normal((1, 500))}), path)
+        write_draws(Draws(("a",), [rng.standard_normal((1, 500))]), path)
         code, stdout, _ = run("diagnose", str(path), capsys=capsys)
         assert code == 0
         assert "rhat=" in stdout
@@ -453,7 +453,7 @@ class TestUsage:
         # Every name write_draws accepts; one with a space once made
         # parse_summary_line raise ValueError from dict().
         path = tmp_path_factory.mktemp("names") / "draws.csv"
-        write_draws(validate({name: [[0.0, 1.0]]}), path)
+        write_draws(Draws((name,), [[[0.0, 1.0]]]), path)
         level, mean, ci_low, ci_high, above, below = numbers
         s = PosteriorSummary(mean, ci_low, ci_high, level, above, below)
         assert parse_summary_line(summary_machine_line(name, s)) == (name, s)
@@ -539,8 +539,9 @@ class TestFuzz:
     # gave a wrong figure: R-hat's fsum overflowing, tick steps that round
     # to 0 (one raises, the other loops forever), a tick loop whose bound
     # overflows, a density grid past the largest double, a curve whose x
-    # span overflows (every vertex at the left edge), and tiny distinct
-    # draws whose sd underflowed in the density estimate.
+    # span overflows (every vertex at the left edge), tiny distinct draws
+    # whose sd underflowed in the density estimate, and a span of the
+    # largest double, over which numpy's linspace warned.
     @example(params=[np.array([[0.0, MAX, 0.0, MAX], [0.0, MAX, MAX, MAX]])], command="diagnose",
              select=False, points=512)
     @example(params=[np.array([[0.0, 5e-324, 0.0, 0.0]])], command="ccdf", select=False, points=512)
@@ -554,14 +555,15 @@ class TestFuzz:
              points=512)
     @example(params=[np.array([[1e-300, 2e-300, 3e-300, 5e-324]])], command="density", select=False,
              points=512)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @example(params=[np.array([[0.0, MAX]])], command="ccdf", select=False, points=512)
+    @example(params=[np.array([[0.0, MAX]])], command="density", select=False, points=512)
     def test_any_draws_file_exits_cleanly(self, tmp_path, capsys, params, command, select, points):
         # Every failure must be an EffectProbError, which main reports as
         # one error line and exit code 2; anything else propagates here.
         shape = params[0].shape
         named = {f"p{i}": m for i, m in enumerate(params) if m.shape == shape}
         path = tmp_path / "fuzz.csv"
-        write_draws(validate(named), path)
+        write_draws(Draws(tuple(named), list(named.values())), path)
         argv = [command, str(path)]
         if select and command != "diagnose":
             argv += ["--param", "p0"]
@@ -592,7 +594,7 @@ class TestFuzz:
 
     def test_curve_over_overflowing_span_exits_2(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
-        write_draws(validate({"a": [[-1.7e308, 1.7e308, 1.0, 2.0]]}), path)
+        write_draws(Draws(("a",), [[[-1.7e308, 1.7e308, 1.0, 2.0]]]), path)
         code, _, stderr = run("ccdf", str(path), "--out", str(tmp_path / "wide.svg"), capsys=capsys)
         assert code == 2
         assert stderr.startswith("error: DegenerateDraws: ") and stderr.count("\n") == 1

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from effectprob.draws import validate
+from effectprob.draws import Draws
 from effectprob.errors import (
     InvalidArgument,
     MissingColumn,
@@ -36,17 +36,16 @@ def random_finite_doubles(rng: np.random.Generator, n: int) -> np.ndarray:
 class TestDrawsRoundTrip:
     def test_small_file_shape(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_draws(validate({"a": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "b": np.zeros((2, 3))}), path)
+        write_draws(Draws(("a", "b"), [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], np.zeros((2, 3))]), path)
         d = read_draws(path)
         assert d.parameter_names == ("a", "b")
-        assert d.chains == 2
-        assert d.iterations_per_chain == 3
+        assert d.values.shape == (2, 2, 3)
 
     def test_values_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         values = random_finite_doubles(rng, 10_000).reshape(2, 5_000)
         path = tmp_path / "d.csv"
-        write_draws(validate({"x": values}), path)
+        write_draws(Draws(("x",), [values]), path)
         back = read_draws(path)
         assert back.values.tobytes() == values.reshape(1, 2, 5_000).tobytes()
 
@@ -124,7 +123,7 @@ class TestDrawsParser:
 
     def test_fuzzed_single_field_corruption(self, tmp_path):
         rng = np.random.default_rng(19)
-        d = validate({"a": rng.normal(size=(2, 5)), "b": rng.normal(size=(2, 5))})
+        d = Draws(("a", "b"), [rng.normal(size=(2, 5)), rng.normal(size=(2, 5))])
         path = tmp_path / "good.csv"
         write_draws(d, path)
         good = path.read_text()
@@ -206,7 +205,7 @@ class TestWriterNames:
     def test_write_draws_refuses(self, tmp_path, name):
         path = tmp_path / "d.csv"
         with pytest.raises(InvalidArgument, match="^column name "):
-            write_draws(validate({"ok": [[1.0, 2.0]], name: [[3.0, 4.0]]}), path)
+            write_draws(Draws(("ok", name), [[[1.0, 2.0]], [[3.0, 4.0]]]), path)
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -223,7 +222,7 @@ class TestWriterNames:
         # a parameter named like an index column.
         path = tmp_path / "d.csv"
         names = ("café", "a\u2028b", "chain")
-        write_draws(validate({name: [[1.0, 2.0]] for name in names}), path)
+        write_draws(Draws(names, [[[1.0, 2.0]]] * len(names)), path)
         assert read_draws(path).parameter_names == names
         data = simulate_experiment(5, 1.0, 1.0, 1.0, seed=0)
         write_dataset(data, path, "日本", "\x85")
@@ -248,7 +247,7 @@ class TestAllocationPeaks:
     def sample(kind: str):
         if kind == "draws":
             rng = np.random.default_rng(21)
-            draws = validate({"a": rng.normal(size=(4, 10_000)), "b": rng.normal(size=(4, 10_000))})
+            draws = Draws(("a", "b"), [rng.normal(size=(4, 10_000)), rng.normal(size=(4, 10_000))])
             return draws, write_draws, read_draws
         return simulate_experiment(100_000, 5.0, 1.0, 2.0, seed=21), write_dataset, read_dataset
 

@@ -21,8 +21,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from effectprob.draws import Draws, validate
-from effectprob.errors import EffectProbError, MissingColumn, NonBinaryTreatment, ParseError
+from effectprob.draws import Draws
+from effectprob.errors import (
+    EffectProbError,
+    MissingColumn,
+    NonBinaryTreatment,
+    ParseError,
+    RaggedChains,
+)
 from effectprob.io import read_dataset, read_draws, write_dataset, write_draws
 from effectprob.regress import Dataset
 
@@ -100,9 +106,9 @@ def oracle_read_draws(data: bytes) -> Draws:
                 f"line {n}: chain {chain}: expected iter {len(blocks[-1]) + 1}, found {iteration}"
             )
         blocks[-1].append([_oracle_number(t, n, name) for t, name in zip(parts[2:], names)])
-    return validate(
-        [(name, [[row[p] for row in block] for block in blocks]) for p, name in enumerate(names)]
-    )
+    if len({len(block) for block in blocks}) > 1:
+        raise RaggedChains(f"parameter {names[0]!r}: chains have unequal lengths")
+    return Draws(names, np.array(blocks).transpose(2, 0, 1))
 
 
 def oracle_read_dataset(data: bytes, outcome: str = "outcome", treatment: str = "treatment") -> Dataset:
@@ -164,8 +170,8 @@ def line_regex_read_draws(data: bytes) -> Draws:
         names = header[2:]
         table = _line_regex_table(lines, [INDEX_CELL] * 2 + [NUMBER_CELL] * len(names))
         blocks = None if table is None else _chain_blocks(table)
-        if blocks is not None:
-            return validate([(name, [table[b, 2 + p] for b in blocks]) for p, name in enumerate(names)])
+        if blocks is not None and len({b.stop - b.start for b in blocks}) == 1:
+            return Draws(names, table[:, 2:].T.reshape(len(names), len(blocks), -1))
     _rejected(oracle_read_draws, data)
 
 
@@ -184,8 +190,9 @@ def line_regex_read_dataset(data: bytes) -> Dataset:
 
 def oracle_write_draws(d: Draws) -> str:
     lines = ["chain,iter," + ",".join(d.parameter_names)]
-    for c in range(d.chains):
-        for i in range(d.iterations_per_chain):
+    _, chains, iterations = d.values.shape
+    for c in range(chains):
+        for i in range(iterations):
             cells = [str(c + 1), str(i + 1)] + [format(x, ".17g") for x in d.values[:, c, i]]
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -262,7 +269,7 @@ def draw_sets(draw) -> Draws:
     )
     params = draw(st.lists(names, min_size=shape[0], max_size=shape[0], unique=True))
     matrix = draw(arrays(np.float64, shape, elements=values))
-    return validate({name: matrix[p] for p, name in enumerate(params)})
+    return Draws(params, matrix)
 
 
 @st.composite
@@ -300,8 +307,8 @@ def corrupt(text: str, data) -> str:
 
 
 # The smallest valid shape (1 chain, 2 iterations) holding the extremes.
-SMALLEST = validate(
-    {"lo": [[5e-324, -1.7976931348623157e308]], "hi": [[-0.0, 1.7976931348623157e308]]}
+SMALLEST = Draws(
+    ("lo", "hi"), [[[5e-324, -1.7976931348623157e308]], [[-0.0, 1.7976931348623157e308]]]
 )
 
 
@@ -349,7 +356,7 @@ def every_single_cell_corruption(text: str):
 
 
 def test_every_single_cell_corruption_of_a_small_file_matches_oracle(path):
-    d = validate({"a": [[0.5, -1.25], [3.0, 1e-300]], "b": [[-0.0, 2.0], [7.0, 0.1]]})
+    d = Draws(("a", "b"), [[[0.5, -1.25], [3.0, 1e-300]], [[-0.0, 2.0], [7.0, 0.1]]])
     for text in every_single_cell_corruption(oracle_write_draws(d)):
         assert_draws_agree(path, text)
     data = Dataset(outcome=[1.5, -2.0, 0.1], treatment=[0, 1, 1])
@@ -407,7 +414,7 @@ class TestWriterBlocks:
         shape = (2, chains, iterations)
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         values[0, 0, 0], values[1, -1, -1] = -0.0, 5e-324
-        d = validate({"a": values[0], "b": values[1]})
+        d = Draws(("a", "b"), values)
         write_draws(d, path)
         assert path.read_bytes() == oracle_write_draws(d).encode("utf-8")
 

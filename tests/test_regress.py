@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectprob.diagnostics import ess, split_rhat
-from effectprob.draws import view
+from effectprob.draws import Draws, view
 from effectprob.errors import (
     DegenerateDesign,
     InvalidArgument,
@@ -119,7 +119,7 @@ class TestSpecs:
     )
     def test_extreme_priors_in_range_fit(self, small_data, kwargs):
         result = fit(small_data, ModelSpec(PriorSpec(**kwargs), chains=2, iterations=200, warmup=50))
-        assert result.draws.iterations_per_chain == 150
+        assert result.draws.values.shape[2] == 150
 
     @pytest.mark.parametrize(
         "name, kwargs",
@@ -184,7 +184,7 @@ class TestSpecs:
 
     def test_four_kept_iterations_fit(self, small_data):
         result = fit(small_data, ModelSpec(chains=2, iterations=100, warmup=96))
-        assert result.draws.iterations_per_chain == 4
+        assert result.draws.values.shape[2] == 4
         assert all(math.isfinite(d.rhat) for d in result.diagnostics.values())
 
     def test_model_spec_rejects_negative_seed(self):
@@ -278,8 +278,7 @@ class TestFit:
         spec = ModelSpec(chains=2, iterations=300, warmup=50, seed=1)
         result = fit(small_data, spec)
         assert result.draws.parameter_names == ("beta0", "beta1", "sigma")
-        assert result.draws.chains == 2
-        assert result.draws.iterations_per_chain == 250
+        assert result.draws.values.shape == (3, 2, 250)
         assert set(result.diagnostics) == {"beta0", "beta1", "sigma"}
         assert len(result.chain_stats) == 2
         assert result.chain_stats[0].slice_evals_per_iteration > 0
@@ -580,6 +579,22 @@ class TestExactPosterior:
         result = fit(shifted, ModelSpec(priors=priors, chains=4, iterations=3_000, warmup=500, seed=8))
         for statistic, z in standard_errors_off(result, exact_shifted).items():
             assert abs(z) < 4.0, (statistic, z)
+
+    def test_probability_of_one(self):
+        # At n = 200,000 the exact P(beta1 < 0) rounds to 1.0, and every
+        # draw lies below 0. The MCSE is then 0, and the oracle raised
+        # ZeroDivisionError.
+        data = simulate_experiment(200_000, 52.0, -2.49, 24.0, seed=109)
+        exact = exact_posterior(data, PriorSpec())
+        assert exact.p_beta1_below_zero == 1.0
+        result = fit(data, ModelSpec(chains=4, iterations=5_000, warmup=500, seed=8))
+        for statistic, z in standard_errors_off(result, exact).items():
+            assert abs(z) < 4.0, (statistic, z)
+        # One draw above 0 is infinitely many standard errors off.
+        values = result.draws.values.copy()
+        values[1, 0, 0] = 1.0
+        flipped = dataclasses.replace(result, draws=Draws(result.draws.parameter_names, values))
+        assert standard_errors_off(flipped, exact)["P(beta1 < 0)"] == -math.inf
 
     def test_probability_coverage_over_short_fits(self):
         # Over 40 pinned fits of 4 x 1,000 kept draws, z = (p_hat - p) / MCSE

@@ -21,10 +21,10 @@ import numpy as np
 
 import effectprob.cli
 from effectprob.diagnostics import ess
-from effectprob.draws import validate, view
+from effectprob.draws import ParameterView
 from effectprob.summary import kde
 
-v = view(validate({"x": np.random.default_rng(0).normal(size=(4, 500))}), "x")
+v = ParameterView("x", np.random.default_rng(0).normal(size=(4, 500)))
 kde(v, 64)
 ess(v)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")

@@ -75,6 +75,8 @@ def family_draws(family: str, n: int, seed: int) -> np.ndarray:
     return rng.exponential(size=n)  # skewed
 
 
+MAX = 1.7976931348623157e308
+
 # Analytic values for Normal(1, 1), frozen from the erf-based oracle.
 P_ABOVE_0 = 0.8413447460685429          # normal_cdf(1)
 P_ABOVE_3 = 0.022750131948179195        # 1 - normal_cdf(2)
@@ -199,9 +201,20 @@ class TestCcdf:
     def test_two_point_branches(self):
         v = make_view([[-1.0, 1.0]])
         curve = ccdf(v, 2)
-        assert curve.positive_branch == [(0.0, 0.5), (1.0, 0.0)]
-        assert curve.negative_branch == [(-1.0, 0.0), (0.0, 0.5)]
+        assert curve.positive_thresholds.tolist() == [0.0, 1.0]
+        assert curve.positive_probabilities.tolist() == [0.5, 0.0]
+        assert curve.negative_thresholds.tolist() == [-1.0, 0.0]
+        assert curve.negative_probabilities.tolist() == [0.0, 0.5]
         assert curve.n_draws == 2
+
+    @pytest.mark.parametrize("values", [[0.0, MAX], [-MAX, 0.0]])
+    def test_branch_spanning_the_largest_double(self, values):
+        # linspace's last step overflows here: numpy wrote the endpoint
+        # itself, but warned, and under -W error the CLI exited 1.
+        curve = ccdf(make_view([values]), 512)
+        thresholds = np.concatenate([curve.negative_thresholds, curve.positive_thresholds])
+        assert thresholds.size == 512 and np.isfinite(thresholds).all()
+        assert (thresholds[[0, -1]] == values).all()
 
     def test_all_positive_gives_empty_negative_branch(self):
         curve = ccdf(make_view([[1.0, 2.0, 3.0]]), 4)
@@ -479,9 +492,10 @@ class TestBinnedKde:
             assert np.max(np.abs(est.density - direct)) <= 2e-3 * peak
 
     def test_outlier_caps_the_internal_grid(self, monkeypatch):
-        # One draw a million sds out would need ~44M bins at h / 8 each.
+        # One draw 2e4 from 100,000 N(0, 1) draws would need 1.8M bins at
+        # h / 8 each.
         rng = np.random.default_rng(4)
-        values = np.append(rng.normal(size=100_000), 1e6)
+        values = np.append(rng.normal(size=100_000), 2e4)
         sizes = []
         rfft = np.fft.rfft
 
@@ -494,11 +508,50 @@ class TestBinnedKde:
         assert sizes and max(sizes) <= 2**19
         assert np.isfinite(est.density).all()
         assert (est.density >= 0.0).all()
-        assert est.density[0] > 0.0  # the main mass sits at the left end
+        # A draw at 1e6 leaves the capped bins 42 bandwidths wide. The
+        # estimate was 0.117 at grid[0], where the direct sum is 4.9e-7,
+        # and it integrated to 114.5.
+        values[-1] = 1e6
+        with pytest.raises(DegenerateDraws, match="wider than 4 bandwidths"):
+            kde(make_view(values.reshape(1, -1)), 512)
+
+    @pytest.mark.parametrize("grid_points", [16, 512])
+    @pytest.mark.parametrize("reach", [0, 1, 2, 3, 4, 8])
+    def test_capped_bins_match_direct_sum_or_are_refused(self, reach, grid_points):
+        # 1,000 N(0, 1) draws and one far draw, placed so that the 2**18
+        # capped bins leave the kernel, cut at +-8h, `reach` bins either
+        # side of its centre. The far draw moves neither quartile, so
+        # neither the bandwidth. At reach 1 the binned estimate strayed
+        # 3.2e-3 of the peak from the direct sum, and at reach 0 up to 0.16.
+        rng = np.random.default_rng(5)
+        values = np.append(rng.normal(size=1_000), 100.0)
+        h = kde(make_view(values.reshape(1, -1)), grid_points).bandwidth
+        bins = (2**18 - 1) // (grid_points - 1) * (grid_points - 1) + 1
+        values[-1] = values.min() - 6.0 * h + 8.0 * h * (bins - 1) / (reach + 0.5)
+        v = make_view(values.reshape(1, -1))
+        if reach < 2:
+            with pytest.raises(DegenerateDraws, match="wider than 4 bandwidths"):
+                kde(v, grid_points)
+            return
+        est = kde(v, grid_points)
+        assert est.bandwidth == h
+        direct = direct_kde(values, est.grid, h)
+        peak = max(direct.max(), direct_kde(values, values, h).max())
+        assert np.max(np.abs(est.density - direct)) <= 2e-3 * peak
 
     def test_unrepresentable_grid_rejected(self):
         with pytest.raises(DegenerateDraws):
             kde(make_view([[-1.7e308, 1.7e308, 0.0, 1.0]]), 64)
+
+    def test_grid_spanning_the_largest_double(self):
+        # Two draws near +-MAX / 2 beside eight with a small spread: the
+        # grid spans the largest double to within rounding, and linspace's
+        # last step overflowed and warned.
+        a, spread = 8.973773400972836e307, MAX / 2000
+        values = np.concatenate([[-a], np.linspace(-1.0, 1.0, 8) * spread, [a]])
+        est = kde(make_view([values]), 16)
+        assert np.isfinite(est.grid).all() and est.grid[0] == -est.grid[-1]
+        assert np.isfinite(est.density).all()
 
     def test_tiny_distinct_draws(self):
         # Their deviations square to 0, so an sd taken in their own units
