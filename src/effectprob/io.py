@@ -52,9 +52,21 @@ reads in about 0.6 s on one core of a 2-vCPU Xeon VM, peaking at about
 check failed, to raise its first line-numbered error, or
 :class:`RaggedChains` if every line is well formed.
 
-A write formats ``_BLOCK_ROWS`` rows at a time into one open file, with
-one ``%``: the row format repeated once per row, applied to the block's
-cells interleaved row by row. It holds one block's text, not the file's.
+A write formats ``_BLOCK_ROWS`` rows at a time into one file opened in
+binary, so lines end at ``\\n`` on every platform, with the bytes
+``%.17g`` and ``%d`` give. A block is O(cells) numpy work, with no Python
+call per cell: every cell is a fixed-width slot of bytes, NUL where it
+has no character, and one :meth:`bytes.translate` drops the NULs of the
+block's matrix. A double that ``%g`` writes in fixed notation (1e-4 <=
+|x| < 1e17) gets its 17 digits from an exact product in numpy (see
+:func:`_float_cells`); any other double (±0, subnormals, exponent
+notation) takes one ``%`` per cell. A write holds one block's scratch,
+not the file's: each double's 40-byte slot, the block's matrix and its
+bytes, 0.8 MB for a dataset block and 1.7 MB for a draws block of three
+parameters (tracemalloc peaks). On one core of a 2-vCPU Xeon VM, best
+of 5 over two runs, a 200k-row dataset writes in 28-43 ms (130-177 ms
+with ``%.17g`` per value) and 4 x 10k draws of three parameters in
+20-26 ms (68-75 ms).
 """
 
 from __future__ import annotations
@@ -91,6 +103,58 @@ _SIGNED_ITER = re.compile(rb"\n-?[0-9]+,\+")
 _BAD_NAME = re.compile("[,\n\r\ud800-\udfff]")
 
 _BLOCK_ROWS = 4096  # rows a writer formats per write call
+
+# Veltkamp's splitter, 2^27 + 1, and 10^k, exact for k <= 22, split into
+# halves of at most 26 significant bits: _two_product's operands.
+_SPLITTER = 134217729.0
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _slot_tables() -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+    """The tables ``_float_cells`` lays a slot out from, for exponents X
+    in -4..16 and L, the place of the last nonzero of the 17 digits:
+
+    - the first word, by 2(X + 4) + (1 if negative): a NUL for the
+      separator, the sign, and "0." and -X - 1 zeros when X < 0;
+    - the digit words, by the number 0..9999 they spell: each digit
+      after a 0xFF byte;
+    - four masks, one per digit word, by 17(X + 4) + L: 0xFF over each
+      digit up to place max(X, L), and "." in the byte before digit X + 1
+      when X < L;
+    - one table per group of four digits (places 1-4, 5-8, 9-12 and
+      13-16): the place of its last nonzero digit, by the number the
+      group spells, 0 for 0000. L is the largest of the four.
+    """
+    exponent = np.arange(-4, 17)[:, None, None]
+    first = np.zeros((21, 2, 8), np.uint8)
+    first[:, 1, 1] = ord("-")
+    first[:, :, 2:4] = (exponent < 0) * np.array([ord("0"), ord(".")], np.uint8)
+    first[:, :, 4:7] = (np.arange(3) < -exponent - 1) * np.uint8(ord("0"))
+
+    digits = np.indices((10, 10, 10, 10)).reshape(4, 10_000)  # of 0..9999, highest first
+    quads = np.full((10_000, 8), 0xFF, np.uint8)
+    quads[:, 1::2] = digits.T + ord("0")
+
+    last, place = np.arange(17)[:, None], np.arange(1, 17)
+    masks = np.zeros((21, 17, 32), np.uint8)
+    masks[..., 1::2] = (place <= np.maximum(exponent, last)) * np.uint8(0xFF)
+    masks[..., 0::2] = ((place - 1 == exponent) & (exponent < last)) * np.uint8(ord("."))
+    masks = masks.view(np.uint64).reshape(21 * 17, 4)
+
+    in_group = ((digits != 0) * np.arange(1, 5)[:, None]).max(axis=0)
+    groups = ((np.arange(0, 16, 4)[:, None] + in_group) * (in_group > 0)).astype(np.int8)
+    return (
+        first.view(np.uint64).ravel(),
+        quads.view(np.uint64).ravel(),
+        [masks[:, j].copy() for j in range(4)],
+        groups,
+    )
+
+
+_FIRST_WORDS, _DIGIT_WORDS, _DIGIT_MASKS, _LAST_DIGIT = _slot_tables()
+_SLOT = 40  # bytes of a double's slot: the first word and four digit words
 
 
 def _read(path: str | Path) -> tuple[bytes, list[str], int]:
@@ -175,14 +239,12 @@ def write_draws(d: Draws, path: str | Path) -> None:
     params, chains, iterations = d.values.shape
     rows = chains * iterations
     columns = d.values.reshape(params, rows)
-    row = "%d,%d" + ",%.17g" * params + "\n"
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("chain,iter," + ",".join(d.parameter_names) + "\n")
+    with Path(path).open("wb") as out:
+        out.write(("chain,iter," + ",".join(d.parameter_names) + "\n").encode("utf-8"))
         for first in range(0, rows, _BLOCK_ROWS):
             stop = min(first + _BLOCK_ROWS, rows)
             chain, iteration = np.divmod(np.arange(first, stop), iterations)
-            values = columns[:, first:stop].tolist()
-            out.write(_format_rows(row, [(chain + 1).tolist(), (iteration + 1).tolist(), *values]))
+            out.write(_format_block([chain + 1, iteration + 1, *columns[:, first:stop]]))
 
 
 def _check_names(names: tuple[str, ...]) -> None:
@@ -193,15 +255,116 @@ def _check_names(names: tuple[str, ...]) -> None:
             )
 
 
-def _format_rows(row: str, columns: list[list]) -> str:
-    """Lines of ``row`` format, one per row of the equal-length ``columns``,
-    made by one ``%``: the format repeated per row, applied to the cells
-    interleaved row by row."""
-    width, rows = len(columns), len(columns[0])
-    cells = [None] * (width * rows)
-    for j, column in enumerate(columns):
-        cells[j::width] = column
-    return (row * rows) % tuple(cells)
+def _format_block(columns: list[np.ndarray]) -> bytes:
+    """Lines of the equal-length ``columns``' cells joined by ``,``, with
+    the bytes ``%d`` gives an integer >= 0 and ``%.17g`` a finite double.
+
+    Each cell is a fixed-width slot of bytes, NUL where it has no
+    character, whose first byte is the separator before it. The slots
+    and a ``\\n`` column are joined into one matrix, and one
+    :meth:`bytes.translate` drops its NULs."""
+    slots = [_int_cells(c) if c.dtype.kind in "iu" else _float_cells(c) for c in columns]
+    for slot in slots[1:]:
+        slot[:, 0] = ord(",")
+    slots.append(np.full((len(columns[0]), 1), ord("\n"), np.uint8))
+    return np.concatenate(slots, axis=1).tobytes().translate(None, b"\0")
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """Slots of integers >= 0: a NUL, then digits by repeated ``// 10``,
+    a leading zero NUL."""
+    width = len(str(int(v.max())))
+    cells = np.zeros((len(v), width + 1), np.uint8)
+    rest, digit = _divmod(v, 10)
+    cells[:, width] = digit + ord("0")
+    for place in range(width - 1, 0, -1):
+        shown = rest > 0
+        rest, digit = _divmod(rest, 10)
+        cells[:, place] = (digit + ord("0")) * shown
+    return cells
+
+
+def _divmod(v: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod`` of integers by a constant: numpy's ``//`` by a
+    scalar, a multiply and a subtract take less time than its ``divmod``."""
+    quotient = v // divisor
+    return quotient, v - quotient * divisor
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``_SLOT``-byte slots of finite doubles.
+
+    For 1e-4 <= |x| < 1e17, ``%g`` writes fixed notation, and the slot
+    is built in numpy. With k = 16 - floor(log10 |x|), corrected until
+    1e16 <= |x| 10^k < 1e17 (so 0 <= k <= 21, and 10^k is an exact
+    double), the product is formed exactly as p + err. Its round-half-even
+    D holds the 17 significant digits ``%.17g`` rounds to, and X = 16 - k,
+    in -4..16, is their decimal exponent. p >= 1e16 is an even integer,
+    so D = p + rint(err). D never rounds up to 10^17: no double in this
+    range lies within a relative 5e-18 below a power of ten.
+
+    The slot's first word holds a NUL for the separator, the sign, "0."
+    and -X - 1 zeros when X < 0, and digit 0 in its last byte. Four
+    words hold digits 1..16, each after a byte for the decimal point.
+    ``%g`` drops trailing zeros and a bare point, so a digit past both X
+    and the last nonzero digit is NUL, and the point after digit X is "."
+    only when a nonzero digit follows it.
+
+    Every other cell, ±0, |x| < 1e-4 (subnormals among them) or
+    |x| >= 1e17, where ``%g`` writes exponent notation, comes from
+    :func:`_slow_cells`.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        a = np.where(fast, a, 1.0)
+    # log10 rounds up to 17 just below 1e17.
+    k = 16 - np.minimum(np.floor(np.log10(a)), 16).astype(np.int64)
+    while True:
+        p, err = _two_product(a, k)
+        under = (p < 1e16) | ((p == 1e16) & (err < 0))
+        over = (p > 1e17) | ((p == 1e17) & (err >= 0))
+        if not (under.any() or over.any()):
+            break
+        k += under
+        k -= over
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    exponent = 16 - k
+
+    lead, rest = _divmod(digits, 10**16)
+    high, low = _divmod(rest, 10**8)
+    groups = [*_divmod(high, 10**4), *_divmod(low, 10**4)]
+    last = _LAST_DIGIT[0][groups[0]]
+    for j in (1, 2, 3):
+        np.maximum(last, _LAST_DIGIT[j][groups[j]], out=last)
+    layout = 17 * (exponent + 4) + last
+    words = np.empty((len(x), _SLOT // 8), np.uint64)
+    words[:, 0] = _FIRST_WORDS[2 * exponent + 8 + (x < 0)]
+    for j, group in enumerate(groups):
+        words[:, j + 1] = _DIGIT_WORDS[group] & _DIGIT_MASKS[j][layout]
+    cells = words.view(np.uint8)
+    cells[:, 7] = lead + ord("0")
+    if len(slow):
+        cells[slow] = _slow_cells(x[slow])
+    return cells
+
+
+def _slow_cells(x: np.ndarray) -> np.ndarray:
+    """``_SLOT``-byte slots of doubles, one ``b"%.17g" % v`` each."""
+    text = np.array([b"\0%.17g" % v for v in x.tolist()], dtype=f"S{_SLOT}")
+    return text.view(np.uint8).reshape(len(x), _SLOT)
+
+
+def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10^k`` as p + err exactly: Dekker's TwoProduct, which needs
+    no fused multiply-add."""
+    p = a * _POW10[k]
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
@@ -292,12 +455,11 @@ def write_dataset(
     _check_names((outcome_column, treatment_column))
     if outcome_column == treatment_column:
         raise InvalidArgument(f"outcome and treatment columns are both named {outcome_column!r}")
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write(f"{outcome_column},{treatment_column}\n")
+    with Path(path).open("wb") as out:
+        out.write(f"{outcome_column},{treatment_column}\n".encode("utf-8"))
         for first in range(0, len(data.outcome), _BLOCK_ROWS):
             block = slice(first, first + _BLOCK_ROWS)
-            columns = [data.outcome[block].tolist(), data.treatment[block].tolist()]
-            out.write(_format_rows("%.17g,%d\n", columns))
+            out.write(_format_block([data.outcome[block], data.treatment[block]]))
 
 
 def read_dataset(

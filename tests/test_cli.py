@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from effectprob.cli import build_parser, main, parse_summary_line, summary_machine_line
-from effectprob.draws import Draws
-from effectprob.io import write_dataset, write_draws
+from effectprob.draws import Draws, view
+from effectprob.errors import EffectProbError
+from effectprob.io import read_draws, write_dataset, write_draws
 from effectprob.regress import Dataset, ModelSpec, PriorSpec, simulate_experiment
-from effectprob.summary import PosteriorSummary
+from effectprob.render import render_ccdf, render_density
+from effectprob.summary import PosteriorSummary, ccdf, kde
 
 
 def run(*argv: str, capsys) -> tuple[int, str, str]:
@@ -573,6 +575,80 @@ class TestFuzz:
         assert code in (0, 1, 2)
         if code == 2:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        params=st.lists(draw_matrices(), min_size=1, max_size=2),
+        command=st.sampled_from(["summarize", "ccdf", "density"]),
+        points=st.sampled_from([2, 16, 512]),
+        level=st.sampled_from([0.5, 0.95]),
+    )
+    # Outputs that were once wrong: an interval below every draw, because
+    # scaled draws far below the largest one rounded to 0, and a density
+    # of zeros, because its normalisation overflowed. numpy's mean of 15
+    # draws of 0.1 is 0.10000000000000003, above every draw.
+    @example(params=[np.full((3, 5), 0.1)], command="summarize", points=512, level=0.95)
+    @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="summarize", points=512,
+             level=0.95)
+    @example(params=[np.array([[1e-300, 2e-300, 1e-300, 2e-300], [1e300, 3e-300, 4e-300, 3e-300]])],
+             command="summarize", points=512, level=0.5)
+    @example(params=[np.array([[0.0] * 40 + [1e308]])], command="density", points=512, level=0.95)
+    @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="density", points=512,
+             level=0.95)
+    def test_printed_numbers_match_an_oracle(self, tmp_path, capsys, params, command, points, level):
+        # Every exit-0 output is checked against numpy on the draws read
+        # back from the file; an exit 2 must be the library refusing them.
+        shape = params[0].shape
+        named = {f"p{i}": m for i, m in enumerate(params) if m.shape == shape}
+        path = tmp_path / "fuzz.csv"
+        write_draws(Draws(tuple(named), list(named.values())), path)
+        argv = [command, str(path), "--param", "p0"]
+        if command == "summarize":
+            argv += ["--level", repr(level)]
+        else:
+            argv += ["--points", str(points), "--out", str(tmp_path / "fuzz.svg")]
+        code, stdout, stderr = run(*argv, capsys=capsys)
+        v = view(read_draws(path), "p0")
+        pooled, n = v.pooled, v.pooled.size
+        if code == 2:
+            assert command != "summarize", stderr
+            curve, render = (ccdf, render_ccdf) if command == "ccdf" else (kde, render_density)
+            with pytest.raises(EffectProbError):
+                render(curve(v, points))
+            return
+        assert code == 0
+
+        if command == "summarize":
+            _, s = parse_summary_line(machine_lines(stdout)[0])
+            low, high = pooled.min(), pooled.max()
+            assert low <= s.ci_low <= s.ci_high <= high
+            assert low <= s.mean <= high
+            with np.errstate(over="ignore", invalid="ignore"):
+                quantiles = np.quantile(pooled, [(1 - level) / 2, 1 - (1 - level) / 2])
+            for bound, quantile in zip((s.ci_low, s.ci_high), quantiles):
+                assert bound == quantile or not np.isfinite(quantile)
+            greater, less = s.p_greater_zero, s.p_less_zero
+        else:
+            printed = dict(line.split(" = ") for line in stdout.splitlines())
+            greater, less = float(printed["P(p0>0)"]), float(printed["P(p0<0)"])
+        assert greater == np.count_nonzero(pooled > 0) / n
+        assert less == np.count_nonzero(pooled < 0) / n
+
+        if command == "ccdf":
+            curve = ccdf(v, points)
+            for thresholds in (curve.positive_thresholds, curve.negative_thresholds):
+                assert (np.diff(thresholds) >= 0).all()
+            assert (np.diff(curve.positive_probabilities) <= 0).all()
+            assert (np.diff(curve.negative_probabilities) >= 0).all()
+        if command == "density":
+            est = kde(v, points)
+            with np.errstate(over="ignore"):
+                z = (est.grid[:, None] - pooled) / est.bandwidth
+                direct = np.exp(-0.5 * z * z).sum(axis=1)
+            direct /= n * est.bandwidth * np.sqrt(2.0 * np.pi)
+            assert np.abs(est.density - direct).max() <= 2e-3 * direct.max()
 
     # Files that once escaped as a UnicodeDecodeError traceback: a draws
     # file, and a dataset whose ignored column holds the bad byte.

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from effectprob import io
 from effectprob.draws import Draws
 from effectprob.errors import (
     EffectProbError,
@@ -30,7 +31,7 @@ from effectprob.errors import (
     RaggedChains,
 )
 from effectprob.io import read_dataset, read_draws, write_dataset, write_draws
-from effectprob.regress import Dataset
+from effectprob.regress import Dataset, ModelSpec, fit, simulate_experiment
 
 NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 INDEX = re.compile(r"[0-9]+")
@@ -401,7 +402,7 @@ def test_both_dataset_read_paths_agree(path):
 
 
 class TestWriterBlocks:
-    """Writers format 4,096 rows per ``%``: files that end one row short
+    """Writers format 4,096 rows per block: files that end one row short
     of a block, on it, one row past it and five rows into a third block
     are the oracle's bytes, as is the smallest file each writer takes."""
 
@@ -426,6 +427,87 @@ class TestWriterBlocks:
         data = Dataset(outcome=outcome, treatment=rng.integers(0, 2, size=rows))
         write_dataset(data, path)
         assert path.read_bytes() == oracle_write_dataset(data).encode("utf-8")
+
+    # The same row counts at the workloads' scale, where nearly every cell
+    # is formatted in numpy, with a few cells %g writes in exponent
+    # notation (and -0) mixed in.
+    @staticmethod
+    def _mix_in_exponent_notation(rng, values: np.ndarray) -> np.ndarray:
+        flat = values.reshape(-1)
+        where = rng.choice(flat.size, size=min(6, flat.size), replace=False)
+        flat[where] = [0.0, -0.0, 1e-5, -1e-5, 1e17, -1e17][: len(where)]
+        return values
+
+    @pytest.mark.parametrize(
+        "chains, iterations",
+        [(1, 2), (3, 1365), (2, 2048), (17, 241), (7, 1171)],  # 2; 4,095; 4,096; 4,097; 8,197 rows
+    )
+    def test_write_draws_at_workload_scale(self, path, chains, iterations):
+        rng = np.random.default_rng(iterations)
+        values = rng.normal(-2.5, 1.5, size=(2, chains, iterations))
+        d = Draws(("a", "b"), self._mix_in_exponent_notation(rng, values))
+        write_draws(d, path)
+        assert path.read_bytes() == oracle_write_draws(d).encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [3, 4095, 4096, 4097, 2 * 4096 + 5])
+    def test_write_dataset_at_workload_scale(self, path, rows):
+        rng = np.random.default_rng(rows)
+        outcome = self._mix_in_exponent_notation(rng, rng.normal(52.0, 24.0, size=rows))
+        data = Dataset(outcome=outcome, treatment=rng.integers(0, 2, size=rows))
+        write_dataset(data, path)
+        assert path.read_bytes() == oracle_write_dataset(data).encode("utf-8")
+
+
+# Doubles at the edges of the writers' numpy formatting: zeros, subnormals
+# and the smallest normal, both ends of fixed notation and their
+# neighbours, 17-digit ties (which round to ...2 and ...8), 2^53 + 1, the
+# largest double, and the largest double below each power of ten in fixed
+# notation, where rounding to 17 digits would carry if it could.
+FORMAT_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    *np.nextafter(1e-4, [0.0, 1e-4, 1.0]).tolist(),
+    *np.nextafter(1e16, [0.0, 1e16, 1e17]).tolist(),
+    99999999999999984.0, 1e17, 1000000000000000.25, 1000000000000000.75,
+    9007199254740993.0, 0.1, 123.0, 0.00012, 1.7976931348623157e308,
+    *np.nextafter(10.0 ** np.arange(-3, 18), 0.0).tolist(),
+]
+fixed_notation = st.builds(
+    lambda magnitude, negative: -magnitude if negative else magnitude,
+    st.floats(1e-4, 1e17, exclude_max=True),
+    st.booleans(),
+)
+
+
+class TestBlockFormatter:
+    """The writers format a double in numpy wherever ``%g`` writes fixed
+    notation, and with one ``%`` per cell elsewhere: cell by cell, the
+    bytes must be ``format(v, ".17g")``."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(values=st.lists(st.one_of(finite, fixed_notation), min_size=1, max_size=64))
+    @example(values=FORMAT_EDGES)
+    @example(values=[-v for v in FORMAT_EDGES])
+    @example(values=[0.0])
+    def test_cells_are_format_17g(self, values):
+        lines = io._format_block([np.array(values)]).decode("ascii").split("\n")
+        assert lines.pop() == ""
+        assert lines == [format(v, ".17g") for v in values]
+
+    def test_workload_values_never_take_the_per_value_path(self, path, monkeypatch):
+        data = simulate_experiment(10_000, 52.0, -2.49, 24.0, seed=1)
+        draws = fit(data, ModelSpec(chains=4, iterations=1_100, warmup=100, seed=1)).draws
+        for values in (data.outcome, draws.values):
+            magnitude = np.abs(values)
+            assert ((magnitude >= 1e-4) & (magnitude < 1e17)).all()
+
+        def refuse(x):
+            raise AssertionError(f"{len(x)} cells took the per-value path")
+
+        monkeypatch.setattr(io, "_slow_cells", refuse)
+        write_dataset(data, path)
+        assert path.read_bytes() == oracle_write_dataset(data).encode("utf-8")
+        write_draws(draws, path)
+        assert path.read_bytes() == oracle_write_draws(draws).encode("utf-8")
 
 
 class TestChainLabels:

@@ -1,10 +1,11 @@
-"""Pinned output bytes: the figures and their stdout, by SHA-256.
+"""Pinned output bytes: the figures, their stdout and the CSV files, by SHA-256.
 
 The other render tests check structure (well-formed XML, inverted
-coordinates, labels). These pin every byte, so a refactor of the SVG
-writer that changes any attribute, number format or element order fails
-here. A change meant to alter the figures re-pins these digests and
-says so; any other change must leave them passing.
+coordinates, labels), and the io tests compare the writers with a
+per-value oracle. These pin every byte, so a refactor of the SVG or CSV
+writer that changes any attribute, number format, line end or element
+order fails here. A change meant to alter the outputs re-pins these
+digests and says so; any other change must leave them passing.
 
 The density case is built from given arrays rather than from ``kde``:
 its values come only from correctly rounded arithmetic, so its digest
@@ -32,6 +33,25 @@ def figure1_draws(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("figure1") / "draws.csv"
     assert main(["simulate", "--preset", "figure1", "--seed", "1", "--out", str(path)]) == 0
     return str(path)
+
+
+def test_figure1_draws_file_bytes(figure1_draws):
+    with open(figure1_draws, "rb") as handle:
+        digest = sha256(handle.read())
+    assert digest == "577fb7e96671837c2bbac25065fdfdd365f2797fc12f009523958834ad6e9f6a"
+
+
+def test_dataset_and_fitted_draws_file_bytes(tmp_path):
+    data, draws = tmp_path / "data.csv", tmp_path / "draws.csv"
+    assert main(["simulate", "--n", "996", "--seed", "1", "--out", str(data)]) == 0
+    assert sha256(data.read_bytes()) == (
+        "65d1d050166181a2902cb31996d13873fb3dd780eb33a44f47e3fa53d281b29e"
+    )
+    fit = ["fit", str(data), "--chains", "2", "--iters", "300", "--warmup", "50", "--seed", "1"]
+    assert main([*fit, "--out", str(draws)]) == 0
+    assert sha256(draws.read_bytes()) == (
+        "5fb8e48cae1f8346f2e6279351975b3f38ac6b17dfa04194b19b3c7d7b3a8ee3"
+    )
 
 
 @pytest.mark.parametrize(
