@@ -8,7 +8,8 @@ and its protocol defaults are :class:`ModelSpec`'s.
 
 Exit codes: 0 success, 1 diagnostic warning (a parameter's R-hat is
 above 1.01, or undefined because its draws are constant), 2 usage or
-validation error. Module errors are reported as one line on stderr:
+validation error, or an allocation that cannot be made. Module errors,
+file errors and ``MemoryError`` are reported as one line on stderr:
 ``error: <ErrorClass>: <detail>``.
 """
 
@@ -123,7 +124,7 @@ def _cmd_plot(args: argparse.Namespace, curve, render) -> int:
     v = _select(io.read_draws(args.draws), args.param)
     # An absent or empty --x-label keeps the renderer's default label.
     label = {"x_label": args.x_label} if args.x_label else {}
-    document = render(curve(v, args.points), **label)
+    document = render(curve(v), **label)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(document)
     print(f"P({v.name}>0) = {prob_exceeds(v, 0.0)!r}")
@@ -192,16 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(func=_cmd_summarize)
 
-    for name, help_text, points_help, curve, render in (
-        ("ccdf", "render the complementary cumulative curve as SVG", "grid points per branch",
-         ccdf, render_ccdf),
-        ("density", "render a kernel density estimate as SVG", "density grid points",
-         kde, render_density),
+    for name, help_text, curve, render in (
+        ("ccdf", "render the complementary cumulative curve as SVG", ccdf, render_ccdf),
+        ("density", "render a kernel density estimate as SVG", kde, render_density),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("draws", help="draws file")
         p.add_argument("--param", default=None)
-        p.add_argument("--points", type=int, default=512, help=points_help)
         p.add_argument("--x-label", default=None)
         p.add_argument("--out", required=True, help="SVG file to write")
         p.set_defaults(func=functools.partial(_cmd_plot, curve=curve, render=render))
@@ -223,6 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (EffectProbError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy raises a private subclass; the stable name is the builtin's.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,10 @@ import numpy as np
 from .draws import ParameterView, _unit_scaled
 from .errors import DegenerateDraws, InvalidArgument, InvalidLevel, InvalidRange
 
+# The figures' resolution: points per CCDF branch and on the KDE's grid.
+# The exact probability at any threshold is prob_exceeds / prob_below.
+_GRID_POINTS = 512
+
 # Binned KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, at most
 # _KDE_MAX_BINS of them, and the kernel cut at +-_KDE_TRUNCATE bandwidths
 # (exp(-32) ~ 1e-14 of the peak).
@@ -38,14 +42,13 @@ class CcdfCurve:
     the pooled maximum; the negative branch holds P(theta < x) on an
     ascending grid from the pooled minimum to 0. A branch is empty when
     no draws fall on that side of zero. Probabilities are exact draw
-    fractions, so each is a multiple of ``1 / n_draws``.
+    fractions, so each is a multiple of one over the number of draws.
     """
 
     positive_thresholds: np.ndarray
     positive_probabilities: np.ndarray
     negative_thresholds: np.ndarray
     negative_probabilities: np.ndarray
-    n_draws: int
 
 
 @dataclass(frozen=True)
@@ -114,25 +117,21 @@ def prob_between(v: ParameterView, a: float, b: float) -> float:
     return int(np.count_nonzero((a < pooled) & (pooled <= b))) / pooled.size
 
 
-def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
+def ccdf(v: ParameterView) -> CcdfCurve:
     """Evaluate both complementary cumulative branches on uniform grids.
 
     The positive branch runs from 0 to the pooled maximum inclusive (empty
     when the maximum is not positive); the negative branch runs from the
     pooled minimum to 0 inclusive (empty when the minimum is not
-    negative). Grids are uniform with ``points_per_branch`` points, which
-    bounds the output size for plotting; the exact step function remains
-    available through :func:`prob_exceeds` at any threshold.
+    negative). Each grid has the figures' ``_GRID_POINTS`` points; the
+    exact step function remains available through :func:`prob_exceeds`
+    at any threshold.
 
     The pooled draws are sorted once and each grid point is counted by
     binary search, so the cost is O(N log N + P log N) for N draws and
     P grid points. The counts are the same strict-inequality counts
     :func:`prob_exceeds` and :func:`prob_below` make.
     """
-    points_per_branch = int(points_per_branch)
-    if points_per_branch < 2:
-        raise InvalidArgument(f"points_per_branch must be >= 2, got {points_per_branch}")
-
     ordered = np.sort(v.pooled)
     n = ordered.size
     lo = float(ordered[0])
@@ -143,8 +142,8 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
     # overflow. numpy then writes the endpoint itself, so every point is
     # right, but it warns.
     with np.errstate(over="ignore"):
-        pos_x = np.linspace(0.0, hi, points_per_branch) if hi > 0 else empty
-        neg_x = np.linspace(lo, 0.0, points_per_branch) if lo < 0 else empty
+        pos_x = np.linspace(0.0, hi, _GRID_POINTS) if hi > 0 else empty
+        neg_x = np.linspace(lo, 0.0, _GRID_POINTS) if lo < 0 else empty
     # Draws > x are those after the last draw <= x, and draws < x those
     # before the first draw >= x.
     pos_p = (n - np.searchsorted(ordered, pos_x, side="right")) / n
@@ -155,7 +154,6 @@ def ccdf(v: ParameterView, points_per_branch: int = 512) -> CcdfCurve:
         positive_probabilities=pos_p,
         negative_thresholds=neg_x,
         negative_probabilities=neg_p,
-        n_draws=n,
     )
 
 
@@ -203,14 +201,15 @@ def summarize(v: ParameterView, level: float = 0.95) -> PosteriorSummary:
     )
 
 
-def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
+def kde(v: ParameterView) -> DensityEstimate:
     """Gaussian-kernel density estimate with Silverman's rule bandwidth.
 
     Bandwidth is ``h = 0.9 * min(sd, IQR / 1.34) * n**(-1/5)`` (falling
     back to the standard deviation alone when the IQR is zero), evaluated
-    on a uniform grid spanning ``[min - 3h, max + 3h]``. The trapezoidal
-    integral of the density stays within 1% of one while the grid spacing
-    is at most about 3h; past that, the direct sum's integral strays too.
+    on the figures' uniform grid of G = ``_GRID_POINTS`` points spanning
+    ``[min - 3h, max + 3h]``. The trapezoidal integral of the density
+    stays within 1% of one while the grid spacing is at most about 3h;
+    past that, the direct sum's integral strays too.
 
     The estimate is binned, not a direct sum over draws (Silverman 1982,
     AS 176; Wand 1994). The output grid is refined r-fold into
@@ -221,7 +220,7 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     +-8h, through one zero-padded real FFT. The cost is O(N + M log M)
     for N draws, against O(G * N) for the direct sum, and the result is
     within about 2e-3 of the peak density of the direct sum. M is capped
-    at 2**18 bins: a far outlier can make the range millions of
+    at 2**18 bins (r <= 513): a far outlier can make the range millions of
     bandwidths wide, and the bins are then wider than h / 8 and the
     estimate coarser. Densities are clipped at zero, which the FFT's
     rounding can cross in the tails.
@@ -236,9 +235,6 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
     estimated like any others: the bandwidth comes from draws scaled by a
     power of two, so their squared deviations do not underflow.
     """
-    grid_points = int(grid_points)
-    if grid_points < 16:
-        raise InvalidArgument(f"grid_points must be >= 16, got {grid_points}")
     # The bandwidth and the binning are scale-equivariant, so they are
     # computed on the scaled draws, whose squared deviations neither
     # underflow nor overflow. For draws whose bandwidth and grid are
@@ -267,12 +263,12 @@ def kde(v: ParameterView, grid_points: int = 512) -> DensityEstimate:
             " finite density grid or normalisation"
         )
     with np.errstate(over="ignore"):  # as in ccdf
-        grid = np.linspace(grid_lo, grid_hi, grid_points)
+        grid = np.linspace(grid_lo, grid_hi, _GRID_POINTS)
 
-    max_refine = max(1, (_KDE_MAX_BINS - 1) // (grid_points - 1))
-    spacing = (hi - lo) / (grid_points - 1)
+    max_refine = (_KDE_MAX_BINS - 1) // (_GRID_POINTS - 1)
+    spacing = (hi - lo) / (_GRID_POINTS - 1)
     refine = math.ceil(min(_KDE_BINS_PER_BANDWIDTH * spacing / h, max_refine))
-    bins = refine * (grid_points - 1) + 1
+    bins = refine * (_GRID_POINTS - 1) + 1
     width = (hi - lo) / (bins - 1)
     # Bins within the kernel's cut, either side of its centre.
     reach = min(int(_KDE_TRUNCATE * h / width), bins - 1)

@@ -85,7 +85,7 @@ def test_criterion_2_exact_ecdf_oracle():
             cb = sum(1 for u in values if u > b)
             assert prob_between(v, a, b) == (ca - cb) / n
 
-        curve = ccdf(v, int(rng.integers(2, 24)))
+        curve = ccdf(v)
         assert (np.diff(curve.positive_probabilities) <= 0.0).all()
         assert (np.diff(curve.negative_probabilities) >= 0.0).all()
     print("ACCEPTANCE 2 (exact ECDF oracle, 1000 cases): PASS")
@@ -204,8 +204,8 @@ def test_criterion_5_diagnostics():
 
 
 def test_criterion_6_rendering(normal_draws):
-    curve = ccdf(normal_draws, 256)
-    density = kde(normal_draws, 128)
+    curve = ccdf(normal_draws)
+    density = kde(normal_draws)
     curve_svg = render_ccdf(curve)
     density_svg = render_density(density)
 

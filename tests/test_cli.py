@@ -101,6 +101,24 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert stderr == "error: InvalidArgument: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--n", "1000000000000000"], ["fit", "DATA", "--iters", "1000000000000000"]],
+    ids=["simulate", "fit"],
+)
+def test_allocation_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
+    # numpy refuses 10**15 units or iterations (petabytes) at once, with a
+    # private MemoryError subclass that escaped as a traceback.
+    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+    write_dataset(simulate_experiment(60, 5.0, 1.0, 2.0, seed=8), data)
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    code, stdout, stderr = run(*argv, "--out", str(out), capsys=capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: MemoryError: Unable to allocate ")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
 class TestFit:
     def _dataset(self, tmp_path) -> str:
         data = simulate_experiment(60, 5.0, 1.0, 2.0, seed=8)
@@ -336,13 +354,15 @@ class TestPlots:
         below = float(stdout.splitlines()[1].split(" = ")[1])
         assert above + below == pytest.approx(1.0, abs=1e-12)
 
-    def test_ccdf_rejects_one_point(self, tmp_path, capsys):
-        code, _, stderr = run(
-            "ccdf", self._draws(tmp_path), "--points", "1",
-            "--out", str(tmp_path / "c.svg"), capsys=capsys,
+    @pytest.mark.parametrize("command", ["ccdf", "density"])
+    def test_grid_size_is_not_an_option(self, tmp_path, capsys, command):
+        out = tmp_path / "c.svg"
+        code, stdout, stderr = run(
+            command, self._draws(tmp_path), "--points", "64", "--out", str(out), capsys=capsys
         )
-        assert code == 2
-        assert "error: InvalidArgument" in stderr
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments: --points 64" in stderr
+        assert not out.exists()
 
     def test_density_writes_svg(self, tmp_path, capsys):
         out = tmp_path / "d.svg"
@@ -535,7 +555,6 @@ class TestFuzz:
         params=st.lists(draw_matrices(), min_size=1, max_size=2),
         command=st.sampled_from(["summarize", "ccdf", "density", "diagnose"]),
         select=st.booleans(),
-        points=st.sampled_from([2, 16, 512]),
     )
     # Inputs that once escaped as other exceptions, never returned, or
     # gave a wrong figure: R-hat's fsum overflowing, tick steps that round
@@ -545,21 +564,16 @@ class TestFuzz:
     # whose sd underflowed in the density estimate, and a span of the
     # largest double, over which numpy's linspace warned.
     @example(params=[np.array([[0.0, MAX, 0.0, MAX], [0.0, MAX, MAX, MAX]])], command="diagnose",
-             select=False, points=512)
-    @example(params=[np.array([[0.0, 5e-324, 0.0, 0.0]])], command="ccdf", select=False, points=512)
-    @example(params=[np.array([[0.0, 2.5e-323, 0.0, 0.0]])], command="ccdf", select=False,
-             points=512)
-    @example(params=[np.array([[1.0, 1.797693134362316e308]])], command="ccdf", select=False,
-             points=512)
-    @example(params=[np.array([[-MAX, MAX, 0.0, 1.0]])], command="density", select=False,
-             points=512)
-    @example(params=[np.array([[-1.7e308, 1.7e308, 1.0, 2.0]])], command="ccdf", select=False,
-             points=512)
-    @example(params=[np.array([[1e-300, 2e-300, 3e-300, 5e-324]])], command="density", select=False,
-             points=512)
-    @example(params=[np.array([[0.0, MAX]])], command="ccdf", select=False, points=512)
-    @example(params=[np.array([[0.0, MAX]])], command="density", select=False, points=512)
-    def test_any_draws_file_exits_cleanly(self, tmp_path, capsys, params, command, select, points):
+             select=False)
+    @example(params=[np.array([[0.0, 5e-324, 0.0, 0.0]])], command="ccdf", select=False)
+    @example(params=[np.array([[0.0, 2.5e-323, 0.0, 0.0]])], command="ccdf", select=False)
+    @example(params=[np.array([[1.0, 1.797693134362316e308]])], command="ccdf", select=False)
+    @example(params=[np.array([[-MAX, MAX, 0.0, 1.0]])], command="density", select=False)
+    @example(params=[np.array([[-1.7e308, 1.7e308, 1.0, 2.0]])], command="ccdf", select=False)
+    @example(params=[np.array([[1e-300, 2e-300, 3e-300, 5e-324]])], command="density", select=False)
+    @example(params=[np.array([[0.0, MAX]])], command="ccdf", select=False)
+    @example(params=[np.array([[0.0, MAX]])], command="density", select=False)
+    def test_any_draws_file_exits_cleanly(self, tmp_path, capsys, params, command, select):
         # Every failure must be an EffectProbError, which main reports as
         # one error line and exit code 2; anything else propagates here.
         shape = params[0].shape
@@ -570,7 +584,7 @@ class TestFuzz:
         if select and command != "diagnose":
             argv += ["--param", "p0"]
         if command in ("ccdf", "density"):
-            argv += ["--points", str(points), "--out", str(tmp_path / "fuzz.svg")]
+            argv += ["--out", str(tmp_path / "fuzz.svg")]
         code, _, stderr = run(*argv, capsys=capsys)
         assert code in (0, 1, 2)
         if code == 2:
@@ -582,22 +596,21 @@ class TestFuzz:
     @given(
         params=st.lists(draw_matrices(), min_size=1, max_size=2),
         command=st.sampled_from(["summarize", "ccdf", "density"]),
-        points=st.sampled_from([2, 16, 512]),
         level=st.sampled_from([0.5, 0.95]),
     )
     # Outputs that were once wrong: an interval below every draw, because
     # scaled draws far below the largest one rounded to 0, and a density
     # of zeros, because its normalisation overflowed. numpy's mean of 15
     # draws of 0.1 is 0.10000000000000003, above every draw.
-    @example(params=[np.full((3, 5), 0.1)], command="summarize", points=512, level=0.95)
-    @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="summarize", points=512,
+    @example(params=[np.full((3, 5), 0.1)], command="summarize", level=0.95)
+    @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="summarize",
              level=0.95)
     @example(params=[np.array([[1e-300, 2e-300, 1e-300, 2e-300], [1e300, 3e-300, 4e-300, 3e-300]])],
-             command="summarize", points=512, level=0.5)
-    @example(params=[np.array([[0.0] * 40 + [1e308]])], command="density", points=512, level=0.95)
-    @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="density", points=512,
+             command="summarize", level=0.5)
+    @example(params=[np.array([[0.0] * 40 + [1e308]])], command="density", level=0.95)
+    @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="density",
              level=0.95)
-    def test_printed_numbers_match_an_oracle(self, tmp_path, capsys, params, command, points, level):
+    def test_printed_numbers_match_an_oracle(self, tmp_path, capsys, params, command, level):
         # Every exit-0 output is checked against numpy on the draws read
         # back from the file; an exit 2 must be the library refusing them.
         shape = params[0].shape
@@ -608,7 +621,7 @@ class TestFuzz:
         if command == "summarize":
             argv += ["--level", repr(level)]
         else:
-            argv += ["--points", str(points), "--out", str(tmp_path / "fuzz.svg")]
+            argv += ["--out", str(tmp_path / "fuzz.svg")]
         code, stdout, stderr = run(*argv, capsys=capsys)
         v = view(read_draws(path), "p0")
         pooled, n = v.pooled, v.pooled.size
@@ -616,7 +629,7 @@ class TestFuzz:
             assert command != "summarize", stderr
             curve, render = (ccdf, render_ccdf) if command == "ccdf" else (kde, render_density)
             with pytest.raises(EffectProbError):
-                render(curve(v, points))
+                render(curve(v))
             return
         assert code == 0
 
@@ -637,13 +650,13 @@ class TestFuzz:
         assert less == np.count_nonzero(pooled < 0) / n
 
         if command == "ccdf":
-            curve = ccdf(v, points)
+            curve = ccdf(v)
             for thresholds in (curve.positive_thresholds, curve.negative_thresholds):
                 assert (np.diff(thresholds) >= 0).all()
             assert (np.diff(curve.positive_probabilities) <= 0).all()
             assert (np.diff(curve.negative_probabilities) >= 0).all()
         if command == "density":
-            est = kde(v, points)
+            est = kde(v)
             with np.errstate(over="ignore"):
                 z = (est.grid[:, None] - pooled) / est.bandwidth
                 direct = np.exp(-0.5 * z * z).sum(axis=1)

@@ -63,12 +63,12 @@ def test_dataset_and_fitted_draws_file_bytes(tmp_path):
             "63b989e78996c870bb57047e9734046f161c56d2a0c5f77b7e72bda195bdfa31",
         ),
         (
-            ["--x-label", "Minimum <change>", "--points", "64"],
+            ["--x-label", "Minimum <change>"],
             "90c8385d80b926305ca6d90ccb1fb67b471c2fb147c28f0ce424a5f42c2e1864",
-            "5f1e2e1c4b98087153832322186858cf66fd85341cd92d751c5f4a412d4e3be2",
+            "ac033f02f251fc589ea6d65e1f10e0769ec5f59d7eb558babedeec11f4e161a4",
         ),
     ],
-    ids=["defaults", "label-and-64-points"],
+    ids=["defaults", "label"],
 )
 def test_ccdf_command_bytes(figure1_draws, tmp_path, capsys, flags, stdout_digest, svg_digest):
     capsys.readouterr()

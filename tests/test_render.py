@@ -38,12 +38,12 @@ def texts(svg_text: str) -> list[str]:
 
 @pytest.fixture(scope="module")
 def two_point_curve():
-    return ccdf(make_view([[-1.0, 1.0]]), 2)
+    return ccdf(make_view([[-1.0, 1.0]]))
 
 
 @pytest.fixture(scope="module")
 def normal_curve(normal_draws):
-    return ccdf(normal_draws, 256)
+    return ccdf(normal_draws)
 
 
 class TestRenderCcdf:
@@ -112,7 +112,6 @@ class TestRenderCcdf:
             positive_probabilities=np.empty(0),
             negative_thresholds=np.empty(0),
             negative_probabilities=np.empty(0),
-            n_draws=2,
         )
         with pytest.raises(EmptyCurve):
             render_ccdf(curve)
@@ -122,7 +121,7 @@ class TestRenderCcdf:
         with pytest.raises(InvalidArgument, match="which XML forbids$"):
             render_ccdf(normal_curve, x_label=label)
         with pytest.raises(InvalidArgument, match="which XML forbids$"):
-            render_density(kde(normal_draws, 64), x_label=label)
+            render_density(kde(normal_draws), x_label=label)
 
     def test_label_xml_allows_parses(self, normal_curve):
         # Tab, LF, CR, markup characters and non-ASCII text are all legal XML.
@@ -130,7 +129,7 @@ class TestRenderCcdf:
         assert ET.fromstring(render_ccdf(normal_curve, x_label=label)) is not None
 
     def test_single_branch_curve_renders(self):
-        curve = ccdf(make_view([[1.0, 2.0, 3.0]]), 8)
+        curve = ccdf(make_view([[1.0, 2.0, 3.0]]))
         assert len(polylines(render_ccdf(curve))) == 1
 
 
@@ -138,7 +137,7 @@ class TestOverflowingSpan:
     """An x span past the largest double would map every point to one edge."""
 
     def test_curve_over_overflowing_span_is_degenerate(self):
-        curve = ccdf(make_view([[-1.7e308, 1.7e308, 1.0, 2.0]]), 64)
+        curve = ccdf(make_view([[-1.7e308, 1.7e308, 1.0, 2.0]]))
         with pytest.raises(DegenerateDraws, match="x axis from"):
             ccdf_axis_maps(curve)
         with pytest.raises(DegenerateDraws):
@@ -154,7 +153,7 @@ class TestOverflowingSpan:
             render_density(est)
 
     def test_largest_finite_span_still_renders(self):
-        curve = ccdf(make_view([[-8e307, 8e307, 1.0, 2.0]]), 64)
+        curve = ccdf(make_view([[-8e307, 8e307, 1.0, 2.0]]))
         xmap, _ = ccdf_axis_maps(curve)
         assert xmap.to_px(8e307) > xmap.to_px(-8e307)
         assert len(polylines(render_ccdf(curve))) == 2
@@ -162,17 +161,17 @@ class TestOverflowingSpan:
 
 class TestRenderDensity:
     def test_well_formed_and_labeled(self, normal_draws):
-        svg = render_density(kde(normal_draws, 128))
+        svg = render_density(kde(normal_draws))
         assert "Density" in texts(svg)
 
     def test_single_polyline_over_grid(self, normal_draws):
-        est = kde(normal_draws, 128)
+        est = kde(normal_draws)
         lines = polylines(render_density(est))
         assert len(lines) == 1
-        assert len(lines[0]) == 128
+        assert len(lines[0]) == 512
 
     def test_peak_near_one(self, normal_draws):
-        est = kde(normal_draws, 256)
+        est = kde(normal_draws)
         xmap, _ = density_axis_maps(est)
         line = polylines(render_density(est))[0]
         peak_px = min(line, key=lambda pt: pt[1])[0]  # smallest py = highest point
@@ -181,7 +180,7 @@ class TestRenderDensity:
     def test_symmetric_density_symmetric_path(self):
         rng = np.random.default_rng(6)
         half = rng.normal(size=1500)
-        est = kde(make_view(np.concatenate([half, -half]).reshape(1, -1)), 128)
+        est = kde(make_view(np.concatenate([half, -half]).reshape(1, -1)))
         line = polylines(render_density(est))[0]
         xs = [px for px, _ in line]
         ys = [py for _, py in line]
@@ -191,7 +190,7 @@ class TestRenderDensity:
             assert ys[i] == pytest.approx(ys[-1 - i], abs=1.0)
 
     def test_inversion_and_determinism(self, normal_draws):
-        est = kde(normal_draws, 64)
+        est = kde(normal_draws)
         svg = render_density(est)
         assert svg == render_density(est)
         xmap, ymap = density_axis_maps(est)

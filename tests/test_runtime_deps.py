@@ -25,7 +25,7 @@ from effectprob.draws import ParameterView
 from effectprob.summary import kde
 
 v = ParameterView("x", np.random.default_rng(0).normal(size=(4, 500)))
-kde(v, 64)
+kde(v)
 ess(v)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded

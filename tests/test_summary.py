@@ -43,6 +43,12 @@ def brute_count_below(values, x) -> int:
     return sum(1 for v in values if v < x)
 
 
+def brute_counts(values: np.ndarray, grid: np.ndarray, side: str) -> np.ndarray:
+    """Draws strictly above (or below) each grid point, one full scan per point."""
+    beyond = values[None, :] > grid[:, None] if side == "above" else values[None, :] < grid[:, None]
+    return beyond.sum(axis=1)
+
+
 def brute_quantile(values, q: float) -> float:
     """Linear interpolation between order statistics, from first principles."""
     ordered = sorted(values)
@@ -200,33 +206,32 @@ class TestExactProperties:
 class TestCcdf:
     def test_two_point_branches(self):
         v = make_view([[-1.0, 1.0]])
-        curve = ccdf(v, 2)
-        assert curve.positive_thresholds.tolist() == [0.0, 1.0]
-        assert curve.positive_probabilities.tolist() == [0.5, 0.0]
-        assert curve.negative_thresholds.tolist() == [-1.0, 0.0]
-        assert curve.negative_probabilities.tolist() == [0.0, 0.5]
-        assert curve.n_draws == 2
+        curve = ccdf(v)
+        assert np.array_equal(curve.positive_thresholds, np.linspace(0.0, 1.0, 512))
+        assert curve.positive_probabilities.tolist() == [0.5] * 511 + [0.0]
+        assert np.array_equal(curve.negative_thresholds, np.linspace(-1.0, 0.0, 512))
+        assert curve.negative_probabilities.tolist() == [0.0] + [0.5] * 511
 
     @pytest.mark.parametrize("values", [[0.0, MAX], [-MAX, 0.0]])
     def test_branch_spanning_the_largest_double(self, values):
         # linspace's last step overflows here: numpy wrote the endpoint
         # itself, but warned, and under -W error the CLI exited 1.
-        curve = ccdf(make_view([values]), 512)
+        curve = ccdf(make_view([values]))
         thresholds = np.concatenate([curve.negative_thresholds, curve.positive_thresholds])
         assert thresholds.size == 512 and np.isfinite(thresholds).all()
         assert (thresholds[[0, -1]] == values).all()
 
     def test_all_positive_gives_empty_negative_branch(self):
-        curve = ccdf(make_view([[1.0, 2.0, 3.0]]), 4)
+        curve = ccdf(make_view([[1.0, 2.0, 3.0]]))
         assert curve.negative_thresholds.size == 0
-        assert curve.positive_thresholds.size == 4
+        assert curve.positive_thresholds.size == 512
 
     def test_all_negative_gives_empty_positive_branch(self):
-        curve = ccdf(make_view([[-1.0, -2.0]]), 4)
+        curve = ccdf(make_view([[-1.0, -2.0]]))
         assert curve.positive_thresholds.size == 0
 
     def test_normal_curve_matches_analytic_ccdf(self, normal_draws):
-        curve = ccdf(normal_draws, 512)
+        curve = ccdf(normal_draws)
 
         def at(x):
             idx = int(np.argmin(np.abs(curve.positive_thresholds - x)))
@@ -240,43 +245,49 @@ class TestCcdf:
         rng = np.random.default_rng(11)
         for _ in range(50):
             values = rng.normal(loc=rng.normal(), size=int(rng.integers(2, 200)))
-            curve = ccdf(make_view(values.reshape(1, -1)), 17)
+            curve = ccdf(make_view(values.reshape(1, -1)))
             assert (np.diff(curve.positive_probabilities) <= 0).all()
             assert (np.diff(curve.negative_probabilities) >= 0).all()
 
     def test_points_equal_per_threshold_counts(self):
         # Reference: one strict-inequality scan of all draws per grid point.
-        # Integer draws with ties, -0.0, and grids that hit draw values
-        # exercise both sides of every binary search.
+        # Draws taken from the grids themselves, with ties and -0.0, make
+        # the grids hit draw values and exercise both sides of every
+        # binary search.
         rng = np.random.default_rng(12)
         for case in range(200):
             n = int(rng.integers(2, 300))
             if case % 2:
-                values = rng.integers(-4, 5, size=n).astype(float)
+                lo, hi = -float(rng.integers(1, 5)), float(rng.integers(1, 5))
+                grids = np.concatenate([np.linspace(lo, 0.0, 512), np.linspace(0.0, hi, 512)])
+                values = np.append(rng.choice(grids, size=n - 2), [lo, hi])
                 values[values == 0] = -0.0
             else:
                 values = rng.standard_t(2, size=n)
             v = make_view(values.reshape(1, -1))
-            curve = ccdf(v, int(rng.integers(2, 20)))
-            for x, p in zip(curve.positive_thresholds, curve.positive_probabilities):
-                assert p == prob_exceeds(v, x) == brute_count_above(values, x) / n
-            for x, p in zip(curve.negative_thresholds, curve.negative_probabilities):
-                assert p == prob_below(v, x) == brute_count_below(values, x) / n
+            curve = ccdf(v)
+            pos_x, neg_x = curve.positive_thresholds, curve.negative_thresholds
+            assert (curve.positive_probabilities == brute_counts(values, pos_x, "above") / n).all()
+            assert (curve.negative_probabilities == brute_counts(values, neg_x, "below") / n).all()
+            assert curve.positive_probabilities.tolist() == [prob_exceeds(v, x) for x in pos_x]
+            assert curve.negative_probabilities.tolist() == [prob_below(v, x) for x in neg_x]
 
     def test_probabilities_are_draw_fractions(self):
-        values = np.array([-2.0, -1.0, 0.5, 1.5, 2.5])
-        curve = ccdf(make_view(values.reshape(1, -1)), 9)
+        v = make_view([[-2.0, -1.0, 0.5, 1.5, 2.5]])
+        curve = ccdf(v)
+        n = v.pooled.size
         for p in np.concatenate([curve.positive_probabilities, curve.negative_probabilities]):
-            assert (p * 5) == pytest.approx(round(p * 5), abs=1e-12)
+            assert (p * n) == pytest.approx(round(p * n), abs=1e-12)
 
     def test_draws_tied_to_grid_points(self):
-        # Every grid point on both branches is a draw, most of them repeated,
+        # Every grid point on both branches is a draw, many of them repeated,
         # so each binary search meets ties: a count that took <= for > or
         # >= for < on either branch differs here.
-        values = np.array([-4, -4, -3, -2, -1, -1, 0, 0, 1, 2, 2, 2, 3, 4], dtype=float)
-        curve = ccdf(make_view(values.reshape(1, -1)), 5)
-        assert curve.positive_thresholds.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert curve.negative_thresholds.tolist() == [-4.0, -3.0, -2.0, -1.0, 0.0]
+        pos_grid, neg_grid = np.linspace(0.0, 4.0, 512), np.linspace(-4.0, 0.0, 512)
+        values = np.concatenate([neg_grid, neg_grid[::2], pos_grid, pos_grid[::3]])
+        curve = ccdf(make_view(values.reshape(1, -1)))
+        assert np.array_equal(curve.positive_thresholds, pos_grid)
+        assert np.array_equal(curve.negative_thresholds, neg_grid)
         n = values.size
         for x, p in zip(curve.positive_thresholds, curve.positive_probabilities):
             assert p == brute_count_above(values, x) / n
@@ -287,14 +298,14 @@ class TestCcdf:
         # Sum of the two branch probabilities at x=0 is 1 minus the share
         # of draws exactly at zero.
         values = np.array([-2.0, -1.0, 0.0, 1.0])
-        curve = ccdf(make_view(values.reshape(1, -1)), 3)
+        curve = ccdf(make_view(values.reshape(1, -1)))
         p_pos = curve.positive_probabilities[0]       # threshold 0 opens the branch
         p_neg = curve.negative_probabilities[-1]      # threshold 0 closes the branch
         assert p_pos == 0.25
         assert p_neg == 0.5
         assert p_pos + p_neg == 0.75  # one draw sits exactly at zero
 
-        no_ties = ccdf(make_view([[-1.0, -0.5, 2.0]]), 3)
+        no_ties = ccdf(make_view([[-1.0, -0.5, 2.0]]))
         assert no_ties.positive_probabilities[0] + no_ties.negative_probabilities[-1] == 1.0
 
 
@@ -423,12 +434,12 @@ class TestSummarize:
 
 class TestKde:
     def test_peak_near_normal_mode(self, normal_draws):
-        est = kde(normal_draws, 512)
+        est = kde(normal_draws)
         peak = est.grid[int(np.argmax(est.density))]
         assert peak == pytest.approx(1.0, abs=0.1)
 
     def test_integral_close_to_one(self, normal_draws):
-        est = kde(normal_draws, 512)
+        est = kde(normal_draws)
         integral = float(np.trapezoid(est.density, est.grid))
         assert 0.99 <= integral <= 1.01
 
@@ -436,27 +447,27 @@ class TestKde:
         rng = np.random.default_rng(3)
         half = rng.normal(size=2000)
         values = np.concatenate([half, -half])  # exactly symmetric about 0
-        est = kde(make_view(values.reshape(1, -1)), 256)
+        est = kde(make_view(values.reshape(1, -1)))
         assert np.allclose(est.density, est.density[::-1], atol=1e-6)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateDraws):
-            kde(make_view([[2.0, 2.0, 2.0]]), 64)
+            kde(make_view([[2.0, 2.0, 2.0]]))
 
     @pytest.mark.parametrize("value", [0.3, 0.1, 3002399751580331.0, 1e-300])
     def test_constant_draws_rejected(self, value):
         # The rounding of numpy's mean can leave their sd nonzero: 0.3 once
         # gave bandwidth 1.5e-17 and a density peaking at 2.6e16.
         with pytest.raises(DegenerateDraws):
-            kde(make_view(np.full((4, 100), value)), 64)
+            kde(make_view(np.full((4, 100), value)))
 
     def test_normalisation_that_overflows_rejected(self):
         # The bandwidth, 6.7e306, is normal and the grid finite, but
         # n h sqrt(2 pi) overflows: the density was 0 everywhere.
         with pytest.raises(DegenerateDraws, match="normalisation"):
-            kde(make_view([[0.0] * 40 + [1e308]]), 64)
+            kde(make_view([[0.0] * 40 + [1e308]]))
         # With 1e300 in place of 1e308 it fits, and integrates to 1.
-        est = kde(make_view([[0.0] * 40 + [1e300]]), 512)
+        est = kde(make_view([[0.0] * 40 + [1e300]]))
         assert 0.99 <= float(np.trapezoid(est.density, est.grid)) <= 1.01
 
     def test_bandwidth_is_silverman(self, normal_draws):
@@ -464,7 +475,7 @@ class TestKde:
         sd = pooled.std(ddof=1)
         iqr = np.quantile(pooled, 0.75) - np.quantile(pooled, 0.25)
         expected = 0.9 * min(sd, iqr / 1.34) * pooled.size ** (-0.2)
-        assert kde(normal_draws, 64).bandwidth == pytest.approx(expected, rel=1e-12)
+        assert kde(normal_draws).bandwidth == pytest.approx(expected, rel=1e-12)
 
 
 class TestBinnedKde:
@@ -478,18 +489,16 @@ class TestBinnedKde:
     )
     def test_matches_direct_sum(self, family, n, seed):
         # Deviations are bounded by 2e-3 of the estimate's peak, which is
-        # found at the draws: a 16-point grid over a heavy-tailed range
-        # can miss every bump, and its own maximum then scales nothing.
+        # found at the draws: the grid over a heavy-tailed range can miss
+        # every bump, and its own maximum then scales nothing.
         values = family_draws(family, n, seed)
-        v = make_view(values.reshape(1, -1))
-        for grid_points in (16, 64, 512):
-            est = kde(v, grid_points)
-            h = est.bandwidth
-            expected_grid = np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, grid_points)
-            assert np.array_equal(est.grid, expected_grid)
-            direct = direct_kde(values, est.grid, h)
-            peak = max(direct.max(), direct_kde(values, values, h).max())
-            assert np.max(np.abs(est.density - direct)) <= 2e-3 * peak
+        est = kde(make_view(values.reshape(1, -1)))
+        h = est.bandwidth
+        expected_grid = np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, 512)
+        assert np.array_equal(est.grid, expected_grid)
+        direct = direct_kde(values, est.grid, h)
+        peak = max(direct.max(), direct_kde(values, values, h).max())
+        assert np.max(np.abs(est.density - direct)) <= 2e-3 * peak
 
     def test_outlier_caps_the_internal_grid(self, monkeypatch):
         # One draw 2e4 from 100,000 N(0, 1) draws would need 1.8M bins at
@@ -504,7 +513,7 @@ class TestBinnedKde:
             return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", spy)
-        est = kde(make_view(values.reshape(1, -1)), 512)
+        est = kde(make_view(values.reshape(1, -1)))
         assert sizes and max(sizes) <= 2**19
         assert np.isfinite(est.density).all()
         assert (est.density >= 0.0).all()
@@ -513,9 +522,9 @@ class TestBinnedKde:
         # and it integrated to 114.5.
         values[-1] = 1e6
         with pytest.raises(DegenerateDraws, match="wider than 4 bandwidths"):
-            kde(make_view(values.reshape(1, -1)), 512)
+            kde(make_view(values.reshape(1, -1)))
 
-    @pytest.mark.parametrize("grid_points", [16, 512])
+    @pytest.mark.parametrize("grid_points", [512])
     @pytest.mark.parametrize("reach", [0, 1, 2, 3, 4, 8])
     def test_capped_bins_match_direct_sum_or_are_refused(self, reach, grid_points):
         # 1,000 N(0, 1) draws and one far draw, placed so that the 2**18
@@ -525,15 +534,15 @@ class TestBinnedKde:
         # 3.2e-3 of the peak from the direct sum, and at reach 0 up to 0.16.
         rng = np.random.default_rng(5)
         values = np.append(rng.normal(size=1_000), 100.0)
-        h = kde(make_view(values.reshape(1, -1)), grid_points).bandwidth
+        h = kde(make_view(values.reshape(1, -1))).bandwidth
         bins = (2**18 - 1) // (grid_points - 1) * (grid_points - 1) + 1
         values[-1] = values.min() - 6.0 * h + 8.0 * h * (bins - 1) / (reach + 0.5)
         v = make_view(values.reshape(1, -1))
         if reach < 2:
             with pytest.raises(DegenerateDraws, match="wider than 4 bandwidths"):
-                kde(v, grid_points)
+                kde(v)
             return
-        est = kde(v, grid_points)
+        est = kde(v)
         assert est.bandwidth == h
         direct = direct_kde(values, est.grid, h)
         peak = max(direct.max(), direct_kde(values, values, h).max())
@@ -541,7 +550,7 @@ class TestBinnedKde:
 
     def test_unrepresentable_grid_rejected(self):
         with pytest.raises(DegenerateDraws):
-            kde(make_view([[-1.7e308, 1.7e308, 0.0, 1.0]]), 64)
+            kde(make_view([[-1.7e308, 1.7e308, 0.0, 1.0]]))
 
     def test_grid_spanning_the_largest_double(self):
         # Two draws near +-MAX / 2 beside eight with a small spread: the
@@ -549,14 +558,14 @@ class TestBinnedKde:
         # last step overflowed and warned.
         a, spread = 8.973773400972836e307, MAX / 2000
         values = np.concatenate([[-a], np.linspace(-1.0, 1.0, 8) * spread, [a]])
-        est = kde(make_view([values]), 16)
+        est = kde(make_view([values]))
         assert np.isfinite(est.grid).all() and est.grid[0] == -est.grid[-1]
         assert np.isfinite(est.density).all()
 
     def test_tiny_distinct_draws(self):
         # Their deviations square to 0, so an sd taken in their own units
         # underflows to 0 although the draws differ.
-        est = kde(make_view([[1e-300, 2e-300, 3e-300, 5e-324]]), 64)
+        est = kde(make_view([[1e-300, 2e-300, 3e-300, 5e-324]]))
         assert np.isfinite(est.density).all()
         assert (est.density >= 0.0).all()
         assert 0.99 <= float(np.trapezoid(est.density, est.grid)) <= 1.01
@@ -573,12 +582,12 @@ class TestBinnedKde:
         # draws' own units bit for bit, and the densities of draws scaled
         # by 2^power are the unscaled densities divided by 2^power.
         values = np.ldexp(family_draws(family, n, seed), power)
-        est = kde(make_view(values.reshape(1, -1)), 64)
+        est = kde(make_view(values.reshape(1, -1)))
         sd = values.std(ddof=1)
         q25, q75 = np.quantile(values, [0.25, 0.75])
         spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
         h = 0.9 * spread * n ** (-0.2)
         assert est.bandwidth == h
-        assert np.array_equal(est.grid, np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, 64))
-        unscaled = kde(make_view(np.ldexp(values, -power).reshape(1, -1)), 64)
+        assert np.array_equal(est.grid, np.linspace(values.min() - 3.0 * h, values.max() + 3.0 * h, 512))
+        unscaled = kde(make_view(np.ldexp(values, -power).reshape(1, -1)))
         assert np.array_equal(est.density, np.ldexp(unscaled.density, -power))
