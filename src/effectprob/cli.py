@@ -19,6 +19,7 @@ import argparse
 import functools
 import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -125,8 +126,8 @@ def _cmd_plot(args: argparse.Namespace, curve, render) -> int:
     # An absent or empty --x-label keeps the renderer's default label.
     label = {"x_label": args.x_label} if args.x_label else {}
     document = render(curve(v), **label)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    # Bytes, as the CSV writers write, so lines end at \n on every platform.
+    Path(args.out).write_bytes(document.encode("utf-8"))
     print(f"P({v.name}>0) = {prob_exceeds(v, 0.0)!r}")
     print(f"P({v.name}<0) = {prob_below(v, 0.0)!r}")
     return 0

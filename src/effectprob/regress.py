@@ -61,11 +61,15 @@ in the update, with no function call. A chain draws its random variates
 in blocks, not one numpy call per scalar: its standard normals
 (2 x iterations) in one call, its exponentials (the slice height's drop
 or the Metropolis-Hastings acceptance threshold) in another, its
-uniforms from blocks of 4 x iterations, refilled when used up and handed
-out by a C-level iterator, and its Gamma((n - 1) / 2) variates in one
-call on a child stream, which leaves the other variates as they would be
-without it. The draws are gathered in Python lists and converted to one
-array at the end.
+uniforms from blocks of 4,096, refilled when used up and handed out by a
+C-level iterator, and its Gamma((n - 1) / 2) variates in one call on a
+child stream, which leaves the other variates as they would be without
+it. It keeps these as arrays, 32 B per iteration, and turns them into
+Python floats one block of 1,024 iterations at a time. Each block's draws
+are gathered in Python lists and written, warm-up left out, into the
+fit's one ``(3, chains, kept iterations)`` array when the block ends. So
+a chain's peak is about 40 B per iteration, and a fit's, with that array
+and the copy :class:`~effectprob.draws.Draws` makes, about 100 B.
 """
 
 from __future__ import annotations
@@ -106,6 +110,12 @@ _MAX_DATA_PRECISION = sys.float_info.max / 1024.0
 # _MAX_SCALE of 1: the kernel forms 1 / sd^2, and sigma^2 and n / sigma^2 for
 # a start sigma = E / rate (E standard exponential), finite unless E < 1e-14.
 _MAX_SCALE = 1e140
+# A chain turns its variates into Python floats, and gathers its draws in
+# Python lists, this many iterations at a time, so that the Python objects
+# it holds do not grow with its length. Generator.random fills its output
+# in order, so the uniforms' block size changes none of them.
+_CHAIN_BLOCK = 1_024
+_UNIFORM_BLOCK = 4 * _CHAIN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -330,13 +340,15 @@ def simulate_experiment(
         raise InvalidArgument(f"resid_sd must be positive, got {resid_sd!r}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    treatment = np.zeros(n, dtype=np.int64)
+    treatment = np.zeros(n, dtype=np.int8)
     treatment[: n // 2] = 1
-    treatment = rng.permutation(treatment)
-    noise = rng.normal(0.0, resid_sd, size=n)
+    rng.shuffle(treatment)
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflowing outcome is Dataset's NonFiniteData, not a warning.
-        outcome = beta0 + beta1 * treatment + noise
+        # (beta0 + beta1 * treatment) + noise, built in one buffer.
+        outcome = np.multiply(beta1, treatment, dtype=np.float64)
+        outcome += beta0
+        outcome += rng.normal(0.0, resid_sd, size=n)
     return Dataset(outcome=outcome, treatment=treatment)
 
 
@@ -370,19 +382,20 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         means that lie more than their sds away, overflows.
     """
     constants = _fit_constants(data, spec.priors)
-    runs = [_run_chain(constants, spec, c) for c in range(spec.chains)]
-    draws = Draws(
-        parameter_names=("beta0", "beta1", "sigma"),
-        values=np.stack([values for values, _ in runs], axis=1),
-    )
+    kept = np.empty((3, spec.chains, spec.iterations - spec.warmup))
+    efforts = tuple(_run_chain(constants, spec, c, kept[:, c]) for c in range(spec.chains))
+    draws = Draws(parameter_names=("beta0", "beta1", "sigma"), values=kept)
+    del kept  # Draws holds its own copy; the diagnostics run without this one.
     diagnostics = {name: diagnose(view(draws, name)) for name in draws.parameter_names}
-    return FitResult(draws, diagnostics, tuple(effort for _, effort in runs))
+    return FitResult(draws, diagnostics, efforts)
 
 
 def _run_chain(
-    constants: tuple[float, ...], spec: ModelSpec, chain: int
-) -> tuple[np.ndarray, ChainStats]:
-    """One chain: rows (beta0, beta1, sigma) of post-warmup draws, and its effort.
+    constants: tuple[float, ...], spec: ModelSpec, chain: int, kept: np.ndarray
+) -> ChainStats:
+    """One chain: writes its post-warmup draws into the rows (beta0, beta1,
+    sigma) of ``kept``, a ``(3, iterations - warmup)`` array, and returns
+    its effort.
 
     The coefficients are drawn as offsets d = (d0, d1) from (mean_c,
     mean_t - mean_c). Their conditional precision is P = X'X / sigma^2
@@ -404,63 +417,77 @@ def _run_chain(
     # log(sigma), formed only when the slice update needs it after sigma
     # came from elsewhere (the start draw or the Metropolis-Hastings step).
     log_sigma = None
-    z0s, z1s = rng.standard_normal((2, spec.iterations)).tolist()
-    drops = rng.standard_exponential(spec.iterations).tolist()
-    uniform = _uniforms(rng, 4 * spec.iterations).__next__
+    normals = rng.standard_normal((2, spec.iterations))
+    drops = rng.standard_exponential(spec.iterations)
+    uniform = _uniforms(rng, _UNIFORM_BLOCK).__next__
     shape = 0.5 * (n - 1.0)
     # A child stream leaves the parent's alone, so a chain that only ever
     # takes the slice update draws what it drew before the gamma block.
-    gammas = rng.spawn(1)[0].standard_gamma(shape, spec.iterations).tolist()
+    gammas = rng.spawn(1)[0].standard_gamma(shape, spec.iterations)
     width = _slice_width(n)
     slope = 1.0 - n
     switch = _MH_SWITCH * (n - 1.0)
 
-    b0s, b1s, sigmas = [], [], []
+    iterations, warmup = spec.iterations, spec.warmup
     evals = stepouts = collapses = rejections = 0
-    for z0, z1, drop, gamma in zip(z0s, z1s, drops, gammas):
-        inv_s2 = 1.0 / (sigma * sigma)
-        b = n_trt * inv_s2
-        l11 = math.sqrt(n * inv_s2 + prec0)
-        l21 = b / l11
-        l22 = math.sqrt(b + prec1 - l21 * l21)
-        w0 = k0 / l11
-        d1 = ((k1 - l21 * w0) / l22 + z1) / l22
-        d0 = (w0 + z0 - l21 * d1) / l11
-        d_trt = d0 + d1
-        half_ssr = 0.5 * (ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt)
-        sigma_hat = math.sqrt(half_ssr / shape)
-        if rate * sigma_hat <= switch:
-            evals += 1
-            proposal = _mh_sigma(sigma, half_ssr, sigma_hat, n, rate, gamma, drop)
-            if proposal is None:
-                rejections += 1
+    for start in range(0, iterations, _CHAIN_BLOCK):
+        block = slice(start, start + _CHAIN_BLOCK)
+        b0s, b1s, sigmas = [], [], []
+        for z0, z1, drop, gamma in zip(
+            normals[0, block].tolist(),
+            normals[1, block].tolist(),
+            drops[block].tolist(),
+            gammas[block].tolist(),
+        ):
+            inv_s2 = 1.0 / (sigma * sigma)
+            b = n_trt * inv_s2
+            l11 = math.sqrt(n * inv_s2 + prec0)
+            l21 = b / l11
+            l22 = math.sqrt(b + prec1 - l21 * l21)
+            w0 = k0 / l11
+            d1 = ((k1 - l21 * w0) / l22 + z1) / l22
+            d0 = (w0 + z0 - l21 * d1) / l11
+            d_trt = d0 + d1
+            half_ssr = 0.5 * (ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt)
+            sigma_hat = math.sqrt(half_ssr / shape)
+            if rate * sigma_hat <= switch:
+                evals += 1
+                proposal = _mh_sigma(sigma, half_ssr, sigma_hat, n, rate, gamma, drop)
+                if proposal is None:
+                    rejections += 1
+                else:
+                    sigma, log_sigma = proposal, None
             else:
-                sigma, log_sigma = proposal, None
-        else:
-            if log_sigma is None:
-                log_sigma = math.log(sigma)
-            # The slice sits `drop` below the target at log_sigma, whose
-            # terms need no exp: sigma and 1 / sigma^2 are at hand.
-            height = slope * log_sigma - half_ssr * inv_s2 - rate * sigma - drop
-            log_sigma, sigma, e, s, collapsed = _slice_log_sigma(
-                log_sigma, height, n, half_ssr, rate, width, uniform
+                if log_sigma is None:
+                    log_sigma = math.log(sigma)
+                # The slice sits `drop` below the target at log_sigma, whose
+                # terms need no exp: sigma and 1 / sigma^2 are at hand.
+                height = slope * log_sigma - half_ssr * inv_s2 - rate * sigma - drop
+                log_sigma, sigma, e, s, collapsed = _slice_log_sigma(
+                    log_sigma, height, n, half_ssr, rate, width, uniform
+                )
+                evals += e
+                stepouts += s
+                collapses += collapsed
+            b0s.append(base0 + d0)
+            b1s.append(base1 + d1)
+            sigmas.append(sigma)
+        # The block's kept iterations, from the first past warm-up on.
+        skip = max(warmup - start, 0)
+        if skip < len(b0s):
+            kept[:, start + skip - warmup : start + len(b0s) - warmup] = (
+                b0s[skip:],
+                b1s[skip:],
+                sigmas[skip:],
             )
-            evals += e
-            stepouts += s
-            collapses += collapsed
-        b0s.append(base0 + d0)
-        b1s.append(base1 + d1)
-        sigmas.append(sigma)
 
-    iterations = spec.iterations
-    effort = ChainStats(
+    return ChainStats(
         chain=chain,
         slice_evals_per_iteration=evals / iterations,
         stepouts_per_iteration=stepouts / iterations,
         collapses_per_iteration=collapses / iterations,
         rejections_per_iteration=rejections / iterations,
     )
-    return np.array((b0s, b1s, sigmas))[:, spec.warmup :], effort
 
 
 def _mh_sigma(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,17 @@ from effectprob.draws import ParameterView
 def make_view(per_chain, name: str = "theta") -> ParameterView:
     """Build a ParameterView from a chain matrix (or one bare chain)."""
     return ParameterView(name, np.atleast_2d(np.asarray(per_chain, dtype=float)))
+
+
+def peak_bytes(call) -> int:
+    """The tracemalloc peak while ``call()`` runs, from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

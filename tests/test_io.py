@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +14,8 @@ from effectprob.errors import (
 )
 from effectprob.io import read_dataset, read_draws, write_dataset, write_draws
 from effectprob.regress import Dataset, ModelSpec, fit, simulate_experiment
+
+from conftest import peak_bytes
 
 
 def random_finite_doubles(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -234,16 +233,6 @@ class TestAllocationPeaks:
     rows rather than the whole text."""
 
     @staticmethod
-    def peak_bytes(call) -> int:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    @staticmethod
     def sample(kind: str):
         if kind == "draws":
             rng = np.random.default_rng(21)
@@ -255,7 +244,7 @@ class TestAllocationPeaks:
     def test_write_peak_is_at_most_twice_the_file(self, tmp_path, kind):
         value, write, _ = self.sample(kind)
         path = tmp_path / "file.csv"
-        peak = self.peak_bytes(lambda: write(value, path))
+        peak = peak_bytes(lambda: write(value, path))
         assert peak <= 2 * path.stat().st_size
 
     @pytest.mark.parametrize("kind", ["draws", "dataset"])
@@ -263,14 +252,20 @@ class TestAllocationPeaks:
         value, write, read = self.sample(kind)
         path = tmp_path / "file.csv"
         write(value, path)
-        assert self.peak_bytes(lambda: read(path)) <= 4 * path.stat().st_size
+        assert peak_bytes(lambda: read(path)) <= 4 * path.stat().st_size
 
     def test_draws_read_peak_is_at_most_two_and_a_half_times_the_file(self, tmp_path):
         # The file's bytes, loadtxt's records and the Draws copy.
         value, write, read = self.sample("draws")
         path = tmp_path / "file.csv"
         write(value, path)
-        assert self.peak_bytes(lambda: read(path)) <= 2.5 * path.stat().st_size
+        assert peak_bytes(lambda: read(path)) <= 2.5 * path.stat().st_size
+
+    def test_simulate_peak_is_at_most_40_bytes_per_unit(self):
+        # The int8 treatment, the outcome built in one buffer, and the
+        # Dataset's own copies of both.
+        n = 200_000
+        assert peak_bytes(lambda: simulate_experiment(n, 52.0, -2.49, 24.0, seed=1)) <= 40 * n
 
     def test_walked_dataset_read_peak_is_at_most_eight_times_the_file(self, tmp_path):
         # A text column sends the read to the line walk: the bytes, the
@@ -281,5 +276,5 @@ class TestAllocationPeaks:
         header, *body = path.read_text().splitlines()
         noted = [f"note,{header}"] + [f"r{row},{line}" for row, line in enumerate(body, 1)]
         path.write_text("\n".join(noted) + "\n")
-        assert self.peak_bytes(lambda: read(path)) <= 8 * path.stat().st_size
+        assert peak_bytes(lambda: read(path)) <= 8 * path.stat().st_size
         assert read(path).outcome.tobytes() == value.outcome.tobytes()

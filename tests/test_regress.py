@@ -31,7 +31,7 @@ from effectprob.regress import (
 )
 from effectprob.summary import prob_below
 
-from conftest import make_view
+from conftest import make_view, peak_bytes
 from posterior_oracle import exact_posterior, standard_errors_off
 
 # Every prior sd and rate must lie within this factor of 1; sds may be larger.
@@ -697,6 +697,28 @@ class TestPinnedDraws:
         assert hashlib.sha256(result.draws.values.tobytes()).hexdigest() == draws_sha
         got = tuple(hashlib.sha256(repr(s).encode()).hexdigest() for s in result.chain_stats)
         assert got == stats_sha, result.chain_stats
+
+
+class TestAllocationPeaks:
+    """A chain holds its variates as arrays and Python floats for one block
+    of iterations only, and a fit writes kept draws straight into one
+    output array."""
+
+    @pytest.mark.parametrize("resid_sd", [24.0, 24e8], ids=["metropolis-hastings", "slice"])
+    def test_fit_peak_per_iteration(self, resid_sd):
+        data = simulate_experiment(996, 52.0, -2.49, resid_sd, seed=109)
+        spec = ModelSpec(chains=1, iterations=50_000, warmup=1_000, seed=3)
+        peak = peak_bytes(lambda: fit(data, spec))
+        assert peak <= 160 * spec.iterations, peak / spec.iterations
+
+    @pytest.mark.parametrize("warmup", [1, 1_023, 1_024, 1_025, 2_500])
+    def test_warmup_only_drops_the_first_iterations(self, small_data, warmup):
+        # Blocks of 1,024 iterations, the warm-up ending inside one, on its
+        # edge or in a later one, keep the same draws as a fit without it.
+        spec = ModelSpec(chains=2, iterations=2_600, warmup=0, seed=5)
+        whole = fit(small_data, spec).draws.values
+        kept = fit(small_data, dataclasses.replace(spec, warmup=warmup)).draws.values
+        assert np.array_equal(kept, whole[:, :, warmup:])
 
 
 class TestNumericalRange:
