@@ -115,26 +115,32 @@ def ess(v: ParameterView) -> float:
     clamped to [1, 2m * n]. Constant split sequences, or a lag-0
     autocovariance that rounds to 0, give the clamped minimum of 1.
 
-    Every sequence's autocovariances at all lags come from one batched
-    real FFT, zero-padded to the smallest 2^a 3^b 5^c >= 2n - 1 points so
-    that the circular correlation equals the linear one. The cost is
-    O(m n log n), whatever the truncation lag, where a loop over lags
-    costs O(m n) per lag and so O(m n^2) on a random walk. Each lag's
-    terms are summed across sequences in sorted order, so relabeling
-    chains changes no bit.
+    Each sequence's autocovariances at all lags come from a real FFT,
+    zero-padded to the smallest 2^a 3^b 5^c >= 2n - 1 points so that the
+    circular correlation equals the linear one. The cost is O(m n log n),
+    whatever the truncation lag, where a loop over lags costs O(m n) per
+    lag and so O(m n^2) on a random walk. The sequences are transformed
+    one at a time into one preallocated (2m, n) array, so the working
+    memory is about three times the draws, not the nine of one batched
+    transform. Each lag's terms are summed across sequences in sorted
+    order, so relabeling chains changes no bit.
 
     Raises :class:`TooFewIterations` for chains shorter than 4.
     """
     seqs, constant = _split_sequences(v.per_chain)
     n_seq, n = seqs.shape
     total = n_seq * n
-    centered = seqs - seqs.mean(axis=1, keepdims=True)
 
     size = _fft_length(2 * n - 1)
-    spectrum = np.fft.rfft(centered, size, axis=1)
-    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
-    lagged = np.fft.irfft(power, size, axis=1)[:, :n]
-    gamma = np.sort(lagged, axis=0).sum(axis=0) / n_seq / n
+    lagged = np.empty((n_seq, n))
+    for row, seq in zip(lagged, seqs):
+        spectrum = np.fft.rfft(seq - seq.mean(), size)
+        power = spectrum.real * spectrum.real
+        power += spectrum.imag * spectrum.imag
+        del spectrum
+        row[:] = np.fft.irfft(power, size)[:n]
+    lagged.sort(axis=0)
+    gamma = lagged.sum(axis=0) / n_seq / n
 
     gamma0 = gamma[0]
     if constant or gamma0 == 0.0:

@@ -4,81 +4,62 @@ Model: y_i ~ Normal(b0 + b1 * d_i, sigma) with independent normal priors
 on the intercept b0 and treatment effect b1 and an exponential prior on
 the residual scale sigma.
 
-The sampler is Gibbs sampling: (b0, b1) are drawn jointly from their
-exact bivariate-normal full conditional given sigma (normal likelihood
-times independent normal priors is conditionally conjugate), then sigma
-is updated given them by one of two steps, chosen from (n, ssr, rate)
-alone, ssr being the sum of squared residuals. Where rate * sigma_hat <=
-(n - 1) / 4, with sigma_hat = sqrt(ssr / (n - 1)), the likelihood
-dominates, and sigma takes an independence Metropolis-Hastings step whose
-proposal is the likelihood's inverse gamma tilted toward the exponential
-prior (:func:`_mh_sigma`); it accepts over 99% of proposals at the
-application's scale and about 90% at the switch. Elsewhere, where the
-prior dominates, sigma is updated by slice sampling on u = log(sigma)
-(:func:`_slice_log_sigma`). Each step leaves sigma's conditional
-invariant, and the choice depends only on what the step conditions on,
-so the chain keeps the posterior whichever step each iteration takes.
+The sampler is collapsed: given sigma, (b0, b1) are bivariate normal
+(normal likelihood times independent normal priors), so they integrate
+out in closed form and leave sigma's 1-D marginal posterior. Each
+iteration draws u = log(sigma) by one independence Metropolis-Hastings
+step (Tierney 1994, *Annals of Statistics*) from that marginal, then
+(b0, b1) exactly from their conditional given the new sigma. The
+proposal is fixed for the fit, so every chain's sigma sequence is a
+Markov chain with the marginal as its stationary law, and each (b0, b1)
+draw completes it to the joint posterior. Two modes of the marginal,
+which prior-data conflict can make, are both covered by the proposal.
 
 The updates work from centred sufficient statistics: per arm, the
 count, the mean and the sum of squared deviations from that mean, each
 summed exactly (``math.fsum``) so that any row order gives the same
 bits. The coefficients are drawn as offsets from the arm means, and the
-sum of squared residuals is ``SS_within + n_c d0^2 + n_t (d0 + d1)^2``
-with d0 = b0 - mean_c and d0 + d1 = b0 + b1 - mean_t. Nothing is
-computed from raw totals, so nothing cancels when the outcome sits far
-from zero (Chan, Golub & LeVeque 1983).
+marginal is written in those offsets: nothing is computed from raw
+totals, so nothing cancels when the outcome sits far from zero (Chan,
+Golub & LeVeque 1983).
 
 One setup per fit, before the first chain, forms these statistics and
 the prior terms, and makes every refusal that needs both the data and
 the priors, in the order :func:`fit` lists. Constancy within the arms is
 read from the values, not from a rounded sum of squares; a spread whose
 n / sigma^2 would overflow (an sd below about 1e-151 at n = 1000) is
-refused, squared deviations that underflow to 0 included. The chains
-then raise nothing.
+refused, squared deviations that underflow to 0 included. It then
+builds the proposal (:class:`_Proposal`) from a grid of the log
+marginal (:func:`_log_marginal`). The chains then raise nothing.
 
-Slice width. The sigma conditional on the log scale is
-f(u) = -(n-1) u - ssr / (2 e^(2u)) - rate e^u. At its mode u*,
--f''(u*) = 2(n-1) + 3 rate e^(u*), so its standard deviation is about
-1 / sqrt(2(n-1)) when the likelihood dominates. The step-out width is
-w = 3 / sqrt(2(n-1)): three conditional sds when the likelihood
-dominates, wider (never narrower) when the exponential prior does. The
-width must not depend on the current point, or the update stops being
-reversible (Neal 2003, *Annals of Statistics*, section 4.1). The
-step-out budget is 50.
+Reproducibility. Every value that reaches the draws is formed by
+correctly rounded arithmetic (+, -, *, /, ``sqrt``) or by ``math``
+functions on Python floats, never by numpy's exp, log or tan, whose
+results depend on the CPU features numpy dispatches to. Those feed only
+comparisons: the grid's extent, the cell a uniform picks and the
+accept-reject test.
 
-Cost model. The setup is O(n): four exact sums over the outcome, read
-through memoryviews rather than list copies, and one equality pass.
-Each chain then costs O(iterations * E) scalar Python work, E being the
-sigma-target evaluations per iteration. The Metropolis-Hastings step
-makes one, which costs two ``sqrt`` and about 15 flops and no ``exp``,
-so E = 1 at the benchmark's scales (n = 996 and n = 200,000, outcome
-sd 24). The slice update makes about 6 (one for the slice height, about
-three to step out, about two to shrink), and up to about 13 where the
-prior dominates. Its height costs no ``exp``: it is f(u0) - drop, formed
-from the sigma and 1 / sigma^2 the coefficient step already has. Every
-other slice evaluation costs one ``exp``, e = e^u, and is written inline
-in the update, with no function call. A chain draws its random variates
-in blocks, not one numpy call per scalar: its standard normals
-(2 x iterations) in one call, its exponentials (the slice height's drop
-or the Metropolis-Hastings acceptance threshold) in another, its
-uniforms from blocks of 4,096, refilled when used up and handed out by a
-C-level iterator, and its Gamma((n - 1) / 2) variates in one call on a
-child stream, which leaves the other variates as they would be without
-it. It keeps these as arrays, 32 B per iteration, and turns them into
-Python floats one block of 1,024 iterations at a time. Each block's draws
-are gathered in Python lists and written, warm-up left out, into the
-fit's one ``(3, chains, kept iterations)`` array when the block ends. So
-a chain's peak is about 40 B per iteration, and a fit's, with that array
-and the copy :class:`~effectprob.draws.Draws` makes, about 100 B.
+Cost model. The statistics are O(n): four exact sums over the outcome,
+read through memoryviews rather than list copies, and one equality pass.
+The proposal costs O(G) numpy evaluations of the log marginal per fit,
+G = 1,025 grid points in each of a few narrowing passes. Each chain then
+works in blocks of 1,024 iterations: its variates, the proposals and
+their log weights in numpy, one Python comparison per iteration to
+accept or reject, and the coefficients in numpy. So it is
+O(chains x iterations) numpy work with one scalar Python step per
+iteration, whatever n is. Only a block's variates and Python floats are
+held at once, and kept draws go into the fit's one
+``(3, chains, kept iterations)`` array when their block ends, so a fit's
+peak is that array, the copy :class:`~effectprob.draws.Draws` makes and
+the diagnostics' working arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -86,36 +67,31 @@ from .diagnostics import _MIN_ITERATIONS, Diagnostics, diagnose
 from .draws import Draws, view
 from .errors import DegenerateDesign, InvalidArgument, NonBinaryTreatment, NonFiniteData
 
-# Slice width in conditional standard deviations, and the step-out budget.
-# The budget is what lets a chain started from the prior walk down to the
-# mode: budgets of 1-4 with widths of 2-6 sds left n=200k chains short of
-# it after 1,000 warm-up iterations.
-_SLICE_SDS = 3.0
-_SLICE_MAX_STEPOUTS = 50
-# Above this log sigma the kernel's sigma^2 would overflow; the sigma
-# target is -inf there.
+# sigma lies within e^-354 and e^354: above, sigma^2 would overflow. The
+# marginal is -inf outside, and its mass lies far inside both ends.
 _MAX_LOG_SIGMA = 354.0
-_MAX_SIGMA = math.exp(_MAX_LOG_SIGMA)
-# sigma is updated by an independence Metropolis-Hastings step where
-# rate * sigma_hat <= _MH_SWITCH * (n - 1), sigma_hat = sqrt(ssr / (n - 1)),
-# and by the log(sigma) slice update elsewhere. At the switch the step
-# still accepts about 90% of its proposals.
-_MH_SWITCH = 0.25
 # The kernel forms the data precision n / sigma^2. Refusing outcomes whose
 # n / (ss_within / n) exceeds this leaves sigma^2 a factor of 1024 to fall
-# below ss_within / n, in warm-up or in the posterior's lower tail, before
-# that precision overflows.
+# below ss_within / n, in the posterior's lower tail, before that
+# precision overflows.
 _MAX_DATA_PRECISION = sys.float_info.max / 1024.0
 # Prior sds must be at least 1 / _MAX_SCALE and the rate within a factor
-# _MAX_SCALE of 1: the kernel forms 1 / sd^2, and sigma^2 and n / sigma^2 for
-# a start sigma = E / rate (E standard exponential), finite unless E < 1e-14.
+# _MAX_SCALE of 1. The kernel forms 1 / sd^2, and rate * sigma for sigma up
+# to e^354, which these bounds keep finite. The rate's bounds also keep
+# sigma's marginal inside e^+-354: a large rate pulls sigma down only to
+# about (ss_within / rate)^(1/3), where n / sigma^2 is still finite, and
+# the smallest still costs rate * e^354 > 5e13 nats at the top.
 _MAX_SCALE = 1e140
-# A chain turns its variates into Python floats, and gathers its draws in
-# Python lists, this many iterations at a time, so that the Python objects
-# it holds do not grow with its length. Generator.random fills its output
-# in order, so the uniforms' block size changes none of them.
+# The proposal: a grid of _CELLS equal cells over where the log marginal
+# lies within _SPAN of its peak, found by up to _NARROWINGS passes from
+# the whole range of log sigma, mixed with a Cauchy tail of share _TAIL.
+_CELLS = 1_024
+_SPAN = 40.0
+_NARROWINGS = 8
+_TAIL = 0.01
+# A chain draws its variates, and turns them into Python floats, this many
+# iterations at a time, so that what it holds does not grow with its length.
 _CHAIN_BLOCK = 1_024
-_UNIFORM_BLOCK = 4 * _CHAIN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -211,21 +187,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Per-chain effort of the sigma updates, averaged over iterations.
+    """Per-chain effort of the sigma update, averaged over iterations.
 
-    ``slice_evals_per_iteration`` counts sigma-target evaluations by
-    either update: one per Metropolis-Hastings step, and every one a
-    slice update makes, its height's included. ``stepouts_per_iteration``
-    and ``collapses_per_iteration`` count slice updates' step-outs, and
-    the updates whose shrinking interval collapsed onto the current point,
-    which then keep it. ``rejections_per_iteration`` counts the
-    Metropolis-Hastings steps that kept sigma.
+    Each iteration takes one Metropolis-Hastings step, which evaluates
+    sigma's marginal once, so ``slice_evals_per_iteration`` is always 1.0
+    and ``stepouts_per_iteration`` always 0.0. Both keep the names of an
+    earlier slice update's counts because the benchmark's span counters
+    (perfbench/spans.py) read them. ``rejections_per_iteration`` counts
+    the steps that kept sigma.
     """
 
     chain: int
     slice_evals_per_iteration: float
     stepouts_per_iteration: float
-    collapses_per_iteration: float
     rejections_per_iteration: float
 
 
@@ -353,17 +327,17 @@ def simulate_experiment(
 
 
 def fit(data: Dataset, spec: ModelSpec) -> FitResult:
-    """Run the Gibbs sampler and assemble post-warmup draws.
+    """Run the collapsed sampler and assemble post-warmup draws.
 
-    Each chain is initialized from the priors and advanced for
-    ``spec.iterations`` iterations; the first ``spec.warmup`` are
-    discarded. Chains use independent RNG streams seeded from
-    ``(spec.seed, chain_index)``, so identical inputs give bit-identical
-    results. A parameter whose split sequences are all constant, such as
-    a coefficient held at one double by a very narrow prior, gets an
-    R-hat of NaN (see :func:`~effectprob.diagnostics.split_rhat`). Every
-    refusal below is made once, before the first iteration, in the order
-    listed.
+    Each chain starts at the mode of sigma's marginal on the proposal's
+    grid and is advanced for ``spec.iterations`` iterations; the first
+    ``spec.warmup`` are discarded. Chains use independent RNG streams
+    seeded from ``(spec.seed, chain_index)``, so identical inputs give
+    bit-identical results. A parameter whose split sequences are all
+    constant, such as a coefficient held at one double by a very narrow
+    prior, gets an R-hat of NaN (see
+    :func:`~effectprob.diagnostics.split_rhat`). Every refusal below is
+    made once, before the first iteration, in the order listed.
 
     Raises
     ------
@@ -382,254 +356,202 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
         means that lie more than their sds away, overflows.
     """
     constants = _fit_constants(data, spec.priors)
+    proposal = _Proposal(_log_marginal(constants, spec.priors))
     kept = np.empty((3, spec.chains, spec.iterations - spec.warmup))
-    efforts = tuple(_run_chain(constants, spec, c, kept[:, c]) for c in range(spec.chains))
+    efforts = tuple(
+        _run_chain(constants, proposal, spec, c, kept[:, c]) for c in range(spec.chains)
+    )
     draws = Draws(parameter_names=("beta0", "beta1", "sigma"), values=kept)
     del kept  # Draws holds its own copy; the diagnostics run without this one.
     diagnostics = {name: diagnose(view(draws, name)) for name in draws.parameter_names}
     return FitResult(draws, diagnostics, efforts)
 
 
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
+def _log_marginal(
+    constants: tuple[float, ...], priors: PriorSpec
+) -> Callable[[np.ndarray], np.ndarray]:
+    """log p(u | y) up to a constant, u = log(sigma), with (b0, b1)
+    integrated out; -inf where |u| > 354.
+
+    With m the prior means of the offsets from (base0, base1), prec the
+    prior precisions and SSW the sum of squares within arms,
+
+        log p(u) = -(n-3) u - (SSW/2) e^(-2u) - rate e^u
+                   - 1/2 log D - 1/2 (A + e^(2u) B) / D,
+
+        D = 1 + e^(2u) (n prec1 + n_t prec0) / (n_c n_t)
+              + e^(4u) prec0 prec1 / (n_c n_t),
+        A = prec0 m0^2 + prec1 m1^2,
+        B = prec0 prec1 ((m0 + m1)^2 / n_c + m0^2 / n_t).
+
+    D is the conditional precision's determinant over its likelihood part
+    n_c n_t / sigma^4, and the last term half the prior means' quadratic
+    form under the offsets' marginal covariance. Every part is a sum of
+    non-negative terms, so nothing cancels at any location or scale of
+    the outcome. D, A and B are formed as logs from log prec = -2 log sd,
+    so no sd^2 and no product of precisions over- or underflows.
+    """
+    n_ctrl, n_trt, ss_within, base0, base1 = constants[:5]
+    n = n_ctrl + n_trt
+    half_ss, rate = 0.5 * ss_within, priors.sigma_rate
+    log_prec0 = -2.0 * math.log(priors.beta0_sd)
+    log_prec1 = -2.0 * math.log(priors.beta1_sd)
+    m0, m1 = priors.beta0_mean - base0, priors.beta1_mean - base1
+    log_m0, log_m1 = _log_abs(m0), _log_abs(m1)
+    # m0 + m1 by halves, which cannot overflow.
+    log_sum = math.log(2.0) + _log_abs(0.5 * m0 + 0.5 * m1)
+    log_nc, log_nt = math.log(n_ctrl), math.log(n_trt)
+    log_d1 = np.logaddexp(math.log(n) + log_prec1, log_nt + log_prec0) - log_nc - log_nt
+    log_d2 = log_prec0 + log_prec1 - log_nc - log_nt
+    log_a = np.logaddexp(log_prec0 + 2.0 * log_m0, log_prec1 + 2.0 * log_m1)
+    log_b = log_prec0 + log_prec1 + np.logaddexp(2.0 * log_sum - log_nc, 2.0 * log_m0 - log_nt)
+
+    def log_p(u: np.ndarray) -> np.ndarray:
+        # Terms past the double range are -inf, and no term is +inf, so the
+        # sum is never NaN.
+        with np.errstate(over="ignore"):
+            two_u = 2.0 * u
+            log_d = np.logaddexp(0.0, np.logaddexp(two_u + log_d1, 2.0 * two_u + log_d2))
+            quad = np.exp(np.logaddexp(log_a, two_u + log_b) - log_d)
+            value = (
+                (3.0 - n) * u
+                - half_ss * np.exp(-two_u)
+                - rate * np.exp(u)
+                - 0.5 * log_d
+                - 0.5 * quad
+            )
+        return np.where(np.abs(u) <= _MAX_LOG_SIGMA, value, -np.inf)
+
+    return log_p
+
+
+class _Proposal:
+    """The independence proposal for u = log(sigma), built once per fit.
+
+    A grid of :data:`_CELLS` cells starts over the whole range |u| <= 354
+    and is narrowed, up to :data:`_NARROWINGS` times, to the cells around
+    the points where the log marginal is at least its maximum there minus
+    :data:`_SPAN` (``>=``: at extreme inputs the maximum is so large that
+    subtracting the span leaves it unchanged). Narrowing stops early when
+    it changes nothing or the narrowed grid's points would not strictly
+    increase. Each cell is uniform, with a mass from the trapezoid of the
+    marginal at its ends. A Cauchy at the grid's mode, its scale the
+    grid's width, takes share :data:`_TAIL`, so the proposal covers every
+    u and the step stays exact wherever the grid misses mass.
+    """
+
+    def __init__(self, log_p: Callable[[np.ndarray], np.ndarray]) -> None:
+        edges = np.linspace(-_MAX_LOG_SIGMA, _MAX_LOG_SIGMA, _CELLS + 1)
+        values = log_p(edges)
+        for _ in range(_NARROWINGS):
+            inside = np.flatnonzero(values >= values.max() - _SPAN)
+            narrowed = np.linspace(
+                edges[max(inside[0] - 1, 0)], edges[min(inside[-1] + 1, _CELLS)], _CELLS + 1
+            )
+            if np.array_equal(narrowed, edges) or not (np.diff(narrowed) > 0.0).all():
+                break
+            edges, values = narrowed, log_p(narrowed)
+        self.log_p, self.edges, self.widths = log_p, edges, np.diff(edges)
+        peak = int(np.argmax(values))
+        self.top, self.mode = float(values[peak]), float(edges[peak])
+        self.scale = float(edges[-1] - edges[0])
+        heights = np.exp(values - self.top)
+        heights = heights[:-1] + heights[1:]
+        mass = heights * self.widths
+        total = math.fsum(mass.tolist())
+        # A uniform below _TAIL picks the tail, and one in
+        # [bounds[j - 1], bounds[j]) cell j, whose density is heights[j] / total:
+        # cell_density[j + 1], which is 0 at j = -1 and j = _CELLS, off the grid.
+        self.bounds = _TAIL + (1.0 - _TAIL) * (np.cumsum(mass)[:-1] / total)
+        self.cell_density = np.concatenate(([0.0], heights / total, [0.0]))
+        self.start = self.mode, float(self.log_weights(np.array([self.mode]))[0])
+
+    def draw(self, picks: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Proposals from two rows of standard uniforms, and their log
+        weights, log target minus log proposal density, each up to a
+        constant of the fit."""
+        cells = np.searchsorted(self.bounds, picks)
+        proposals = self.edges[cells] + self.widths[cells] * positions
+        # The tail's few proposals through math.tan, which, unlike numpy's,
+        # rounds the same on every CPU.
+        for i in np.flatnonzero(picks < _TAIL).tolist():
+            proposals[i] = self.mode + self.scale * math.tan(math.pi * (positions[i] - 0.5))
+        return proposals, self.log_weights(proposals)
+
+    def log_weights(self, u: np.ndarray) -> np.ndarray:
+        grid = self.cell_density[np.searchsorted(self.edges, u, side="right")]
+        t = (u - self.mode) / self.scale
+        tail = 1.0 / (math.pi * self.scale * (1.0 + t * t))
+        density = (1.0 - _TAIL) * grid + _TAIL * tail
+        return self.log_p(u) - self.top - np.log(density)
+
+
 def _run_chain(
-    constants: tuple[float, ...], spec: ModelSpec, chain: int, kept: np.ndarray
+    constants: tuple[float, ...], proposal: _Proposal, spec: ModelSpec, chain: int,
+    kept: np.ndarray,
 ) -> ChainStats:
     """One chain: writes its post-warmup draws into the rows (beta0, beta1,
     sigma) of ``kept``, a ``(3, iterations - warmup)`` array, and returns
     its effort.
 
-    The coefficients are drawn as offsets d = (d0, d1) from (mean_c,
-    mean_t - mean_c). Their conditional precision is P = X'X / sigma^2
-    plus the prior precision; with a binary treatment X'X is [[n, n_t],
-    [n_t, n_t]], so the draw is scalar 2x2 algebra. With P = L L' and k
-    the prior precision times the prior mean of d, the conditional mean
-    is L'^-1 L^-1 k and the noise L'^-1 z for a standard normal pair z,
-    so d = L'^-1 (L^-1 k + z): one forward and one back substitution,
-    and no determinant to overflow.
+    A proposal u is accepted when its log weight plus a standard
+    exponential exceeds the current point's log weight, and sigma is then
+    ``math.exp(u)``. The coefficients are drawn as offsets d = (d0, d1)
+    from (mean_c, mean_t - mean_c). Their conditional precision is
+    P = X'X / sigma^2 plus the prior precision; with a binary treatment
+    X'X is [[n, n_t], [n_t, n_t]], so the draw is 2x2 algebra, here on
+    arrays of a block's sigmas. With P = L L' and k the prior precision
+    times the prior mean of d, the conditional mean is L'^-1 L^-1 k and
+    the noise L'^-1 z for a standard normal pair z, so d = L'^-1 (L^-1 k
+    + z): one forward and one back substitution, and no determinant to
+    overflow.
     """
-    n_ctrl, n_trt, ss_within, base0, base1, prec0, prec1, k0, k1 = constants
+    n_ctrl, n_trt, _, base0, base1, prec0, prec1, k0, k1 = constants
     n = n_ctrl + n_trt
-    rate = spec.priors.sigma_rate
-
     rng = np.random.default_rng([spec.seed, chain])
-    sigma = rng.exponential(1.0 / rate)
-    while sigma == 0.0:
-        sigma = rng.exponential(1.0 / rate)
-    # log(sigma), formed only when the slice update needs it after sigma
-    # came from elsewhere (the start draw or the Metropolis-Hastings step).
-    log_sigma = None
-    normals = rng.standard_normal((2, spec.iterations))
-    drops = rng.standard_exponential(spec.iterations)
-    uniform = _uniforms(rng, _UNIFORM_BLOCK).__next__
-    shape = 0.5 * (n - 1.0)
-    # A child stream leaves the parent's alone, so a chain that only ever
-    # takes the slice update draws what it drew before the gamma block.
-    gammas = rng.spawn(1)[0].standard_gamma(shape, spec.iterations)
-    width = _slice_width(n)
-    slope = 1.0 - n
-    switch = _MH_SWITCH * (n - 1.0)
-
+    u, weight = proposal.start
+    sigma = math.exp(u)
+    exp = math.exp
     iterations, warmup = spec.iterations, spec.warmup
-    evals = stepouts = collapses = rejections = 0
+    rejections = 0
     for start in range(0, iterations, _CHAIN_BLOCK):
-        block = slice(start, start + _CHAIN_BLOCK)
-        b0s, b1s, sigmas = [], [], []
-        for z0, z1, drop, gamma in zip(
-            normals[0, block].tolist(),
-            normals[1, block].tolist(),
-            drops[block].tolist(),
-            gammas[block].tolist(),
+        size = min(_CHAIN_BLOCK, iterations - start)
+        picks, positions = rng.random((2, size))
+        drops = rng.standard_exponential(size)
+        normals = rng.standard_normal((2, size))
+        proposals, weights = proposal.draw(picks, positions)
+        sigmas = []
+        for new_u, new_weight, bar in zip(
+            proposals.tolist(), weights.tolist(), (weights + drops).tolist()
         ):
-            inv_s2 = 1.0 / (sigma * sigma)
+            if bar > weight:
+                weight, sigma = new_weight, exp(new_u)
+            else:
+                rejections += 1
+            sigmas.append(sigma)
+
+        # The block's kept iterations, from the first past warm-up on.
+        skip = max(warmup - start, 0)
+        if skip < size:
+            s = np.array(sigmas[skip:])
+            z0, z1 = normals[:, skip:]
+            inv_s2 = 1.0 / (s * s)
             b = n_trt * inv_s2
-            l11 = math.sqrt(n * inv_s2 + prec0)
+            l11 = np.sqrt(n * inv_s2 + prec0)
             l21 = b / l11
-            l22 = math.sqrt(b + prec1 - l21 * l21)
+            l22 = np.sqrt(b + prec1 - l21 * l21)
             w0 = k0 / l11
             d1 = ((k1 - l21 * w0) / l22 + z1) / l22
             d0 = (w0 + z0 - l21 * d1) / l11
-            d_trt = d0 + d1
-            half_ssr = 0.5 * (ss_within + n_ctrl * d0 * d0 + n_trt * d_trt * d_trt)
-            sigma_hat = math.sqrt(half_ssr / shape)
-            if rate * sigma_hat <= switch:
-                evals += 1
-                proposal = _mh_sigma(sigma, half_ssr, sigma_hat, n, rate, gamma, drop)
-                if proposal is None:
-                    rejections += 1
-                else:
-                    sigma, log_sigma = proposal, None
-            else:
-                if log_sigma is None:
-                    log_sigma = math.log(sigma)
-                # The slice sits `drop` below the target at log_sigma, whose
-                # terms need no exp: sigma and 1 / sigma^2 are at hand.
-                height = slope * log_sigma - half_ssr * inv_s2 - rate * sigma - drop
-                log_sigma, sigma, e, s, collapsed = _slice_log_sigma(
-                    log_sigma, height, n, half_ssr, rate, width, uniform
-                )
-                evals += e
-                stepouts += s
-                collapses += collapsed
-            b0s.append(base0 + d0)
-            b1s.append(base1 + d1)
-            sigmas.append(sigma)
-        # The block's kept iterations, from the first past warm-up on.
-        skip = max(warmup - start, 0)
-        if skip < len(b0s):
-            kept[:, start + skip - warmup : start + len(b0s) - warmup] = (
-                b0s[skip:],
-                b1s[skip:],
-                sigmas[skip:],
-            )
+            kept[:, start + skip - warmup : start + size - warmup] = (base0 + d0, base1 + d1, s)
 
     return ChainStats(
         chain=chain,
-        slice_evals_per_iteration=evals / iterations,
-        stepouts_per_iteration=stepouts / iterations,
-        collapses_per_iteration=collapses / iterations,
+        slice_evals_per_iteration=1.0,
+        stepouts_per_iteration=0.0,
         rejections_per_iteration=rejections / iterations,
     )
-
-
-def _mh_sigma(
-    sigma: float,
-    half_ssr: float,
-    sigma_hat: float,
-    n: float,
-    rate: float,
-    gamma: float,
-    drop: float,
-) -> float | None:
-    """One independence Metropolis-Hastings step for sigma; returns the
-    accepted proposal, or None for a rejection, which keeps ``sigma``.
-
-    On tau = 1 / sigma^2, sigma's conditional is proportional to
-    tau^(a-1) exp(-h tau - rate / sqrt(tau)), with a = (n-1)/2 and
-    h = ``half_ssr`` = ssr / 2. The proposal is Gamma(a, beta) on tau:
-    the likelihood's gamma, with its rate beta = h - t tilted by the
-    tangent of the prior term at s1, t = rate s1^3 / 2. The weight
-    target / proposal is then exp(-t tau - rate sigma), which peaks at
-    sigma = s1 and is flat near it (Tierney 1994, *Annals of Statistics*).
-    s1 is one Newton step from ``sigma_hat`` = sqrt(ssr / (n-1)) toward
-    the root of rate s^3 + (n-1) s^2 = ssr, the mode of log sigma's
-    conditional.
-
-    ``gamma`` is a Gamma(a, 1) variate, so the proposal is
-    sqrt(beta / gamma), and ``drop`` a standard exponential: the
-    proposal is accepted when its log weight ratio exceeds -drop. A
-    gamma of 0 and a proposal above e^354, where the kernel's sigma^2
-    would overflow, are rejected. Valid only where rate * sigma_hat <=
-    (n-1) / 4 (see :data:`_MH_SWITCH`), where beta >= 0.81 h > 0. The
-    proposal depends only on (n, ssr, rate), never on ``sigma``: an
-    independence sampler, which leaves the conditional invariant.
-    """
-    r = rate * sigma_hat
-    s1 = sigma_hat * (1.0 - r / (3.0 * r + 2.0 * (n - 1.0)))
-    t = 0.5 * rate * s1 * s1 * s1
-    beta = half_ssr - t
-    if gamma > 0.0:
-        proposal = math.sqrt(beta / gamma)
-        if (
-            proposal <= _MAX_SIGMA
-            and t * (1.0 / (sigma * sigma) - gamma / beta) + rate * (sigma - proposal) > -drop
-        ):
-            return proposal
-    return None
-
-
-def _uniforms(rng: np.random.Generator, block: int) -> Iterator[float]:
-    """Standard uniforms, drawn ``block`` at a time when the last block is used up."""
-    blocks = map(rng.random, itertools.repeat(block))
-    return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks))
-
-
-def _slice_width(n: float) -> float:
-    """Step-out width for the log(sigma) update given n units.
-
-    At the conditional's mode u*, -f''(u*) = 2(n-1) + 3 rate e^(u*) >=
-    2(n-1), so this is three conditional sds when the likelihood
-    dominates, and wider, never narrower, when the prior does.
-    """
-    return _SLICE_SDS / math.sqrt(2.0 * (n - 1.0))
-
-
-def _slice_log_sigma(
-    u0: float,
-    height: float,
-    n: float,
-    half_ssr: float,
-    rate: float,
-    width: float,
-    uniform: Callable[[], float],
-) -> tuple[float, float, int, int, bool]:
-    """One slice-sampling update of u = log(sigma): step out, then shrink.
-
-    The target is the log density of u under sigma's conditional,
-    p(sigma | rest) ~ sigma^(-n) exp(-ssr / (2 sigma^2)) exp(-rate sigma)
-    times the Jacobian e^u:
-
-        f(u) = -(n - 1) u - (ssr / 2) / e^(2u) - rate e^u,
-
-    evaluated inline with one ``exp``, e = e^u, and ``half_ssr`` = ssr / 2.
-    It is -inf above u = 354, where the kernel's sigma^2 would overflow,
-    and where the middle term overflows, e * e underflowing to 0 included;
-    the middle term is 0 when ssr = 0.
-
-    ``height`` is the slice: f(u0) minus a standard exponential variate,
-    which the caller forms from its own terms. ``u0`` must be at most
-    354, as every point this update returns is. ``width`` must not depend
-    on ``u0`` (see :func:`_slice_width`); ``uniform`` supplies standard
-    uniforms. Returns the new point, sigma = e^u there, the target
-    evaluations (the height's included), the step-outs, and whether the
-    interval collapsed onto ``u0``, which is then kept.
-    """
-    slope = 1.0 - n
-    exp, top = math.exp, _MAX_LOG_SIGMA  # locals: read once per update, not per evaluation
-    # The middle term where e * e underflows to 0.
-    at_zero = math.inf if half_ssr != 0.0 else 0.0
-    evals = 1
-
-    left = u0 - width * uniform()
-    right = left + width
-    # Randomly allocate the step-out budget between the two directions.
-    budget_left = int(_SLICE_MAX_STEPOUTS * uniform())
-    budget_right = (_SLICE_MAX_STEPOUTS - 1) - budget_left
-    stepouts = 0
-    # left <= u0 <= top, so the left end needs no guard.
-    while budget_left > 0:
-        evals += 1
-        e = exp(left)
-        ee = e * e
-        if slope * left - (half_ssr / ee if ee else at_zero) - rate * e <= height:
-            break
-        left -= width
-        budget_left -= 1
-        stepouts += 1
-    while budget_right > 0:
-        evals += 1
-        if right > top:
-            f = -math.inf
-        else:
-            e = exp(right)
-            ee = e * e
-            f = slope * right - (half_ssr / ee if ee else at_zero) - rate * e
-        if f <= height:
-            break
-        right += width
-        budget_right -= 1
-        stepouts += 1
-
-    shortest = 1e-15 * (abs(u0) + 1.0)
-    while right - left >= shortest:
-        u1 = left + (right - left) * uniform()
-        evals += 1
-        # Above top, f = -inf lies below every height.
-        if u1 <= top:
-            e = exp(u1)
-            ee = e * e
-            if slope * u1 - (half_ssr / ee if ee else at_zero) - rate * e > height:
-                return u1, e, evals, stepouts, False
-        if u1 < u0:
-            left = u1
-        else:
-            right = u1
-    return u0, math.exp(u0), evals, stepouts, True

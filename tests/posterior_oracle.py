@@ -137,7 +137,8 @@ def exact_posterior(data: Dataset, priors: PriorSpec) -> ExactPosterior:
         [0.5 * math.erfc(m / math.sqrt(2.0 * v)) for m, v in zip(mean1.tolist(), var1.tolist())]
     )
     return ExactPosterior(
-        p_beta1_below_zero=expect(p_below),
+        # The trapezoid's rounding can leave a probability of one at 1 + 2e-16.
+        p_beta1_below_zero=min(max(expect(p_below), 0.0), 1.0),
         beta0=normal_mixture(mean0, var0),
         beta1=normal_mixture(mean1, var1),
         sigma=Marginal(

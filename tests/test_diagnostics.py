@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from effectprob.diagnostics import _fft_length, diagnose, ess, split_rhat
 from effectprob.errors import TooFewIterations
 
-from conftest import make_view
+from conftest import make_view, peak_bytes
 
 
 def hand_rhat(chains: list[list[float]]) -> float:
@@ -236,7 +236,16 @@ class TestEss:
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         ess(make_view(np.random.default_rng(16).normal(size=(4, 9_000))))
-        assert sizes == [9_000]  # split sequences of 4,500 need 8,999 points
+        # One transform per split sequence; sequences of 4,500 need 8,999 points.
+        assert sizes == [9_000] * 8
+
+    def test_peak_is_at_most_four_times_the_draws(self):
+        # The split sequences are transformed one at a time into one
+        # preallocated array; one batched transform of all of them peaked
+        # at 9 times the draws.
+        v = make_view(np.random.default_rng(17).normal(size=(4, 250_000)))
+        peak = peak_bytes(lambda: ess(v))
+        assert peak <= 4 * v.per_chain.nbytes, peak / v.per_chain.nbytes
 
     def test_random_walk_matches_lag_loop(self):
         # The truncation lag runs to thousands here, where a loop over

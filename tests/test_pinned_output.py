@@ -50,7 +50,7 @@ def test_dataset_and_fitted_draws_file_bytes(tmp_path):
     fit = ["fit", str(data), "--chains", "2", "--iters", "300", "--warmup", "50", "--seed", "1"]
     assert main([*fit, "--out", str(draws)]) == 0
     assert sha256(draws.read_bytes()) == (
-        "5fb8e48cae1f8346f2e6279351975b3f38ac6b17dfa04194b19b3c7d7b3a8ee3"
+        "91eacad4ba2b47f386ea22a1fc86d93a40d54782d13525d7bbb15bbe779f5184"
     )
 
 

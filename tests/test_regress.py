@@ -3,14 +3,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from effectprob.diagnostics import ess, split_rhat
+import effectprob
 from effectprob.draws import Draws, view
 from effectprob.errors import (
     DegenerateDesign,
@@ -22,16 +25,12 @@ from effectprob.regress import (
     Dataset,
     ModelSpec,
     PriorSpec,
-    _mh_sigma,
-    _slice_log_sigma,
-    _slice_width,
-    _uniforms,
     fit,
     simulate_experiment,
 )
 from effectprob.summary import prob_below
 
-from conftest import make_view, peak_bytes
+from conftest import peak_bytes
 from posterior_oracle import exact_posterior, standard_errors_off
 
 # Every prior sd and rate must lie within this factor of 1; sds may be larger.
@@ -90,16 +89,16 @@ class TestSpecs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"sigma_rate": math.inf},  # the start draw is sigma = 0, forever
+            {"sigma_rate": math.inf},  # rate * sigma is infinite for every sigma
             {"beta0_mean": math.nan},
             {"beta1_mean": -math.inf},
             {"beta1_sd": math.inf},
             {"beta0_sd": 1e-200},  # 1 / sd^2 divides by zero
             {"beta1_sd": np.nextafter(1.0 / MAX_SCALE, 0.0)},
-            {"sigma_rate": 1e160},  # the start draw's sigma^2 underflows
+            {"sigma_rate": 1e160},  # can pull sigma below where n / sigma^2 fits
             {"sigma_rate": np.nextafter(MAX_SCALE, math.inf)},
-            {"sigma_rate": 1e-320},  # the start draw is infinite
-            {"sigma_rate": 1e-160},  # the start draw's sigma^2 overflows
+            {"sigma_rate": 1e-320},  # sigma's mass can reach past e^354
+            {"sigma_rate": 1e-160},  # likewise
             {"sigma_rate": np.nextafter(1.0 / MAX_SCALE, 0.0)},
         ],
     )
@@ -281,7 +280,9 @@ class TestFit:
         assert result.draws.values.shape == (3, 2, 250)
         assert set(result.diagnostics) == {"beta0", "beta1", "sigma"}
         assert len(result.chain_stats) == 2
-        assert result.chain_stats[0].slice_evals_per_iteration > 0
+        stats = result.chain_stats[0]
+        assert (stats.slice_evals_per_iteration, stats.stepouts_per_iteration) == (1.0, 0.0)
+        assert 0.0 <= stats.rejections_per_iteration <= 0.05
 
     def test_deterministic_and_exchangeable(self, small_data):
         spec = ModelSpec(chains=2, iterations=200, warmup=50, seed=21)
@@ -313,173 +314,6 @@ class TestFit:
         assert v.pooled.mean() == pytest.approx(-2.49, abs=0.5)
         assert prob_below(v, 0.0) == pytest.approx(0.95, abs=0.03)
 
-
-def sigma_conditional_moments(n, ssr, rate):
-    """Mean, sd and kurtosis of sigma given (n, ssr, rate), by quadrature.
-
-    Trapezoid rule over u = log(sigma) for the log density
-    -(n-1) u - ssr / (2 e^(2u)) - rate e^u, on a grid of 200,001 points
-    spanning 40 Laplace sds on each side of the mode (the prior's whole
-    support when ssr = 0). The mode is e^u = s, the root of
-    rate s^3 + (n-1) s^2 = ssr, where the density's curvature is
-    2 (n-1) + 3 rate s. Where the prior dominates, s lies far below the
-    likelihood's mode sqrt(ssr / (n-1)).
-    """
-    if ssr > 0:
-        # The root lies in [hi / 2, hi]: at hi / 2 the cubic is at most 3 ssr / 8.
-        hi = min(math.sqrt(ssr / (n - 1)), (ssr / rate) ** (1.0 / 3.0))
-        lo = hi / 2.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if rate * mid**3 + (n - 1) * mid**2 < ssr:
-                lo = mid
-            else:
-                hi = mid
-        mode = 0.5 * (lo + hi)
-        half = 40.0 / math.sqrt(2.0 * (n - 1) + 3.0 * rate * mode)
-        u = np.linspace(math.log(mode) - half, math.log(mode) + half, 200_001)
-    else:
-        u = np.linspace(-40.0, 4.0, 200_001)
-    log_p = -(n - 1.0) * u - rate * np.exp(u)
-    if ssr > 0:
-        log_p -= 0.5 * ssr * np.exp(-2.0 * u)
-    p = np.exp(log_p - log_p.max())
-    sigma = np.exp(u)
-
-    def integral(values):
-        return float(np.sum((values[1:] + values[:-1]) * np.diff(u)) / 2.0)
-
-    total = integral(p)
-    mean = integral(sigma * p) / total
-    var = integral((sigma - mean) ** 2 * p) / total
-    kurtosis = integral((sigma - mean) ** 4 * p) / total / var**2
-    return mean, math.sqrt(var), kurtosis
-
-
-def log_sigma_target(u, n, ssr, rate):
-    """The sigma conditional's log density on u = log(sigma), in a form
-    independent of the kernel's inline one: -(n-1) u - exp(log(ssr / 2)
-    - 2u) - rate e^u, -inf above u = 354 or where the middle term's
-    exponent passes 709."""
-    log_half_ssr = math.log(ssr) - math.log(2.0) if ssr != 0.0 else -math.inf
-    x = log_half_ssr - 2.0 * u
-    if u > 354.0 or x > 709.0:
-        return -math.inf
-    return -(n - 1.0) * u - math.exp(x) - rate * math.exp(u)
-
-
-def reference_slice_update(u0, height, n, ssr, rate, width, uniform):
-    """The slice update with one call of :func:`log_sigma_target` per
-    evaluation: the reference for the kernel's inline evaluations, drawing
-    the same variates."""
-    left = u0 - width * uniform()
-    right = left + width
-    budget_left = int(50 * uniform())
-    budget_right = 49 - budget_left
-    evals, stepouts = 1, 0
-    while budget_left > 0:
-        evals += 1
-        if log_sigma_target(left, n, ssr, rate) <= height:
-            break
-        left -= width
-        budget_left -= 1
-        stepouts += 1
-    while budget_right > 0:
-        evals += 1
-        if log_sigma_target(right, n, ssr, rate) <= height:
-            break
-        right += width
-        budget_right -= 1
-        stepouts += 1
-    while right - left >= 1e-15 * (abs(u0) + 1.0):
-        u1 = left + (right - left) * uniform()
-        evals += 1
-        if log_sigma_target(u1, n, ssr, rate) > height:
-            return u1, evals, stepouts, False
-        if u1 < u0:
-            left = u1
-        else:
-            right = u1
-    return u0, evals, stepouts, True
-
-
-class TestSliceUpdate:
-    """The log(sigma) slice update alone, against quadrature of its target."""
-
-    @pytest.mark.parametrize(
-        "u0, n, ssr, rate",
-        [
-            (math.log(24.0), 996, 995 * 24.0**2, 0.5),  # the application scale
-            (math.log(24.0), 200_000, 199_999 * 24.0**2, 0.5),  # large n
-            (math.log(24.0), 996, 995 * 24e8**2, 0.5),  # the prior dominates
-            (-380.0, 0, 0.0, 0.5),  # ssr = 0 where e * e underflows: the middle term is 0
-            # The mode near u = 352, so steps cross u = 354, where the target is -inf.
-            (352.0, 4, 4e306, 1e-300),
-            (-300.0, 996, 1e-300, 1e140),  # sigma near 1e-130
-            (0.0, 5, math.nan, 0.5),  # a NaN residual sum: every comparison is false
-        ],
-    )
-    def test_inline_target_matches_the_reference_update(self, u0, n, ssr, rate):
-        # The sampler sees its target only through comparisons with the
-        # slice height, so the inline target must take every branch the
-        # per-call one took: the same points, counts and collapses.
-        width = _slice_width(n) if n > 1 else 1.0
-        drops = np.random.default_rng(10).standard_exponential(500).tolist()
-        uniforms = [_uniforms(np.random.default_rng(11), 2_000).__next__ for _ in range(2)]
-        u = u0
-        for drop in drops:
-            height = log_sigma_target(u, n, ssr, rate) - drop
-            want = reference_slice_update(u, height, n, ssr, rate, width, uniforms[0])
-            got_u, sigma, *got = _slice_log_sigma(u, height, n, ssr / 2, rate, width, uniforms[1])
-            assert (got_u, *got) == want
-            assert sigma == math.exp(got_u)
-            u = got_u
-
-    def test_underflowing_square_is_outside_every_slice(self):
-        # Below u = -372.5, e * e underflows to 0. With ssr > 0 the target
-        # is -inf there, not a ZeroDivisionError; the step-out stops at the
-        # first such point and the shrink accepts a point above it.
-        uniform = _uniforms(np.random.default_rng(3), 100).__next__
-        u, sigma, _, stepouts, collapsed = _slice_log_sigma(-371.0, -1e300, 5, 1e-300, 0.5, 1.0, uniform)
-        assert -372.5 < u and sigma == math.exp(u) and not collapsed
-        # Every point right of u0 within the budget is inside the slice, so
-        # only the left step-out can have stopped short of it.
-        assert stepouts < 49
-
-    @pytest.mark.parametrize(
-        "n, ssr, rate, seed",
-        [
-            (0, 0.0, 0.5, 1),  # prior-only: sigma ~ Exponential(0.5)
-            (996, 995 * 24.0**2, 0.5, 2),  # the application scale, sigma near 24
-            (200_000, 199_999 * 24.0**2, 0.5, 3),  # large n, sigma near 24
-            # Where fit takes the slice: rate * sigma_hat > (n - 1) / 4, so
-            # the prior pulls sigma far below sigma_hat.
-            (996, 995 * 1e6**2, 0.5, 4),  # sigma near 1.25e5
-            (996, 995 * 1e8**2, 0.5, 5),  # sigma near 2.7e6
-            (10, 9 * 100.0**2, 0.5, 6),  # sigma near 52
-        ],
-    )
-    def test_matches_quadrature(self, n, ssr, rate, seed):
-        mean, sd, kurtosis = sigma_conditional_moments(n, ssr, rate)
-        rng = np.random.default_rng(seed)
-        iterations = 20_000
-        drops = rng.standard_exponential(iterations).tolist()
-        uniform = _uniforms(rng, 4 * iterations).__next__
-        width = _slice_width(n) if n else 1.0
-        u = math.log(mean)
-        chain = np.empty(iterations)
-        collapses = 0
-        for i, drop in enumerate(drops):
-            height = log_sigma_target(u, n, ssr, rate) - drop
-            u, chain[i], _, _, collapsed = _slice_log_sigma(u, height, n, ssr / 2, rate, width, uniform)
-            collapses += collapsed
-        assert collapses == 0
-        n_eff = ess(make_view(chain.reshape(1, -1)))
-        se_mean = sd / math.sqrt(n_eff)
-        se_sd = sd * math.sqrt((kurtosis - 1.0) / (4.0 * n_eff))
-        assert abs(chain.mean() - mean) < 3.0 * se_mean
-        assert abs(chain.std(ddof=1) - sd) < 3.0 * se_sd
-
     @pytest.mark.parametrize(
         "n, resid_sd",
         [
@@ -493,94 +327,108 @@ class TestSliceUpdate:
         for name, diag in result.diagnostics.items():
             assert diag.rhat < 1.01, name
 
-    def test_effort_per_iteration(self):
-        # At sd 24 every iteration takes the Metropolis-Hastings step: one
-        # target evaluation and no step-out. Where the prior dominates, the
-        # slice update made 7.42-7.46 evaluations per iteration at sd 1e6
-        # and 9.96-9.98 at 1e8, and no update fell back to keeping its
-        # start point; the bounds guard those figures.
+    def test_rejections_per_iteration(self):
+        # Each iteration takes one independence step, so the effort is the
+        # share of rejected proposals: about 0.012 per chain in each of these
+        # regimes, most of them far Cauchy-tail proposals. sd 1e6 and 1e8
+        # are where the exponential prior dominates sigma.
         spec = ModelSpec(chains=2, iterations=3_000, warmup=500, seed=42)
-        for n, resid_sd, budget in ((996, 24.0, 1.0), (200_000, 24.0, 1.0), (996, 1e6, 8.0),
-                                    (996, 1e8, 10.5)):
+        for n, resid_sd in ((996, 24.0), (200_000, 24.0), (996, 1e6), (996, 1e8)):
             result = fit(simulate_experiment(n, 52.0, -2.49, resid_sd, seed=109), spec)
             for stats in result.chain_stats:
-                if budget == 1.0:
-                    assert stats.slice_evals_per_iteration == 1.0, (n, resid_sd, stats)
-                    assert stats.stepouts_per_iteration == 0.0, (n, resid_sd, stats)
-                assert stats.slice_evals_per_iteration <= budget, (n, resid_sd, stats)
-                assert stats.collapses_per_iteration == 0.0, (n, resid_sd, stats)
+                assert stats.rejections_per_iteration <= 0.05, (n, resid_sd, stats)
 
 
-class TestIndependenceUpdate:
-    """The sigma Metropolis-Hastings step alone, at fixed (n, ssr, rate), against quadrature."""
 
-    @pytest.mark.parametrize(
-        "n, ssr, rate, min_acceptance, seed",
-        [
-            (996, 995 * 24.0**2, 0.5, 0.98, 1),  # the application scale
-            (200_000, 199_999 * 24.0**2, 0.5, 0.98, 2),  # large n
-            (60, 59 * 1.5**2, 0.5, 0.98, 3),  # the n = 60 regime
-            # rate * sigma_hat just under (n - 1) / 4, where the slice takes over.
-            (996, 995 * (0.999999 * 995 / 2.0) ** 2, 0.5, 0.85, 4),
-        ],
+def criterion_3_regimes() -> dict[str, tuple[Dataset, PriorSpec]]:
+    """The application dataset, its outcome scaled by 1e8, and n = 60
+    under nearly flat coefficient priors, as criterion 3 fits them."""
+    application = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
+    rng = np.random.default_rng(2024)
+    d = rng.permutation(np.repeat([1, 0], 30))
+    small = Dataset(outcome=1.0 + 2.0 * d + rng.normal(0.0, 1.5, size=60), treatment=d)
+    scaled = Dataset(outcome=application.outcome * 1e8, treatment=application.treatment)
+    return {
+        "application": (application, PriorSpec()),
+        "outcome x 1e8": (scaled, PriorSpec()),
+        "n = 60, prior sd 1e6": (small, PriorSpec(0.0, 1e6, 0.0, 1e6)),
+    }
+
+
+def example_regime(name: str) -> tuple[Dataset, PriorSpec]:
+    """Named regimes for the random-regime test's ``@example``s."""
+    regimes = criterion_3_regimes()
+    if name in regimes:
+        return regimes[name]
+    if name == "n = 5":
+        return simulate_experiment(5, 52.0, -2.49, 24.0, seed=3), PriorSpec()
+    if name == "n = 200,000":
+        return simulate_experiment(200_000, 52.0, -2.49, 24.0, seed=109), PriorSpec()
+    if name == "bimodal":
+        # The beta1 prior, sd 1, conflicts with an effect of 29: sigma's
+        # marginal has two modes, at 0.94 and 9.63, of equal mass, with a
+        # 35-nat dip between them.
+        d = np.repeat([0, 1], 50)
+        outcome = np.random.default_rng(5).normal(0.0, 1.0, 100) + 29.3194 * d
+        return Dataset(outcome=outcome, treatment=d), PriorSpec(0.0, 0.01, 0.0, 1.0, 10.0)
+    # rate * sqrt(ssr / (n - 1)) near (n - 1) / 4, where an earlier sampler
+    # switched between two sigma updates.
+    data = simulate_experiment(60, 0.0, 0.0, 1.0, seed=109)
+    arms = (data.outcome[data.treatment == arm] for arm in (0, 1))
+    ss_within = sum(((y - y.mean()) ** 2).sum() for y in arms)
+    scale = 0.995 * 59 / (4 * 0.5) / math.sqrt(ss_within / 59)
+    scaled = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
+    return scaled, PriorSpec(0.0, 1e4, 0.0, 1e3)
+
+
+decades = st.floats(-3.0, 6.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def random_regimes(draw) -> tuple[Dataset, PriorSpec]:
+    """n from 3 to 400, any arm split, the effect, noise, location and
+    prior scales over decades, prior means near or far from the data."""
+    n = draw(st.integers(3, 400))
+    treated = draw(st.integers(1, n - 1))
+    noise = draw(decades)
+    effect = draw(st.floats(-1.0, 1.0)) * draw(decades)
+    location = draw(st.floats(-1.0, 1.0)) * draw(decades)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    treatment = rng.permutation(np.repeat([1, 0], [treated, n - treated]))
+    outcome = location + effect * treatment + rng.normal(0.0, noise, n)
+    priors = PriorSpec(
+        beta0_mean=location + draw(st.floats(-1.0, 1.0)) * draw(decades),
+        beta0_sd=draw(decades),
+        beta1_mean=draw(st.floats(-1.0, 1.0)) * draw(decades),
+        beta1_sd=draw(decades),
+        sigma_rate=draw(st.floats(-6.0, 1.0).map(lambda e: 10.0**e)),
     )
-    def test_matches_quadrature(self, n, ssr, rate, min_acceptance, seed):
-        mean, sd, kurtosis = sigma_conditional_moments(n, ssr, rate)
-        sigma_hat = math.sqrt(ssr / (n - 1))
-        assert rate * sigma_hat <= (n - 1) / 4
-        rng = np.random.default_rng(seed)
-        iterations = 20_000
-        gammas = rng.standard_gamma((n - 1) / 2, iterations).tolist()
-        drops = rng.standard_exponential(iterations).tolist()
-        sigma = mean
-        chain = np.empty(iterations)
-        accepted = 0
-        for i, (gamma, drop) in enumerate(zip(gammas, drops)):
-            proposal = _mh_sigma(sigma, ssr / 2, sigma_hat, n, rate, gamma, drop)
-            if proposal is not None:
-                sigma = proposal
-                accepted += 1
-            chain[i] = sigma
-        assert accepted / iterations >= min_acceptance
-        n_eff = ess(make_view(chain.reshape(1, -1)))
-        se_mean = sd / math.sqrt(n_eff)
-        se_sd = sd * math.sqrt((kurtosis - 1.0) / (4.0 * n_eff))
-        assert abs(chain.mean() - mean) < 3.0 * se_mean
-        assert abs(chain.std(ddof=1) - sd) < 3.0 * se_sd
-
-    def test_unrepresentable_proposal_is_rejected(self):
-        # With an infinite drop every finite weight ratio is accepted, so
-        # only the guards reject: a gamma of 0 would divide by zero, and
-        # 2e-303 proposes sigma near 1.2e154, above e^354 ~ 5.5e153, where
-        # sigma^2 overflows. 1e-302, proposing 5.3e153, is accepted.
-        def step(gamma):
-            return _mh_sigma(24.0, 995 * 24.0**2 / 2, 24.0, 996.0, 0.5, gamma, math.inf)
-
-        assert step(0.0) is None
-        assert step(2e-303) is None
-        assert step(1e-302) == pytest.approx(5.3e153, rel=0.01)
+    return Dataset(outcome=outcome, treatment=treatment), priors
 
 
 class TestExactPosterior:
     """The full kernel against the exact posterior of tests/posterior_oracle.py."""
 
-    def test_alternating_sigma_updates(self):
-        # The outcome is scaled so that rate * sqrt(ssr / (n - 1)) lies
-        # within the draws' spread of (n - 1) / 4: sigma's update switches
-        # between the Metropolis-Hastings step and the slice from one
-        # iteration to the next, as the coefficients move ssr.
-        data = simulate_experiment(60, 0.0, 0.0, 1.0, seed=109)
-        arms = (data.outcome[data.treatment == arm] for arm in (0, 1))
-        ss_within = sum(((y - y.mean()) ** 2).sum() for y in arms)
-        scale = 0.995 * 59 / (4 * 0.5) / math.sqrt(ss_within / 59)
-        scaled = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
-        priors = PriorSpec(0.0, 1e4, 0.0, 1e3)
-        spec = ModelSpec(priors=priors, chains=4, iterations=5_000, warmup=500, seed=8)
-        result = fit(scaled, spec)
-        for stats in result.chain_stats:
-            assert stats.rejections_per_iteration > 0.0 and stats.stepouts_per_iteration > 0.0
-        for statistic, z in standard_errors_off(result, exact_posterior(scaled, priors)).items():
-            assert abs(z) < 4.0, (statistic, z)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=random_regimes())
+    @example(case=example_regime("application"))
+    @example(case=example_regime("outcome x 1e8"))
+    @example(case=example_regime("n = 60, prior sd 1e6"))
+    @example(case=example_regime("n = 5"))
+    @example(case=example_regime("n = 200,000"))
+    @example(case=example_regime("bimodal"))
+    @example(case=example_regime("sigma near the old update switch"))
+    def test_matches_over_random_regimes(self, case):
+        # 47 examples of 7 z values each: a two-sided Bonferroni bound at a
+        # family-wise level of 0.001 is Phi^-1(1 - 0.001 / (2 * 329)) = 4.67.
+        data, priors = case
+        try:
+            exact = exact_posterior(data, priors)
+        except AssertionError:  # the oracle's grid does not cover the posterior
+            assume(False)
+        result = fit(data, ModelSpec(priors=priors, chains=4, iterations=1_250, warmup=250, seed=7))
+        for statistic, z in standard_errors_off(result, exact).items():
+            assert abs(z) < 4.67, (statistic, z)
 
     @pytest.mark.parametrize("shift", [1e4, 1e8])
     def test_shift_changes_neither_posterior_nor_fit(self, shift):
@@ -636,67 +484,81 @@ class TestPinnedDraws:
     """SHA-256 of the draws and of each chain's ChainStats, pinned in
     criterion 3's three regimes (4 chains x 2,000 iterations, seed 42).
 
-    The slice update sees its target only through comparisons with the
-    slice height, so a change in how the target is evaluated must leave
-    every bit of every chain alone. The hashes were computed with the
-    target evaluated as :func:`log_sigma_target` evaluates it. Sigma is
-    updated by the Metropolis-Hastings step in the application and n = 60
-    regimes and by the slice update throughout the outcome x 1e8 one,
-    whose draws hash predates the step: its gamma variates come from a
-    child stream and leave the slice's variates alone.
+    sigma takes one independence Metropolis-Hastings step per iteration
+    from its collapsed marginal, and the coefficients are drawn given it,
+    so any change to the marginal, the proposal, the order in which a
+    chain draws its variates, or the coefficient algebra changes these
+    hashes. A refactor that leaves the sampler alone must keep them.
     """
 
     PINNED = {
         "application": (
-            "c29bc7a61c5676c1ad20c02eedba090d5936be301343dfb833328cfdcdeda2d6",
+            "8876035b9780e671f1adfb7b64ebe9f4e503d8787ad13468465c53bbaf810bf3",
             (
-                "83202fc0d1f478cbf8279f572a378166bbfa71da4e874e07716024f78d4cb7f6",
-                "d63eae3e8482597c9caae4b8e3c30df6fe34f540ef723ee6b0a2a1ed898b7d06",
-                "24971f074ebafe12e0f83746fe33fa5e76d20d27fc6a6b90c48b43542140b01c",
-                "474ebe5ed7750fcb89987b81d2394611a080a8759a8470c708e3ae6855724f9b",
+                "5e7f0f447a756e00c01e530da916a0a2e7a6c0752c941578855910bfb0c777f0",
+                "e11fe24334af895ae2440e8d5ac4d32cb1e7f61a51d47de3159eb6e139381d81",
+                "ad7394a6c7f4c5505399d0e2d8a9c76ef40489d6de1644214a7a9bd4b799fe00",
+                "d91e09227c156995e1859a1497db21a9953f5089f2ba8ab8d7d9d62433e3c238",
             ),
         ),
         "outcome x 1e8": (
-            "2f1848e6dadc2bddd1e86a6e31256fefdcfdb8b626590200bd90e64af40cbb1c",
+            "1b0de8e5fe3273712ffe749601fae94f5e8927bee2c6df7b86b561a7b2869a25",
             (
-                "b146afa5558356b13aaf5875a0e7fd737d3433b6aa6350f2899be26c0b5266b7",
-                "dcd3821f6f4f13d95d18103e11f2a6d5c940eb02602734204d4a7cef23d67ee9",
-                "710755a73122e98ad5178867bc438d5fda547b5407a2f3cbb6a3a8d222af2a6e",
-                "c6e3d8bf79ef1a5746c96e3c320b331813070183e95ee758e3fbb94809808558",
+                "5e7f0f447a756e00c01e530da916a0a2e7a6c0752c941578855910bfb0c777f0",
+                "e11fe24334af895ae2440e8d5ac4d32cb1e7f61a51d47de3159eb6e139381d81",
+                "e41682e437dc858ed7f2dbefa09a6c18d16d07516905cfca84c902dea596e7d9",
+                "d91e09227c156995e1859a1497db21a9953f5089f2ba8ab8d7d9d62433e3c238",
             ),
         ),
         "n = 60, prior sd 1e6": (
-            "a3a247683ff7233449e84496711f3bdd981c76a973f9936d59045921384537f0",
+            "9f74c7db89475fc9719a2ac23b2a74e6bee6f312e099e348de6030dda7f74096",
             (
-                "7da6ac4a2cbf81baaf2e1554e8c5b6dee580596711c952ddc4353e6e255014c2",
-                "c06aec581a70b1023ffca0cd4539bffab990116fbdc5737d20d9b251e04e951a",
-                "24971f074ebafe12e0f83746fe33fa5e76d20d27fc6a6b90c48b43542140b01c",
-                "af5cc046ba4a21908ed8da06e6f658234d6daec384f9731727e243b52450e6cc",
+                "5e7f0f447a756e00c01e530da916a0a2e7a6c0752c941578855910bfb0c777f0",
+                "d2714cea6f629fe39ac3a61f8a03b19c05edc7411028c3d81622d7b0bd5fa36a",
+                "14fb5141d38c3c2fb68035c341005359b15cfab670def53ceeefbb0fee96a5a6",
+                "47eb9aebb84c6fbc78ee93c1e66439ca51d3b52351468f2e6d03243221cd0036",
             ),
         ),
     }
 
     @staticmethod
-    def regimes() -> dict[str, tuple[Dataset, PriorSpec]]:
-        application = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
-        rng = np.random.default_rng(2024)
-        d = rng.permutation(np.repeat([1, 0], 30))
-        small = Dataset(outcome=1.0 + 2.0 * d + rng.normal(0.0, 1.5, size=60), treatment=d)
-        scaled = Dataset(outcome=application.outcome * 1e8, treatment=application.treatment)
-        return {
-            "application": (application, PriorSpec()),
-            "outcome x 1e8": (scaled, PriorSpec()),
-            "n = 60, prior sd 1e6": (small, PriorSpec(0.0, 1e6, 0.0, 1e6)),
-        }
+    def draws_hashes() -> list[str]:
+        """The draws' SHA-256 in each regime."""
+        hashes = []
+        for data, priors in criterion_3_regimes().values():
+            spec = ModelSpec(priors=priors, chains=4, iterations=2_000, seed=42)
+            hashes.append(hashlib.sha256(fit(data, spec).draws.values.tobytes()).hexdigest())
+        return hashes
 
     @pytest.mark.parametrize("regime", list(PINNED))
     def test_draws_and_effort_are_unchanged(self, regime):
-        data, priors = self.regimes()[regime]
+        data, priors = criterion_3_regimes()[regime]
         result = fit(data, ModelSpec(priors=priors, chains=4, iterations=2_000, seed=42))
         draws_sha, stats_sha = self.PINNED[regime]
         assert hashlib.sha256(result.draws.values.tobytes()).hexdigest() == draws_sha
         got = tuple(hashlib.sha256(repr(s).encode()).hexdigest() for s in result.chain_stats)
         assert got == stats_sha, result.chain_stats
+
+    def test_draws_do_not_depend_on_simd_dispatch(self):
+        # numpy's exp, log and tan round differently with the CPU features
+        # it dispatches to, so fit must form every drawn value without
+        # them. A process with every dispatch target of this CPU disabled
+        # must draw the same bits. The names come from numpy's own list:
+        # numpy refuses to import when given a name it does not know.
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        disabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+        code = (
+            "from test_regress import TestPinnedDraws\n"
+            "print(*TestPinnedDraws.draws_hashes())\n"
+        )
+        package = os.path.dirname(os.path.dirname(effectprob.__file__))
+        path = os.pathsep.join([package, os.path.dirname(__file__)])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.split() == self.draws_hashes(), run.stderr
 
 
 class TestAllocationPeaks:
@@ -704,7 +566,7 @@ class TestAllocationPeaks:
     of iterations only, and a fit writes kept draws straight into one
     output array."""
 
-    @pytest.mark.parametrize("resid_sd", [24.0, 24e8], ids=["metropolis-hastings", "slice"])
+    @pytest.mark.parametrize("resid_sd", [24.0, 24e8], ids=["likelihood-dominates", "prior-dominates"])
     def test_fit_peak_per_iteration(self, resid_sd):
         data = simulate_experiment(996, 52.0, -2.49, resid_sd, seed=109)
         spec = ModelSpec(chains=1, iterations=50_000, warmup=1_000, seed=3)
@@ -820,8 +682,8 @@ class TestFuzz:
         seed=40,
     )
     # A prior mean beyond the reach of its sd. Before fit refused it, the
-    # residual sum was NaN, which the slice update must not take for 0, or
-    # sigma walks down to 0; a NaN sum is now pinned in TestSliceUpdate.
+    # residual sum was NaN, which a sigma update must not take for 0, or
+    # sigma walks down to 0.
     @example(
         data=(np.array([0.0, 0.0, 1.0, 0.0]), np.array([0, 0, 0, 1])),
         prior=(0.0, 1.0, 1.7976931348623159e68, 1e-120, 1.0),
