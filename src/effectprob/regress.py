@@ -33,11 +33,11 @@ builds the proposal (:class:`_Proposal`) from a grid of the log
 marginal (:func:`_log_marginal`). The chains then raise nothing.
 
 Reproducibility. Every value that reaches the draws is formed by
-correctly rounded arithmetic (+, -, *, /, ``sqrt``) or by ``math``
-functions on Python floats, never by numpy's exp, log or tan, whose
-results depend on the CPU features numpy dispatches to. Those feed only
-comparisons: the grid's extent, the cell a uniform picks and the
-accept-reject test.
+correctly rounded arithmetic (+, -, *, /, ``sqrt``), a proposal
+included, or by ``math.exp`` on Python floats, never by numpy's exp or
+log, whose results depend on the CPU features numpy dispatches to.
+Those feed only comparisons: the grid's extent, the cell a uniform
+picks and the accept-reject test.
 
 Cost model. The statistics are O(n): four exact sums over the outcome,
 read through memoryviews rather than list copies, and one equality pass.
@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -84,7 +84,8 @@ _MAX_DATA_PRECISION = sys.float_info.max / 1024.0
 _MAX_SCALE = 1e140
 # The proposal: a grid of _CELLS equal cells over where the log marginal
 # lies within _SPAN of its peak, found by up to _NARROWINGS passes from
-# the whole range of log sigma, mixed with a Cauchy tail of share _TAIL.
+# the whole range of log sigma, mixed with a uniform tail of share _TAIL
+# over that whole range.
 _CELLS = 1_024
 _SPAN = 40.0
 _NARROWINGS = 8
@@ -187,20 +188,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Per-chain effort of the sigma update, averaged over iterations.
+    """Per-chain effort of the sigma update: the share of iterations
+    whose Metropolis-Hastings step kept sigma.
 
-    Each iteration takes one Metropolis-Hastings step, which evaluates
-    sigma's marginal once, so ``slice_evals_per_iteration`` is always 1.0
-    and ``stepouts_per_iteration`` always 0.0. Both keep the names of an
-    earlier slice update's counts because the benchmark's span counters
-    (perfbench/spans.py) read them. ``rejections_per_iteration`` counts
-    the steps that kept sigma.
+    Each step evaluates sigma's marginal once. The class constants
+    ``slice_evals_per_iteration`` (1.0) and ``stepouts_per_iteration``
+    (0.0) say so under the names of an earlier slice update's counts,
+    which the benchmark's span counters (perfbench/spans.py) read.
     """
 
     chain: int
-    slice_evals_per_iteration: float
-    stepouts_per_iteration: float
     rejections_per_iteration: float
+    slice_evals_per_iteration: ClassVar[float] = 1.0
+    stepouts_per_iteration: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,18 +430,20 @@ def _log_marginal(
 
 
 class _Proposal:
-    """The independence proposal for u = log(sigma), built once per fit.
+    """The independence proposal for u = log(sigma), built once per fit:
+    one piecewise-uniform density on cells that partition |u| <= 354.
 
-    A grid of :data:`_CELLS` cells starts over the whole range |u| <= 354
-    and is narrowed, up to :data:`_NARROWINGS` times, to the cells around
-    the points where the log marginal is at least its maximum there minus
+    A grid of :data:`_CELLS` cells starts over that whole range and is
+    narrowed, up to :data:`_NARROWINGS` times, to the cells around the
+    points where the log marginal is at least its maximum there minus
     :data:`_SPAN` (``>=``: at extreme inputs the maximum is so large that
     subtracting the span leaves it unchanged). Narrowing stops early when
     it changes nothing or the narrowed grid's points would not strictly
-    increase. Each cell is uniform, with a mass from the trapezoid of the
-    marginal at its ends. A Cauchy at the grid's mode, its scale the
-    grid's width, takes share :data:`_TAIL`, so the proposal covers every
-    u and the step stays exact wherever the grid misses mass.
+    increase. Where the grid stops short of -354 or 354, one more cell
+    reaches it. The grid's cells share 1 - :data:`_TAIL` of the mass by
+    the trapezoid of the marginal at their ends, and share :data:`_TAIL`
+    is spread evenly over the whole support, so the step stays exact
+    wherever the grid misses mass.
     """
 
     def __init__(self, log_p: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -455,20 +457,22 @@ class _Proposal:
             if np.array_equal(narrowed, edges) or not (np.diff(narrowed) > 0.0).all():
                 break
             edges, values = narrowed, log_p(narrowed)
-        self.log_p, self.edges, self.widths = log_p, edges, np.diff(edges)
         peak = int(np.argmax(values))
-        self.top, self.mode = float(values[peak]), float(edges[peak])
-        self.scale = float(edges[-1] - edges[0])
+        self.log_p, self.top = log_p, float(values[peak])
         heights = np.exp(values - self.top)
         heights = heights[:-1] + heights[1:]
-        mass = heights * self.widths
-        total = math.fsum(mass.tolist())
-        # A uniform below _TAIL picks the tail, and one in
-        # [bounds[j - 1], bounds[j]) cell j, whose density is heights[j] / total:
-        # cell_density[j + 1], which is 0 at j = -1 and j = _CELLS, off the grid.
-        self.bounds = _TAIL + (1.0 - _TAIL) * (np.cumsum(mass)[:-1] / total)
-        self.cell_density = np.concatenate(([0.0], heights / total, [0.0]))
-        self.start = self.mode, float(self.log_weights(np.array([self.mode]))[0])
+        grid = (1.0 - _TAIL) * heights / math.fsum((heights * np.diff(edges)).tolist())
+        # Outer cells only where the grid stops short, so that none is empty.
+        lower, upper = int(edges[0] > -_MAX_LOG_SIGMA), int(edges[-1] < _MAX_LOG_SIGMA)
+        self.edges = np.concatenate(([-_MAX_LOG_SIGMA] * lower, edges, [_MAX_LOG_SIGMA] * upper))
+        self.widths = np.diff(self.edges)
+        density = np.concatenate(([0.0] * lower, grid, [0.0] * upper))
+        density += _TAIL / (2.0 * _MAX_LOG_SIGMA)
+        self.log_q = np.log(density)
+        self.bounds = np.cumsum(density * self.widths)[:-1]
+        # The mode's cell starts at it, or is the last when the mode is 354.
+        cell = min(peak + lower, len(self.widths) - 1)
+        self.start = float(edges[peak]), -float(self.log_q[cell])
 
     def draw(self, picks: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Proposals from two rows of standard uniforms, and their log
@@ -476,18 +480,7 @@ class _Proposal:
         constant of the fit."""
         cells = np.searchsorted(self.bounds, picks)
         proposals = self.edges[cells] + self.widths[cells] * positions
-        # The tail's few proposals through math.tan, which, unlike numpy's,
-        # rounds the same on every CPU.
-        for i in np.flatnonzero(picks < _TAIL).tolist():
-            proposals[i] = self.mode + self.scale * math.tan(math.pi * (positions[i] - 0.5))
-        return proposals, self.log_weights(proposals)
-
-    def log_weights(self, u: np.ndarray) -> np.ndarray:
-        grid = self.cell_density[np.searchsorted(self.edges, u, side="right")]
-        t = (u - self.mode) / self.scale
-        tail = 1.0 / (math.pi * self.scale * (1.0 + t * t))
-        density = (1.0 - _TAIL) * grid + _TAIL * tail
-        return self.log_p(u) - self.top - np.log(density)
+        return proposals, self.log_p(proposals) - self.top - self.log_q[cells]
 
 
 def _run_chain(
@@ -549,9 +542,4 @@ def _run_chain(
             d0 = (w0 + z0 - l21 * d1) / l11
             kept[:, start + skip - warmup : start + size - warmup] = (base0 + d0, base1 + d1, s)
 
-    return ChainStats(
-        chain=chain,
-        slice_evals_per_iteration=1.0,
-        stepouts_per_iteration=0.0,
-        rejections_per_iteration=rejections / iterations,
-    )
+    return ChainStats(chain=chain, rejections_per_iteration=rejections / iterations)

@@ -219,18 +219,20 @@ def kde(v: ParameterView) -> DensityEstimate:
     bin weights are convolved with the Gaussian kernel, truncated at
     +-8h, through one zero-padded real FFT. The cost is O(N + M log M)
     for N draws, against O(G * N) for the direct sum, and the result is
-    within about 2e-3 of the peak density of the direct sum. M is capped
-    at 2**18 bins (r <= 513): a far outlier can make the range millions of
-    bandwidths wide, and the bins are then wider than h / 8 and the
-    estimate coarser. Densities are clipped at zero, which the FFT's
-    rounding can cross in the tails.
+    within about 2e-3 of the peak density of the direct sum. Densities are
+    clipped at zero, which the FFT's rounding can cross in the tails.
+
+    M is capped at 2**18 bins (r <= 513). A far outlier can make the range
+    millions of bandwidths wide, and h / 8 bins would then pass the cap;
+    the output points are then over 64h apart, and each draw's kernel
+    reaches only its nearest one. The estimate is then the direct sum,
+    each draw added to its nearest point in O(N), not the binned one:
+    bins several bandwidths wide put a draw's whole weight on a point
+    3h or more away.
 
     Raises :class:`DegenerateDraws` when the pooled draws are all one
     value, or a spread so small or so large that the bandwidth, the
-    grid or the kernel's normalisation does not fit in a double. It also
-    raises it when the capped bins are wider than 4h, so that the kernel
-    reaches fewer than two bins either side: the estimate then strays
-    from the direct sum by more than 2e-3 of its peak. Draws
+    grid or the kernel's normalisation does not fit in a double. Draws
     that differ only far below 1, such as 1e-300 and 2e-300, are
     estimated like any others: the bandwidth comes from draws scaled by a
     power of two, so their squared deviations do not underflow.
@@ -267,16 +269,22 @@ def kde(v: ParameterView) -> DensityEstimate:
 
     max_refine = (_KDE_MAX_BINS - 1) // (_GRID_POINTS - 1)
     spacing = (hi - lo) / (_GRID_POINTS - 1)
-    refine = math.ceil(min(_KDE_BINS_PER_BANDWIDTH * spacing / h, max_refine))
+    refine = _KDE_BINS_PER_BANDWIDTH * spacing / h
+    if refine > max_refine:
+        # Every point but the nearest is over 32h from the draw, where the
+        # kernel is below exp(-512) of its peak. A draw millions of
+        # bandwidths from its nearest point squares to inf, and weighs 0.
+        nearest = np.clip(np.rint((scaled - lo) / spacing), 0, _GRID_POINTS - 1).astype(np.int64)
+        with np.errstate(over="ignore"):
+            z = (np.linspace(lo, hi, _GRID_POINTS)[nearest] - scaled) / h
+            weights = np.exp(-0.5 * z * z)
+        density = norm * np.bincount(nearest, weights, _GRID_POINTS)
+        return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)
+    refine = math.ceil(refine)
     bins = refine * (_GRID_POINTS - 1) + 1
     width = (hi - lo) / (bins - 1)
     # Bins within the kernel's cut, either side of its centre.
     reach = min(int(_KDE_TRUNCATE * h / width), bins - 1)
-    if reach < 2:
-        raise DegenerateDraws(
-            f"{v.name}: {bins} bins over [{grid_lo!r}, {grid_hi!r}] are wider than 4"
-            f" bandwidths of {bandwidth!r}"
-        )
 
     position = (scaled - lo) / width
     left = np.minimum(position.astype(np.int64), bins - 2)

@@ -561,8 +561,9 @@ class TestFuzz:
     # to 0 (one raises, the other loops forever), a tick loop whose bound
     # overflows, a density grid past the largest double, a curve whose x
     # span overflows (every vertex at the left edge), tiny distinct draws
-    # whose sd underflowed in the density estimate, and a span of the
-    # largest double, over which numpy's linspace warned.
+    # whose sd underflowed in the density estimate, a span of the
+    # largest double, over which numpy's linspace warned, and draws whose
+    # squared distance to a density grid point overflowed.
     @example(params=[np.array([[0.0, MAX, 0.0, MAX], [0.0, MAX, MAX, MAX]])], command="diagnose",
              select=False)
     @example(params=[np.array([[0.0, 5e-324, 0.0, 0.0]])], command="ccdf", select=False)
@@ -573,6 +574,8 @@ class TestFuzz:
     @example(params=[np.array([[1e-300, 2e-300, 3e-300, 5e-324]])], command="density", select=False)
     @example(params=[np.array([[0.0, MAX]])], command="ccdf", select=False)
     @example(params=[np.array([[0.0, MAX]])], command="density", select=False)
+    @example(params=[np.array([[-1e300, 0.0, 1e300], [1.0, 1.0, 1.0]])], command="density",
+             select=False)
     def test_any_draws_file_exits_cleanly(self, tmp_path, capsys, params, command, select):
         # Every failure must be an EffectProbError, which main reports as
         # one error line and exit code 2; anything else propagates here.
@@ -610,6 +613,11 @@ class TestFuzz:
     @example(params=[np.array([[0.0] * 40 + [1e308]])], command="density", level=0.95)
     @example(params=[np.array([[5e-324] * 40 + [1e308]])], command="density",
              level=0.95)
+    # Bins capped 3.8 bandwidths wide put each draw's weight on a grid
+    # point 3h or more away: 0.0143 where the direct sum is 7.4e-4.
+    @example(params=[np.array([[1e6, -0.522748441, -0.413063543],
+                               [-2.44146738, 1.79970738, 1.14416587]])],
+             command="density", level=0.5)
     def test_printed_numbers_match_an_oracle(self, tmp_path, capsys, params, command, level):
         # Every exit-0 output is checked against numpy on the draws read
         # back from the file; an exit 2 must be the library refusing them.

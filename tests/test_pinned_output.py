@@ -50,7 +50,7 @@ def test_dataset_and_fitted_draws_file_bytes(tmp_path):
     fit = ["fit", str(data), "--chains", "2", "--iters", "300", "--warmup", "50", "--seed", "1"]
     assert main([*fit, "--out", str(draws)]) == 0
     assert sha256(draws.read_bytes()) == (
-        "91eacad4ba2b47f386ea22a1fc86d93a40d54782d13525d7bbb15bbe779f5184"
+        "c826686fae60b06b035694ce90d9b1e401534964741879a7774535d8574fb6ce"
     )
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from effectprob.regress import (
     Dataset,
     ModelSpec,
     PriorSpec,
+    _fit_constants,
+    _log_marginal,
+    _Proposal,
     fit,
     simulate_experiment,
 )
@@ -330,7 +334,7 @@ class TestFit:
     def test_rejections_per_iteration(self):
         # Each iteration takes one independence step, so the effort is the
         # share of rejected proposals: about 0.012 per chain in each of these
-        # regimes, most of them far Cauchy-tail proposals. sd 1e6 and 1e8
+        # regimes, most of them far uniform-tail proposals. sd 1e6 and 1e8
         # are where the exponential prior dominates sigma.
         spec = ModelSpec(chains=2, iterations=3_000, warmup=500, seed=42)
         for n, resid_sd in ((996, 24.0), (200_000, 24.0), (996, 1e6), (996, 1e8)):
@@ -480,6 +484,75 @@ class TestExactPosterior:
         assert inside >= 34, inside
 
 
+def proposal_targets() -> dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]]:
+    """Log targets for u = log(sigma), each with the number of cells its
+    proposal has: a flat one, where narrowing stops at once and the grid
+    spans |u| <= 354; a narrow bump, where the grid stops short of both
+    ends and an outer cell reaches each; and the bimodal regime's
+    marginal."""
+    data, priors = example_regime("bimodal")
+    return {
+        "flat": (np.zeros_like, 1_024),
+        "narrow bump": (lambda u: -0.5 * ((u - 1.0) / 0.01) ** 2, 1_026),
+        "bimodal": (_log_marginal(_fit_constants(data, priors), priors), 1_026),
+    }
+
+
+class TestProposal:
+    """The sigma step's independence proposal: one piecewise-uniform
+    density on cells that partition |log sigma| <= 354."""
+
+    TARGETS = ("flat", "narrow bump", "bimodal")
+
+    @staticmethod
+    def build(target: str) -> _Proposal:
+        log_p, cells = proposal_targets()[target]
+        proposal = _Proposal(log_p)
+        assert len(proposal.widths) == cells
+        return proposal
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_cells_partition_the_support(self, target):
+        edges = self.build(target).edges
+        assert (edges[0], edges[-1]) == (-354.0, 354.0)
+        assert (np.diff(edges) > 0.0).all()
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_masses_are_positive_and_sum_to_one(self, target):
+        proposal = self.build(target)
+        masses = np.exp(proposal.log_q) * proposal.widths
+        assert (masses > 0.0).all()
+        assert math.fsum(masses.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_positions_stay_in_their_cell(self, target):
+        # A uniform midway through each cell's share of the mass picks it.
+        proposal = self.build(target)
+        cumulative = np.concatenate(([0.0], proposal.bounds, [1.0]))
+        picks = 0.5 * (cumulative[:-1] + cumulative[1:])
+        edges = proposal.edges
+        for position in (0.0, math.nextafter(1.0, 0.0)):
+            u, _ = proposal.draw(picks, np.full_like(picks, position))
+            assert ((edges[:-1] <= u) & (u <= edges[1:])).all(), position
+            assert (np.abs(u) <= 354.0).all(), position
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_start_weight_is_minus_log_q_at_the_mode(self, target):
+        # log p(mode) is the top, so the weight there is -log q alone.
+        proposal = self.build(target)
+        mode, weight = proposal.start
+        assert mode in proposal.edges
+        cell = int(np.searchsorted(proposal.edges, mode, side="right")) - 1
+        assert weight == -proposal.log_q[min(cell, len(proposal.widths) - 1)]
+
+    def test_both_modes_hold_mass(self):
+        # The modes lie at sigma = 0.94 and 9.63, either side of sigma = 3.
+        proposal = self.build("bimodal")
+        masses = np.exp(proposal.log_q) * proposal.widths
+        below = math.fsum(masses[proposal.edges[:-1] < math.log(3.0)].tolist())
+        assert min(below, 1.0 - below) >= 0.4, below
+
+
 class TestPinnedDraws:
     """SHA-256 of the draws and of each chain's ChainStats, pinned in
     criterion 3's three regimes (4 chains x 2,000 iterations, seed 42).
@@ -493,30 +566,30 @@ class TestPinnedDraws:
 
     PINNED = {
         "application": (
-            "8876035b9780e671f1adfb7b64ebe9f4e503d8787ad13468465c53bbaf810bf3",
+            "35bdb42168a73e4f34e259765ef0d8f192817cc6fc61e7428df8b729fd46fcd5",
             (
-                "5e7f0f447a756e00c01e530da916a0a2e7a6c0752c941578855910bfb0c777f0",
-                "e11fe24334af895ae2440e8d5ac4d32cb1e7f61a51d47de3159eb6e139381d81",
-                "ad7394a6c7f4c5505399d0e2d8a9c76ef40489d6de1644214a7a9bd4b799fe00",
-                "d91e09227c156995e1859a1497db21a9953f5089f2ba8ab8d7d9d62433e3c238",
+                "dd35856eded7831f96a32087a94b203a56c2a31f31f15cfce876f47caef34f83",
+                "8c109b806ff5629a16199039a690c41c943da802ca75ca392ca15cc347e92772",
+                "b5951c95ef1c7bda3725aedc70f55c80a7cd5ef335d379ae659c80dc52319e6c",
+                "f111c2decf32183fc52b96650f73d61c45a94dc983a4231d6e382784eef93b90",
             ),
         ),
         "outcome x 1e8": (
-            "1b0de8e5fe3273712ffe749601fae94f5e8927bee2c6df7b86b561a7b2869a25",
+            "0da657e4cace77f6f0a9854c3c7c7b619e41bc5f5a225fd3fcda6e3797c6ff82",
             (
-                "5e7f0f447a756e00c01e530da916a0a2e7a6c0752c941578855910bfb0c777f0",
-                "e11fe24334af895ae2440e8d5ac4d32cb1e7f61a51d47de3159eb6e139381d81",
-                "e41682e437dc858ed7f2dbefa09a6c18d16d07516905cfca84c902dea596e7d9",
-                "d91e09227c156995e1859a1497db21a9953f5089f2ba8ab8d7d9d62433e3c238",
+                "dd35856eded7831f96a32087a94b203a56c2a31f31f15cfce876f47caef34f83",
+                "8c109b806ff5629a16199039a690c41c943da802ca75ca392ca15cc347e92772",
+                "b1f54653fdce768d298f267b94983e69702a7cc0e50b9d313f00bad355411442",
+                "fb19d08704efe53dfb8e1b65dd020bb61158c095d4894b12c351adaefc0a9555",
             ),
         ),
         "n = 60, prior sd 1e6": (
-            "9f74c7db89475fc9719a2ac23b2a74e6bee6f312e099e348de6030dda7f74096",
+            "8a5887d820b1a24225496a12fea6dc0f6de5fc0bc229bc8f904620dd71aed6ea",
             (
-                "5e7f0f447a756e00c01e530da916a0a2e7a6c0752c941578855910bfb0c777f0",
-                "d2714cea6f629fe39ac3a61f8a03b19c05edc7411028c3d81622d7b0bd5fa36a",
-                "14fb5141d38c3c2fb68035c341005359b15cfab670def53ceeefbb0fee96a5a6",
-                "47eb9aebb84c6fbc78ee93c1e66439ca51d3b52351468f2e6d03243221cd0036",
+                "dd35856eded7831f96a32087a94b203a56c2a31f31f15cfce876f47caef34f83",
+                "8b4385f7ef0d51b7d9a54fccc6c4d642b07b374cbac88b1bbd2d1b6ae9d12f2e",
+                "b1f54653fdce768d298f267b94983e69702a7cc0e50b9d313f00bad355411442",
+                "fb19d08704efe53dfb8e1b65dd020bb61158c095d4894b12c351adaefc0a9555",
             ),
         ),
     }
