@@ -96,7 +96,7 @@ _INDEX_RE = re.compile(r"[0-9]+")
 _NUMBERS_ALPHABET = b"0123456789.+-eE,\n"
 # A line whose iteration cell starts with "+", after a chain cell that
 # the int parser took.
-_SIGNED_ITER = re.compile(rb"\n-?[0-9]+,\+")
+_SIGNED_ITER = re.compile(rb"\n[0-9]+,\+")
 
 # What a header name must not hold for its reader to read it back: a
 # comma, a line end, or a surrogate, which UTF-8 cannot encode.

@@ -36,6 +36,8 @@ _NEGATIVE_STYLE = "stroke:#b2182b;stroke-width:2"
 # A draw-based curve cannot reach exactly 0% or 100% for an unbounded
 # posterior, so the end ticks read "near".
 _PERCENT_TICKS = ((0.0, "near 0%"), (0.25, "25%"), (0.5, "50%"), (0.75, "75%"), (1.0, "near 100%"))
+# About this many x ticks, at steps of 1, 2, 2.5 or 5 times a power of ten.
+_X_TICKS = 6
 # What XML 1.0 forbids: C0 controls but tab, LF and CR; surrogates; U+FFFE/F.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
@@ -101,11 +103,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / max(target - 1, 1)
+    raw = span / (_X_TICKS - 1)
     # A step below the normal doubles, whose power of ten can round to 0,
     # gets ticks at its ends only. (The axis maps keep the span finite.)
     if raw < sys.float_info.min:

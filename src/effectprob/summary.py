@@ -26,11 +26,11 @@ from .errors import DegenerateDraws, InvalidArgument, InvalidLevel, InvalidRange
 # The exact probability at any threshold is prob_exceeds / prob_below.
 _GRID_POINTS = 512
 
-# Binned KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, at most
-# _KDE_MAX_BINS of them, and the kernel cut at +-_KDE_TRUNCATE bandwidths
-# (exp(-32) ~ 1e-14 of the peak).
+# Binned KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, and the
+# kernel cut at +-_KDE_TRUNCATE bandwidths (exp(-32) ~ 1e-14 of the peak).
+# Output points over 2 * _KDE_TRUNCATE bandwidths apart are summed
+# directly, so there are at most 128 * (G - 1) + 1 bins.
 _KDE_BINS_PER_BANDWIDTH = 8
-_KDE_MAX_BINS = 2**18
 _KDE_TRUNCATE = 8.0
 
 
@@ -215,20 +215,21 @@ def kde(v: ParameterView) -> DensityEstimate:
     AS 176; Wand 1994). The output grid is refined r-fold into
     M = r * (G - 1) + 1 bins, with r the smallest factor that makes the
     bins at most h / 8 wide, so every r-th bin is an output point. Each
-    draw splits its weight linearly between its two nearest bins, and the
-    bin weights are convolved with the Gaussian kernel, truncated at
-    +-8h, through one zero-padded real FFT. The cost is O(N + M log M)
-    for N draws, against O(G * N) for the direct sum, and the result is
-    within about 2e-3 of the peak density of the direct sum. Densities are
-    clipped at zero, which the FFT's rounding can cross in the tails.
+    draw splits its weight linearly between its two nearest bins, and each
+    output point sums the R bins within the kernel's cut at +-8h, weighted
+    by the Gaussian. The cost is O(N + M + G * R) for N draws, against
+    O(G * N) for the direct sum, and the result is within about 2e-3 of
+    the peak density of the direct sum. Every density is a sum of
+    non-negative terms, and a point more than 8h plus one bin from every
+    draw reads exactly 0.
 
-    M is capped at 2**18 bins (r <= 513). A far outlier can make the range
-    millions of bandwidths wide, and h / 8 bins would then pass the cap;
-    the output points are then over 64h apart, and each draw's kernel
-    reaches only its nearest one. The estimate is then the direct sum,
-    each draw added to its nearest point in O(N), not the binned one:
-    bins several bandwidths wide put a draw's whole weight on a point
-    3h or more away.
+    When the output points are more than 16h apart, every point but a
+    draw's nearest is beyond the kernel's cut, and the estimate is the
+    direct sum, each draw added to its nearest point in O(N). A far
+    outlier can make the range millions of bandwidths wide, which no
+    number of h / 8 bins could cover; coarser bins would put a draw's
+    whole weight on a point 3h or more away. So the binned path never
+    has more than 128 * (G - 1) + 1 bins.
 
     Raises :class:`DegenerateDraws` when the pooled draws are all one
     value, or a spread so small or so large that the bandwidth, the
@@ -267,12 +268,10 @@ def kde(v: ParameterView) -> DensityEstimate:
     with np.errstate(over="ignore"):  # as in ccdf
         grid = np.linspace(grid_lo, grid_hi, _GRID_POINTS)
 
-    max_refine = (_KDE_MAX_BINS - 1) // (_GRID_POINTS - 1)
     spacing = (hi - lo) / (_GRID_POINTS - 1)
-    refine = _KDE_BINS_PER_BANDWIDTH * spacing / h
-    if refine > max_refine:
-        # Every point but the nearest is over 32h from the draw, where the
-        # kernel is below exp(-512) of its peak. A draw millions of
+    if spacing > 2.0 * _KDE_TRUNCATE * h:
+        # Every point but the nearest is over 8h from the draw, where the
+        # kernel is below exp(-32) of its peak. A draw millions of
         # bandwidths from its nearest point squares to inf, and weighs 0.
         nearest = np.clip(np.rint((scaled - lo) / spacing), 0, _GRID_POINTS - 1).astype(np.int64)
         with np.errstate(over="ignore"):
@@ -280,11 +279,11 @@ def kde(v: ParameterView) -> DensityEstimate:
             weights = np.exp(-0.5 * z * z)
         density = norm * np.bincount(nearest, weights, _GRID_POINTS)
         return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)
-    refine = math.ceil(refine)
+    refine = math.ceil(_KDE_BINS_PER_BANDWIDTH * spacing / h)
     bins = refine * (_GRID_POINTS - 1) + 1
     width = (hi - lo) / (bins - 1)
     # Bins within the kernel's cut, either side of its centre.
-    reach = min(int(_KDE_TRUNCATE * h / width), bins - 1)
+    reach = int(_KDE_TRUNCATE * h / width)
 
     position = (scaled - lo) / width
     left = np.minimum(position.astype(np.int64), bins - 2)
@@ -293,14 +292,9 @@ def kde(v: ParameterView) -> DensityEstimate:
         left + 1, right_share, bins
     )
 
-    # Kernel value at every bin offset within +-8h, laid out circularly.
-    # Padding to at least bins + reach keeps the wrap-around out of the
-    # bins that are read back.
-    half = np.exp(-0.5 * (np.arange(reach + 1) * (width / h)) ** 2)
-    size = 1 << (bins + reach - 1).bit_length()
-    kernel = np.zeros(size)
-    kernel[: reach + 1] = half
-    kernel[size - reach :] = half[:0:-1]
-    smoothed = np.fft.irfft(np.fft.rfft(weights, size) * np.fft.rfft(kernel), size)
-    density = norm * np.maximum(smoothed[:bins:refine], 0.0)
+    # Row i of the windows is the 2 * reach + 1 bins centred on output
+    # point i. einsum, unlike BLAS, sums the same way on any thread count.
+    kernel = np.exp(-0.5 * (np.arange(-reach, reach + 1) * (width / h)) ** 2)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(weights, reach), 2 * reach + 1)
+    density = norm * np.einsum("ij,j->i", windows[::refine], kernel)
     return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)

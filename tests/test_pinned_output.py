@@ -9,7 +9,7 @@ digests and says so; any other change must leave them passing.
 
 The density case is built from given arrays rather than from ``kde``:
 its values come only from correctly rounded arithmetic, so its digest
-does not depend on the FFT's rounding.
+does not depend on the rounding of the kernel sums.
 """
 
 from __future__ import annotations

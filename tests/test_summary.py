@@ -479,7 +479,7 @@ class TestKde:
 
 
 class TestBinnedKde:
-    """The binned FFT estimate against the direct Gaussian sum."""
+    """The binned windowed estimate against the direct Gaussian sum."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -500,15 +500,32 @@ class TestBinnedKde:
         peak = max(direct.max(), direct_kde(values, values, h).max())
         assert np.max(np.abs(est.density - direct)) <= 2e-3 * peak
 
+    def test_points_out_of_reach_are_exactly_zero(self):
+        # Two clusters 100 apart leave 435 of the 512 points more than 9h
+        # from every draw, beyond the kernel's 8h cut plus a bin. Through
+        # an FFT, 212 of them read up to 2.5e-17 instead of 0.
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.normal(size=1_000), rng.normal(100.0, 1.0, size=10)])
+        est = kde(make_view(values.reshape(1, -1)))
+        distance = np.min(np.abs(est.grid[:, None] - values[None, :]), axis=1)
+        far = distance > 9.0 * est.bandwidth
+        assert far.sum() == 435
+        assert (est.density[far] == 0.0).all()
+        assert (est.density >= 0.0).all()
+
     def test_outlier_caps_the_internal_grid(self, monkeypatch):
         # One draw 2e4 from 100,000 N(0, 1) draws would need 1.8M bins at
-        # h / 8 each; past the cap the estimate is the direct sum to each
-        # draw's nearest point, with no FFT at all. A draw at 1e6 would
-        # leave capped bins 42 bandwidths wide: the binned estimate was
-        # 0.117 at grid[0], where the direct sum is 4.9e-7, and it
-        # integrated to 114.5.
+        # h / 8 each; with output points over 16h apart the estimate is the
+        # direct sum to each draw's nearest point, with no bins and no FFT.
+        # A draw at 1e6 would leave 2**18 bins 42 bandwidths wide: that
+        # binned estimate was 0.117 at grid[0], where the direct sum is
+        # 4.9e-7, and it integrated to 114.5. Points 16.1h and 20h apart
+        # were binned into 2**18 bins, 1.5e-5 and 6.9e-6 of the peak off
+        # the direct sum. The far draw moves neither quartile, so neither
+        # the bandwidth.
         rng = np.random.default_rng(4)
         values = np.append(rng.normal(size=100_000), 2e4)
+        h = kde(make_view(values.reshape(1, -1))).bandwidth
         sizes = []
         rfft = np.fft.rfft
 
@@ -517,22 +534,25 @@ class TestBinnedKde:
             return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", spy)
-        for far in (2e4, 1e6):
+        spaced = [values.min() - 6.0 * h + rho * h * 511 for rho in (16.1, 20.0)]
+        for far in (2e4, 1e6, *spaced):
             values[-1] = far
             est = kde(make_view(values.reshape(1, -1)))
             assert not sizes
+            assert est.bandwidth == h
             direct = direct_kde(values, est.grid, est.bandwidth)
             assert np.max(np.abs(est.density - direct)) <= 1e-12 * direct.max()
 
     @pytest.mark.parametrize("grid_points", [512])
     @pytest.mark.parametrize("reach", [0, 1, 2, 3, 4, 8])
     def test_capped_bins_match_direct_sum_or_are_refused(self, reach, grid_points):
-        # 1,000 N(0, 1) draws and one far draw, placed so that 2**18 capped
-        # bins would leave the kernel, cut at +-8h, `reach` bins either
-        # side of its centre. The far draw moves neither quartile, so
-        # neither the bandwidth. Binned, the estimate strayed 3.2e-3 of the
-        # peak from the direct sum at reach 1 and up to 0.16 at reach 0;
-        # kde now sums directly past the cap, and refuses none of them.
+        # 1,000 N(0, 1) draws and one far draw, placed so that 2**18 bins
+        # would leave the kernel, cut at +-8h, `reach` bins either side of
+        # its centre. The far draw moves neither quartile, so neither the
+        # bandwidth. Binned into 2**18 bins, the estimate strayed 3.2e-3 of
+        # the peak from the direct sum at reach 1 and up to 0.16 at reach
+        # 0; these points are over 16h apart, so kde sums directly, and
+        # refuses none of them.
         rng = np.random.default_rng(5)
         values = np.append(rng.normal(size=1_000), 100.0)
         h = kde(make_view(values.reshape(1, -1))).bandwidth
