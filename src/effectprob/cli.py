@@ -16,7 +16,6 @@ file errors and ``MemoryError`` are reported as one line on stderr:
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -120,8 +119,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plot(args: argparse.Namespace, curve, render) -> int:
-    """``ccdf`` and ``density``: compute ``curve`` on a grid, render it, write the SVG."""
+def _cmd_plot(args: argparse.Namespace) -> int:
+    """``ccdf`` and ``density``: compute the curve on a grid, render it, write the SVG."""
+    # Looked up per call, so a module attribute replaced after import is used.
+    curve, render = (ccdf, render_ccdf) if args.command == "ccdf" else (kde, render_density)
     v = _select(io.read_draws(args.draws), args.param)
     # An absent or empty --x-label keeps the renderer's default label.
     label = {"x_label": args.x_label} if args.x_label else {}
@@ -194,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(func=_cmd_summarize)
 
-    for name, help_text, curve, render in (
-        ("ccdf", "render the complementary cumulative curve as SVG", ccdf, render_ccdf),
-        ("density", "render a kernel density estimate as SVG", kde, render_density),
+    for name, help_text in (
+        ("ccdf", "render the complementary cumulative curve as SVG"),
+        ("density", "render a kernel density estimate as SVG"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("draws", help="draws file")
         p.add_argument("--param", default=None)
         p.add_argument("--x-label", default=None)
         p.add_argument("--out", required=True, help="SVG file to write")
-        p.set_defaults(func=functools.partial(_cmd_plot, curve=curve, render=render))
+        p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("diagnose", help="report split R-hat and effective sample size")
     p.add_argument("draws", help="draws file")
@@ -212,10 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -229,9 +232,5 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

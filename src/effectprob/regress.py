@@ -127,8 +127,10 @@ class ModelSpec:
     discarded. Chain c draws from an independent stream derived from
     ``(seed, c)``, so a fit is bit-reproducible from the spec alone.
     Construction raises :class:`InvalidArgument` for a negative seed or
-    warmup, no chains, or fewer than 4 iterations kept after warmup,
-    which split R-hat needs (two per split half).
+    warmup, no chains, fewer than 4 iterations kept after warmup, which
+    split R-hat needs (two per split half), or kept draws whose
+    ``(3, chains, iterations - warmup)`` array of doubles would be larger
+    than the address space.
     """
 
     priors: PriorSpec = field(default_factory=PriorSpec)
@@ -141,10 +143,16 @@ class ModelSpec:
         _check_seed(self.seed)
         if self.chains < 1:
             raise InvalidArgument(f"chains must be >= 1, got {self.chains}")
-        if self.warmup < 0 or self.iterations - self.warmup < _MIN_ITERATIONS:
+        kept = self.iterations - self.warmup
+        if self.warmup < 0 or kept < _MIN_ITERATIONS:
             raise InvalidArgument(
                 f"need warmup >= 0 and at least {_MIN_ITERATIONS} iterations after it, got "
                 f"warmup={self.warmup}, iterations={self.iterations}"
+            )
+        if 24 * self.chains * kept > sys.maxsize:
+            raise InvalidArgument(
+                f"{self.chains} chains of {kept} kept iterations need {24 * self.chains * kept} "
+                f"bytes, more than the address space holds"
             )
 
 
@@ -305,11 +313,14 @@ def simulate_experiment(
 
     floor(n / 2) units are randomly assigned to treatment; outcomes are
     ``beta0 + beta1 * d + Normal(0, resid_sd)`` noise. Deterministic for
-    a given seed.
+    a given seed. Raises :class:`InvalidArgument` for n below 3 or above
+    ``sys.maxsize``, the most elements an array can index.
     """
     n = int(n)
     if n < 3:
         raise InvalidArgument(f"need n >= 3 to form a dataset, got {n}")
+    if n > sys.maxsize:
+        raise InvalidArgument(f"n = {n} units is more than the address space holds")
     if not resid_sd > 0:
         raise InvalidArgument(f"resid_sd must be positive, got {resid_sd!r}")
     _check_seed(seed)

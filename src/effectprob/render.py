@@ -65,13 +65,15 @@ class AxisMap:
 def _x_map(x_lo: float, x_hi: float) -> AxisMap:
     """The x axis over [x_lo, x_hi], widened by 0.5 each way when empty.
 
-    Raises :class:`DegenerateDraws` when the span overflows: every point
-    would then map to the axis's left end.
+    Raises :class:`DegenerateDraws` when the span is still empty after
+    widening (at |x| >= 2^53 the 0.5 rounds away), where mapping a point
+    would divide by zero, or when it overflows, where every point would
+    map to the axis's left end.
     """
     if x_hi <= x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if not math.isfinite(x_hi - x_lo):
-        raise DegenerateDraws(f"x axis from {x_lo!r} to {x_hi!r} spans more than a double holds")
+    if not 0.0 < x_hi - x_lo < math.inf:
+        raise DegenerateDraws(f"x axis from {x_lo!r} to {x_hi!r} has no finite, nonzero width")
     return AxisMap(x_lo, x_hi, _LEFT, _RIGHT)
 
 

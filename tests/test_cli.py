@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from effectprob import cli
 from effectprob.cli import build_parser, main, parse_summary_line, summary_machine_line
 from effectprob.draws import Draws, view
 from effectprob.errors import EffectProbError
@@ -102,19 +103,28 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["simulate", "--n", "1000000000000000"], ["fit", "DATA", "--iters", "1000000000000000"]],
-    ids=["simulate", "fit"],
+    "argv, error",
+    [
+        (["simulate", "--n", "1000000000000000"], "MemoryError: Unable to allocate "),
+        (["fit", "DATA", "--iters", "1000000000000000"], "MemoryError: Unable to allocate "),
+        (["simulate", "--n", str(2**63)], "InvalidArgument: "),
+        (["fit", "DATA", "--iters", "400000000000000000"], "InvalidArgument: "),
+        (["fit", "DATA", "--chains", "100000000000000000000"], "InvalidArgument: "),
+    ],
+    ids=["simulate", "fit", "simulate-past-address-space", "fit-iters-past-address-space",
+         "fit-chains-past-address-space"],
 )
-def test_allocation_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
+def test_allocation_that_cannot_be_made_exits_2(tmp_path, capsys, argv, error):
     # numpy refuses 10**15 units or iterations (petabytes) at once, with a
-    # private MemoryError subclass that escaped as a traceback.
+    # private MemoryError subclass that escaped as a traceback. Sizes past
+    # the address space it refused with a ValueError ("Maximum allowed
+    # dimension exceeded", "array is too big"): exit 1 and a traceback.
     data, out = tmp_path / "data.csv", tmp_path / "out.csv"
     write_dataset(simulate_experiment(60, 5.0, 1.0, 2.0, seed=8), data)
     argv = [str(data) if arg == "DATA" else arg for arg in argv]
     code, stdout, stderr = run(*argv, "--out", str(out), capsys=capsys)
     assert (code, stdout) == (2, "")
-    assert stderr.startswith("error: MemoryError: Unable to allocate ")
+    assert stderr.startswith("error: " + error)
     assert stderr.count("\n") == 1
     assert not out.exists()
 
@@ -449,6 +459,31 @@ class TestDiagnose:
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+    def test_main_parses_with_the_parser_built_at_import(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_parser called after import")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        path = tmp_path / "theta.csv"
+        assert run("simulate", "--preset", "figure1", "--out", str(path), capsys=capsys)[0] == 0
+        assert run("diagnose", str(path), capsys=capsys)[0] == 0
+
+    def test_plots_call_the_curve_and_renderer_bound_at_run_time(self, tmp_path, capsys, monkeypatch):
+        # A tracer replaces these module attributes after import; a plot
+        # command must call the replacements.
+        calls = []
+        for name in ("ccdf", "kde", "render_ccdf", "render_density"):
+            def record(*args, _name=name, _func=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, record)
+        path = tmp_path / "draws.csv"
+        write_draws(Draws(("theta",), [np.random.default_rng(6).normal(size=(1, 500))]), path)
+        assert run("ccdf", str(path), "--out", str(tmp_path / "c.svg"), capsys=capsys)[0] == 0
+        assert run("density", str(path), "--out", str(tmp_path / "d.svg"), capsys=capsys)[0] == 0
+        assert calls == ["ccdf", "render_ccdf", "kde", "render_density"]
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -152,6 +152,14 @@ class TestOverflowingSpan:
         with pytest.raises(DegenerateDraws):
             render_density(est)
 
+    def test_one_point_axis_too_far_out_to_widen_is_degenerate(self):
+        # At |x| >= 2^53 widening by 0.5 rounds away, and to_px divided by zero.
+        est = DensityEstimate(grid=np.array([1e20, 1e20]), density=np.ones(2), bandwidth=1.0)
+        with pytest.raises(DegenerateDraws, match="x axis from"):
+            density_axis_maps(est)
+        with pytest.raises(DegenerateDraws):
+            render_density(est)
+
     def test_largest_finite_span_still_renders(self):
         curve = ccdf(make_view([[-8e307, 8e307, 1.0, 2.0]]))
         xmap, _ = ccdf_axis_maps(curve)
