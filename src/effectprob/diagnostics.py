@@ -6,10 +6,10 @@ draw is dropped when N is odd). Splitting makes a trending single chain
 show up as between-sequence disagreement.
 
 Reductions across sequences are order-independent (exact summation for
-R-hat, sorted summation for ESS), so relabeling chains permutes
-intermediate terms without changing either statistic, bit for bit. When
-every split sequence is constant, judged from the draws, R-hat is NaN
-and ESS is 1: a value, not an error.
+R-hat, sorted summation of the power spectra for ESS), so relabeling
+chains permutes intermediate terms without changing either statistic,
+bit for bit. When every split sequence is constant, judged from the
+draws, R-hat is NaN and ESS is 1: a value, not an error.
 """
 
 from __future__ import annotations
@@ -115,15 +115,15 @@ def ess(v: ParameterView) -> float:
     clamped to [1, 2m * n]. Constant split sequences, or a lag-0
     autocovariance that rounds to 0, give the clamped minimum of 1.
 
-    Each sequence's autocovariances at all lags come from a real FFT,
-    zero-padded to the smallest 2^a 3^b 5^c >= 2n - 1 points so that the
-    circular correlation equals the linear one. The cost is O(m n log n),
-    whatever the truncation lag, where a loop over lags costs O(m n) per
-    lag and so O(m n^2) on a random walk. The sequences are transformed
-    one at a time into one preallocated (2m, n) array, so the working
-    memory is about three times the draws, not the nine of one batched
-    transform. Each lag's terms are summed across sequences in sorted
-    order, so relabeling chains changes no bit.
+    Each sequence's power spectrum comes from a real FFT, zero-padded to
+    the smallest 2^a 3^b 5^c >= 2n - 1 points so that the circular
+    correlation equals the linear one. The 2m powers are summed at each
+    frequency in sorted order, so relabeling chains changes no bit, and
+    one inverse FFT of the sum gives the summed autocovariances at every
+    lag. The cost is O(m n log n), whatever the truncation lag, where a
+    loop over lags costs O(m n^2) on a random walk. The sequences are
+    transformed one at a time into one preallocated (2m, size // 2 + 1)
+    array, so the working memory is about 2 + 2.5 / m times the draws.
 
     Raises :class:`TooFewIterations` for chains shorter than 4.
     """
@@ -132,15 +132,14 @@ def ess(v: ParameterView) -> float:
     total = n_seq * n
 
     size = _fft_length(2 * n - 1)
-    lagged = np.empty((n_seq, n))
-    for row, seq in zip(lagged, seqs):
+    power = np.empty((n_seq, size // 2 + 1))
+    for row, seq in zip(power, seqs):
         spectrum = np.fft.rfft(seq - seq.mean(), size)
-        power = spectrum.real * spectrum.real
-        power += spectrum.imag * spectrum.imag
+        np.square(spectrum.real, out=row)
+        row += spectrum.imag * spectrum.imag
         del spectrum
-        row[:] = np.fft.irfft(power, size)[:n]
-    lagged.sort(axis=0)
-    gamma = lagged.sum(axis=0) / n_seq / n
+    power.sort(axis=0)
+    gamma = np.fft.irfft(power.sum(axis=0), size)[:n] / n_seq / n
 
     gamma0 = gamma[0]
     if constant or gamma0 == 0.0:

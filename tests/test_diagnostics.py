@@ -194,6 +194,8 @@ class TestEss:
     @example(chains=4, iterations=4, phi=0.0, seed=1)
     @example(chains=3, iterations=5, phi=0.5, seed=2)
     @example(chains=2, iterations=399, phi=0.99, seed=3)
+    # A padded length at replicate scale: n = 4,999 needs 9,997 points, padded to 10,000.
+    @example(chains=4, iterations=9_998, phi=0.9, seed=4)
     def test_fft_matches_lag_loop(self, chains, iterations, phi, seed):
         # AR(1) chains from negative to near-unit correlation; odd lengths
         # drop each chain's middle draw.
@@ -228,16 +230,25 @@ class TestEss:
 
     def test_transforms_at_a_5_smooth_length(self, monkeypatch):
         sizes = []
+        inverse_sizes = []
         rfft = np.fft.rfft
+        irfft = np.fft.irfft
 
         def spy(a, n=None, *args, **kwargs):
             sizes.append(n)
             return rfft(a, n, *args, **kwargs)
 
+        def inverse_spy(a, n=None, *args, **kwargs):
+            inverse_sizes.append(n)
+            return irfft(a, n, *args, **kwargs)
+
         monkeypatch.setattr(np.fft, "rfft", spy)
+        monkeypatch.setattr(np.fft, "irfft", inverse_spy)
         ess(make_view(np.random.default_rng(16).normal(size=(4, 9_000))))
         # One transform per split sequence; sequences of 4,500 need 8,999 points.
         assert sizes == [9_000] * 8
+        # One inverse transform of the summed power spectra.
+        assert inverse_sizes == [9_000]
 
     def test_peak_is_at_most_four_times_the_draws(self):
         # The split sequences are transformed one at a time into one
