@@ -15,6 +15,7 @@ draws, R-hat is NaN and ESS is 1: a value, not an error.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,6 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def _mean_over_sequences(terms: np.ndarray) -> float:
-    return math.fsum(terms) / len(terms)
-
-
 def split_rhat(v: ParameterView) -> float:
     """Potential scale reduction factor over split chains.
 
@@ -91,11 +88,11 @@ def split_rhat(v: ParameterView) -> float:
     """
     seqs, constant = _split_sequences(v.per_chain)
     n = seqs.shape[1]
-    within = _mean_over_sequences(seqs.var(axis=1, ddof=1))
+    within = statistics.fmean(seqs.var(axis=1, ddof=1))
     if constant or within == 0.0:
         return math.nan
     means = seqs.mean(axis=1)
-    grand = _mean_over_sequences(means)
+    grand = statistics.fmean(means)
     between = n * math.fsum((m - grand) ** 2 for m in means) / (len(means) - 1)
     var_plus = (n - 1) / n * within + between / n
     return math.sqrt(var_plus / within)

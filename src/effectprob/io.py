@@ -92,11 +92,11 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _INDEX_RE = re.compile(r"[0-9]+")
 
 # Every byte a body the typed parse takes may hold. The typed parse and
-# the sign checks in _draws_table hold a draws file's index cells to digits.
+# the sign check in read_draws hold a draws file's index cells to digits.
 _NUMBERS_ALPHABET = b"0123456789.+-eE,\n"
-# A line whose iteration cell starts with "+", after a chain cell that
-# the int parser took.
-_SIGNED_ITER = re.compile(rb"\n[0-9]+,\+")
+# A line whose chain cell starts with "+", or whose iteration cell does
+# after a chain cell that the int parser took.
+_SIGNED_INDEX = re.compile(rb"\n(?:[0-9]+,)?\+")
 
 # What a header name must not hold for its reader to read it back: a
 # comma, a line end, or a surrogate, which UTF-8 cannot encode.
@@ -388,20 +388,6 @@ def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
     return table if len(table) == data.count(b"\n", start) else None
 
 
-def _draws_table(data: bytes, start: int, params: int) -> np.ndarray | None:
-    """Parse a non-empty draws body into records of ``index`` (chain,
-    iter) and ``values``, or return None if it is outside the grammar."""
-    table = _typed_table(data, start, [("index", np.int64, (2,)), ("values", np.float64, (params,))])
-    if table is None:
-        return None
-    # loadtxt's int parser takes a leading "+".
-    if data.find(b"+", start) >= 0 and (
-        data.find(b"\n+", start - 1) >= 0 or _SIGNED_ITER.search(data, start - 1)
-    ):
-        return None
-    return table
-
-
 def read_draws(path: str | Path) -> Draws:
     """Parse a draws file into :class:`Draws`.
 
@@ -421,27 +407,24 @@ def read_draws(path: str | Path) -> Draws:
 
     if start == len(data):
         raise ParseError("no draw rows after the header")
-    table = _draws_table(data, start, len(names))
-    if table is None:
-        _raise_draws_error(data, start, names)
-
-    # Every chain has k = rows / m rows, m being the last chain label: row
-    # r holds chain r // k + 1 and iteration r % k + 1.
-    index = table["index"]
-    rows = len(index)
-    last = index[-1, 0]
-    if not (1 <= last <= rows and rows % last == 0):
-        _raise_draws_error(data, start, names)
-    m = int(last)
-    k = rows // m
-    blocks = index.reshape(m, k, 2)
-    if not (
-        (blocks[:, :, 0] == np.arange(1, m + 1)[:, None]).all()
-        and (blocks[:, :, 1] == np.arange(1, k + 1)).all()
-    ):
-        _raise_draws_error(data, start, names)
-    values = table["values"].reshape(m, k, len(names)).transpose(2, 0, 1)
-    return Draws(parameter_names=tuple(names), values=values)
+    dtype = [("index", np.int64, (2,)), ("values", np.float64, (len(names),))]
+    table = _typed_table(data, start, dtype)
+    # loadtxt's int parser takes a leading "+".
+    signed = data.find(b"+", start) >= 0 and _SIGNED_INDEX.search(data, start - 1)
+    if table is not None and not signed:
+        # Every chain has k = rows / m rows, m being the last chain label:
+        # row r holds chain r // k + 1 and iteration r % k + 1.
+        index = table["index"]
+        rows, m = len(index), int(index[-1, 0])
+        if 1 <= m <= rows and rows % m == 0:
+            k = rows // m
+            blocks = index.reshape(m, k, 2)
+            if (blocks[:, :, 0] == np.arange(1, m + 1)[:, None]).all() and (
+                blocks[:, :, 1] == np.arange(1, k + 1)
+            ).all():
+                values = table["values"].reshape(m, k, len(names)).transpose(2, 0, 1)
+                return Draws(parameter_names=tuple(names), values=values)
+    _raise_draws_error(data, start, names)
 
 
 def write_dataset(

@@ -106,10 +106,7 @@ def _escape(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / (_X_TICKS - 1)
+    raw = (hi - lo) / (_X_TICKS - 1)
     # A step below the normal doubles, whose power of ten can round to 0,
     # gets ticks at its ends only. (The axis maps keep the span finite.)
     if raw < sys.float_info.min:

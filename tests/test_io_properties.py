@@ -706,6 +706,7 @@ class TestAcceptedLanguage:
     @example(content=b"chain,iter,a\n1,1,1\n1,+2,2\n")
     @example(content=b"chain,iter,a\n+1,1,1\n1,2,2\n")
     @example(content=b"chain,iter,a\n1,1,1e+20\n1,2,2\n")
+    @example(content=b"chain,iter,a\n1,1,+1\n1,2,+2e+5\n")
     @example(content=b"chain,iter,a\n1,1,1\n1,2,2\n\n")
     @example(content=b"")
     @example(content=b"chain,iter,a\n")

@@ -7,9 +7,11 @@ writer that changes any attribute, number format, line end or element
 order fails here. A change meant to alter the outputs re-pins these
 digests and says so; any other change must leave them passing.
 
-The density case is built from given arrays rather than from ``kde``:
-its values come only from correctly rounded arithmetic, so its digest
-does not depend on the rounding of the kernel sums.
+The density document case is built from given arrays rather than from
+``kde``: its values come only from correctly rounded arithmetic, so its
+digest does not depend on the rounding of the kernel sums. The density
+command's case does go through ``kde``, which forms its kernel with
+``math.exp``, so its bytes do not depend on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -79,6 +81,21 @@ def test_ccdf_command_bytes(figure1_draws, tmp_path, capsys, flags, stdout_diges
     assert captured.err == ""
     assert sha256(captured.out.encode("utf-8")) == stdout_digest
     assert sha256(out.read_bytes()) == svg_digest
+
+
+def test_density_command_bytes(figure1_draws, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "density.svg"
+    code = main(["density", figure1_draws, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert sha256(captured.out.encode("utf-8")) == (
+        "90c8385d80b926305ca6d90ccb1fb67b471c2fb147c28f0ce424a5f42c2e1864"
+    )
+    assert sha256(out.read_bytes()) == (
+        "3a2c56e67d0e5972a6305d27ea73b69f0de696e187e639ddd935370abeac182f"
+    )
 
 
 def test_density_document_bytes():

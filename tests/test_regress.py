@@ -3,9 +3,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import warnings
 from typing import Callable
 
@@ -14,7 +11,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import effectprob
 from effectprob.draws import Draws, view
 from effectprob.errors import (
     DegenerateDesign,
@@ -34,7 +30,7 @@ from effectprob.regress import (
 )
 from effectprob.summary import prob_below
 
-from conftest import peak_bytes
+from conftest import peak_bytes, run_without_simd_dispatch
 from posterior_oracle import exact_posterior, standard_errors_off
 
 # Every prior sd and rate must lie within this factor of 1; sds may be larger.
@@ -613,25 +609,10 @@ class TestPinnedDraws:
         assert got == stats_sha, result.chain_stats
 
     def test_draws_do_not_depend_on_simd_dispatch(self):
-        # numpy's exp, log and tan round differently with the CPU features
-        # it dispatches to, so fit must form every drawn value without
-        # them. A process with every dispatch target of this CPU disabled
-        # must draw the same bits. The names come from numpy's own list:
-        # numpy refuses to import when given a name it does not know.
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-        disabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
-        code = (
-            "from test_regress import TestPinnedDraws\n"
-            "print(*TestPinnedDraws.draws_hashes())\n"
-        )
-        package = os.path.dirname(os.path.dirname(effectprob.__file__))
-        path = os.pathsep.join([package, os.path.dirname(__file__)])
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": path}
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert run.stdout.split() == self.draws_hashes(), run.stderr
+        # fit forms every drawn value without numpy's exp, log and tan, so
+        # a process with numpy's SIMD dispatch off must draw the same bits.
+        code = "from test_regress import TestPinnedDraws\nprint(*TestPinnedDraws.draws_hashes())\n"
+        assert run_without_simd_dispatch(code).split() == self.draws_hashes()
 
 
 class TestAllocationPeaks:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -26,7 +27,7 @@ from effectprob.summary import (
     summarize,
 )
 
-from conftest import make_view
+from conftest import make_view, run_without_simd_dispatch
 
 # Independent oracles, kept deliberately dumb.
 
@@ -477,6 +478,28 @@ class TestKde:
         expected = 0.9 * min(sd, iqr / 1.34) * pooled.size ** (-0.2)
         assert kde(normal_draws).bandwidth == pytest.approx(expected, rel=1e-12)
 
+    @staticmethod
+    def density_hashes() -> list[str]:
+        """The SHA-256 of kde's densities over ten draw sets of 4 x 2,500:
+        normal draws at random locations and scales, and on odd seeds one
+        far draw that spaces the output points over 16h apart."""
+        hashes = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            loc, scale = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3.0, 3.0)
+            values = rng.normal(loc, scale, size=(4, 2_500))
+            if seed % 2:
+                values[0, 0] += 200.0 * np.ptp(values)
+            hashes.append(hashlib.sha256(kde(make_view(values)).density.tobytes()).hexdigest())
+        return hashes
+
+    def test_density_does_not_depend_on_simd_dispatch(self):
+        # numpy's exp rounds differently with the CPU features it
+        # dispatches to, so kde forms every kernel value with math.exp. A
+        # process with numpy's SIMD dispatch off must give the same bits.
+        code = "from test_summary import TestKde\nprint(*TestKde.density_hashes())\n"
+        assert run_without_simd_dispatch(code).split() == self.density_hashes()
+
 
 class TestBinnedKde:
     """The binned windowed estimate against the direct Gaussian sum."""
@@ -516,24 +539,24 @@ class TestBinnedKde:
     def test_outlier_caps_the_internal_grid(self, monkeypatch):
         # One draw 2e4 from 100,000 N(0, 1) draws would need 1.8M bins at
         # h / 8 each; with output points over 16h apart the estimate is the
-        # direct sum to each draw's nearest point, with no bins and no FFT.
-        # A draw at 1e6 would leave 2**18 bins 42 bandwidths wide: that
-        # binned estimate was 0.117 at grid[0], where the direct sum is
-        # 4.9e-7, and it integrated to 114.5. Points 16.1h and 20h apart
-        # were binned into 2**18 bins, 1.5e-5 and 6.9e-6 of the peak off
-        # the direct sum. The far draw moves neither quartile, so neither
-        # the bandwidth.
+        # direct sum to each draw's nearest point, with no bins. A draw at
+        # 1e6 would leave bins 42 bandwidths wide if their number were
+        # capped at 2**18: that binned estimate was 0.117 at grid[0], where
+        # the direct sum is 4.9e-7, and it integrated to 114.5. Points
+        # 16.1h and 20h apart, binned into 2**18 bins, were 1.5e-5 and
+        # 6.9e-6 of the peak off the direct sum. The far draw moves neither
+        # quartile, so neither the bandwidth.
         rng = np.random.default_rng(4)
         values = np.append(rng.normal(size=100_000), 2e4)
         h = kde(make_view(values.reshape(1, -1))).bandwidth
         sizes = []
-        rfft = np.fft.rfft
+        windows = np.lib.stride_tricks.sliding_window_view
 
-        def spy(a, n=None, *args, **kwargs):
-            sizes.append(np.shape(a)[-1] if n is None else n)
-            return rfft(a, n, *args, **kwargs)
+        def spy(x, window_shape, *args, **kwargs):
+            sizes.append(np.shape(x)[-1])
+            return windows(x, window_shape, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "rfft", spy)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy)
         spaced = [values.min() - 6.0 * h + rho * h * 511 for rho in (16.1, 20.0)]
         for far in (2e4, 1e6, *spaced):
             values[-1] = far
@@ -549,10 +572,10 @@ class TestBinnedKde:
         # 1,000 N(0, 1) draws and one far draw, placed so that 2**18 bins
         # would leave the kernel, cut at +-8h, `reach` bins either side of
         # its centre. The far draw moves neither quartile, so neither the
-        # bandwidth. Binned into 2**18 bins, the estimate strayed 3.2e-3 of
-        # the peak from the direct sum at reach 1 and up to 0.16 at reach
-        # 0; these points are over 16h apart, so kde sums directly, and
-        # refuses none of them.
+        # bandwidth. Were the bins capped at 2**18, the estimate would
+        # stray 3.2e-3 of the peak from the direct sum at reach 1 and up to
+        # 0.16 at reach 0; these points are over 16h apart, so kde sums
+        # directly, and refuses none of them.
         rng = np.random.default_rng(5)
         values = np.append(rng.normal(size=1_000), 100.0)
         h = kde(make_view(values.reshape(1, -1))).bandwidth
