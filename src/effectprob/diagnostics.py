@@ -15,7 +15,6 @@ draws, R-hat is NaN and ESS is 1: a value, not an error.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +87,11 @@ def split_rhat(v: ParameterView) -> float:
     """
     seqs, constant = _split_sequences(v.per_chain)
     n = seqs.shape[1]
-    within = statistics.fmean(seqs.var(axis=1, ddof=1))
+    within = math.fsum(seqs.var(axis=1, ddof=1)) / len(seqs)
     if constant or within == 0.0:
         return math.nan
     means = seqs.mean(axis=1)
-    grand = statistics.fmean(means)
+    grand = math.fsum(means) / len(means)
     between = n * math.fsum((m - grand) ** 2 for m in means) / (len(means) - 1)
     var_plus = (n - 1) / n * within + between / n
     return math.sqrt(var_plus / within)
@@ -142,12 +141,9 @@ def ess(v: ParameterView) -> float:
     if constant or gamma0 == 0.0:
         return 1.0
 
-    # Pair lags (0,1), (2,3), ... (lag n, past the end, is 0) and stop at
-    # the first negative pair.
-    rho = gamma / gamma0
-    if n % 2:
-        rho = np.append(rho, 0.0)
-    pairs = rho[0::2] + rho[1::2]
+    # Pair lags (0,1), (2,3), ... (an odd n's last lag stands alone) and
+    # stop at the first negative pair.
+    pairs = np.add.reduceat(gamma / gamma0, np.arange(0, n, 2))
     negative = np.flatnonzero(pairs < 0.0)
     if negative.size:
         pairs = pairs[: negative[0]]

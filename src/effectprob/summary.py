@@ -26,9 +26,9 @@ from .errors import DegenerateDraws, InvalidArgument, InvalidLevel, InvalidRange
 # The exact probability at any threshold is prob_exceeds / prob_below.
 _GRID_POINTS = 512
 
-# Binned KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, and the
-# kernel cut at +-_KDE_TRUNCATE bandwidths (exp(-32) ~ 1e-14 of the peak).
-# Output points over 2 * _KDE_TRUNCATE bandwidths apart are summed
+# KDE: bins at most h / _KDE_BINS_PER_BANDWIDTH wide, and on both paths
+# the kernel cut at +-_KDE_TRUNCATE bandwidths (exp(-32) ~ 1e-14 of the
+# peak). Output points over 2 * _KDE_TRUNCATE bandwidths apart are summed
 # directly, so there are at most 128 * (G - 1) + 1 bins.
 _KDE_BINS_PER_BANDWIDTH = 8
 _KDE_TRUNCATE = 8.0
@@ -226,11 +226,12 @@ def kde(v: ParameterView) -> DensityEstimate:
 
     When the output points are more than 16h apart, every point but a
     draw's nearest is beyond the kernel's cut, and the estimate is the
-    direct sum, each draw added to its nearest point in O(N). A far
-    outlier can make the range millions of bandwidths wide, which no
-    number of h / 8 bins could cover; coarser bins would put a draw's
-    whole weight on a point 3h or more away. So the binned path never
-    has more than 128 * (G - 1) + 1 bins.
+    direct sum over the draws within the cut, each added to its nearest
+    point in O(N); here too a point over 8h from every draw reads
+    exactly 0. A far outlier can make the range millions of bandwidths
+    wide, which no number of h / 8 bins could cover; coarser bins would
+    put a draw's whole weight on a point 3h or more away. So the binned
+    path never has more than 128 * (G - 1) + 1 bins.
 
     Raises :class:`DegenerateDraws` when the pooled draws are all one
     value, or a spread so small or so large that the bandwidth, the
@@ -271,17 +272,13 @@ def kde(v: ParameterView) -> DensityEstimate:
 
     spacing = (hi - lo) / (_GRID_POINTS - 1)
     if spacing > 2.0 * _KDE_TRUNCATE * h:
-        # Every point but the nearest is over 8h from the draw, where the
-        # kernel is below exp(-32) of its peak. A draw millions of
-        # bandwidths from its nearest point squares to inf, and weighs 0.
+        # Every point but its nearest is beyond a draw's 8h cut, and so is
+        # the nearest for the draws left out (z may overflow to inf).
         nearest = np.clip(np.rint((scaled - lo) / spacing), 0, _GRID_POINTS - 1).astype(np.int64)
         with np.errstate(over="ignore"):
             z = (np.linspace(lo, hi, _GRID_POINTS)[nearest] - scaled) / h
-        # Past |z| = 38.7 the kernel rounds to 0.
-        near = np.abs(z) < 38.7
-        weights = np.zeros(len(z))
-        weights[near] = _gaussian(z[near])
-        density = norm * np.bincount(nearest, weights, _GRID_POINTS)
+        near = np.abs(z) <= _KDE_TRUNCATE
+        density = norm * np.bincount(nearest[near], _gaussian(z[near]), _GRID_POINTS)
         return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth)
     refine = math.ceil(_KDE_BINS_PER_BANDWIDTH * spacing / h)
     bins = refine * (_GRID_POINTS - 1) + 1

@@ -34,6 +34,7 @@ every moment are 1-D trapezoid integrals over u.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,25 +150,47 @@ def exact_posterior(data: Dataset, priors: PriorSpec) -> ExactPosterior:
     )
 
 
+def binomial_z(p_hat: float, p: float, n_eff: float) -> float:
+    """The z of a share ``p_hat`` of ``n = round(n_eff)`` Bernoulli(p) draws.
+
+    The tail is the exact binomial probability of a count at least as far
+    from n p as k = round(p_hat n), on the side of p that ``p_hat`` lies;
+    z is its standard normal quantile, signed like ``p_hat - p``, and 0
+    when the tail holds half the mass or more. Near p = 0 or 1 this stays
+    right where (p_hat - p) / sqrt(p (1 - p) / n) does not: at p = 1e-5
+    and n = 4,500 one draw below zero is a 5% event, not a 4-sigma one.
+    Where p is 0 or 1, z is 0 if ``p_hat`` equals p and infinite
+    otherwise, so that any bound fails.
+    """
+    if not 0.0 < p < 1.0:
+        return math.copysign(math.inf, p_hat - p) if p_hat != p else 0.0
+    n = round(n_eff)
+    k = round(p_hat * n)
+    counts = range(k, n + 1) if p_hat > p else range(k + 1)
+    log_choose = math.lgamma(n + 1)
+    tail = math.fsum(
+        math.exp(log_choose - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                 + j * math.log(p) + (n - j) * math.log1p(-p))
+        for j in counts
+    )
+    if tail >= 0.5:
+        return 0.0
+    if tail == 0.0:
+        return math.copysign(math.inf, p_hat - p)
+    return math.copysign(statistics.NormalDist().inv_cdf(tail), p_hat - p)
+
+
 def standard_errors_off(result: FitResult, exact: ExactPosterior) -> dict[str, float]:
     """How far a fit lies from the exact posterior, in Monte Carlo standard errors.
 
-    For P(beta1 < 0) the error is sqrt(p (1 - p) / ESS) with the ESS of
-    the indicator 1{beta1 < 0}; for a mean, sd / sqrt(ESS); for an sd,
-    sd sqrt((kurtosis - 1) / (4 ESS)). Each ESS comes from ``ess``. Where
-    p is 0 or 1 the error is 0, and the z is 0 if the fit's share equals
-    p and infinite otherwise, so that any bound fails.
+    P(beta1 < 0) is scored by :func:`binomial_z` with the ESS of the
+    indicator 1{beta1 < 0}. For a mean the error is sd / sqrt(ESS), and
+    for an sd, sd sqrt((kurtosis - 1) / (4 ESS)). Each ESS comes from
+    ``ess``.
     """
-    p = exact.p_beta1_below_zero
     below = view(result.draws, "beta1").per_chain < 0.0
-    p_hat = float(below.mean())
     n_eff = ess(ParameterView("below", below.astype(float)))
-    variance = p * (1.0 - p)
-    if variance > 0.0:
-        z = (p_hat - p) / math.sqrt(variance / n_eff)
-    else:
-        z = math.copysign(math.inf, p_hat - p) if p_hat != p else 0.0
-    off = {"P(beta1 < 0)": z}
+    off = {"P(beta1 < 0)": binomial_z(float(below.mean()), exact.p_beta1_below_zero, n_eff)}
     for name in ("beta0", "beta1", "sigma"):
         marginal = getattr(exact, name)
         draws = view(result.draws, name).pooled

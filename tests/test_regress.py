@@ -31,7 +31,7 @@ from effectprob.regress import (
 from effectprob.summary import prob_below
 
 from conftest import peak_bytes, run_without_simd_dispatch
-from posterior_oracle import exact_posterior, standard_errors_off
+from posterior_oracle import binomial_z, exact_posterior, standard_errors_off
 
 # Every prior sd and rate must lie within this factor of 1; sds may be larger.
 MAX_SCALE = 1e140
@@ -468,9 +468,18 @@ class TestExactPosterior:
         flipped = dataclasses.replace(result, draws=Draws(result.draws.parameter_names, values))
         assert standard_errors_off(flipped, exact)["P(beta1 < 0)"] == -math.inf
 
+    def test_binomial_z_near_zero_and_in_the_normal_regime(self):
+        # At p = 1.07e-5 and ESS 4,500, one draw below 0 of 4,000 is a 5%
+        # event; the normal approximation read it as z = 4.9. A share 5
+        # MCSE off p = 0.3 at ESS 4,000 must still fail the 4.67 bound.
+        assert 0.0 < binomial_z(1 / 4_000, 1.07e-5, 4_500) < 2.0
+        mcse = math.sqrt(0.3 * 0.7 / 4_000)
+        assert binomial_z(0.3 + 5.0 * mcse, 0.3, 4_000) > 4.67
+        assert binomial_z(0.3 - 5.0 * mcse, 0.3, 4_000) < -4.67
+
     def test_probability_coverage_over_short_fits(self):
-        # Over 40 pinned fits of 4 x 1,000 kept draws, z = (p_hat - p) / MCSE
-        # for P(beta1 < 0) should lie within +-1.96 about 95% of the time.
+        # Over 40 pinned fits of 4 x 1,000 kept draws, the z of P(beta1 < 0)
+        # should lie within +-1.96 about 95% of the time.
         data = simulate_experiment(996, 52.0, -2.49, 24.0, seed=109)
         exact = exact_posterior(data, PriorSpec())
         inside = 0

@@ -2,7 +2,9 @@
 
 scipy is installed beside the test tools, so an accidental import of it
 would pass every other test. This one runs the package in a fresh
-interpreter and looks at what got imported.
+interpreter and looks at what got imported. It also looks for
+`statistics`, which loads `fractions` and `decimal` and adds a few ms to
+every start of the command line.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ v = ParameterView("x", np.random.default_rng(0).normal(size=(4, 500)))
 kde(v)
 ess(v)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+loaded = sorted({"statistics", "fractions", "decimal"} & sys.modules.keys())
 assert not loaded, loaded
 """
 

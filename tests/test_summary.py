@@ -536,7 +536,21 @@ class TestBinnedKde:
         assert (est.density[far] == 0.0).all()
         assert (est.density >= 0.0).all()
 
-    def test_outlier_caps_the_internal_grid(self, monkeypatch):
+        # One draw that spaces the points 40h apart sends every draw to its
+        # nearest point. Point 1 is nearest to draws 8h to 20h away, and
+        # read 1.2e-20 while the far path cut the kernel at 38.7h, not 8h.
+        values = np.append(rng.normal(size=1_000), 100.0)
+        h = kde(make_view(values.reshape(1, -1))).bandwidth
+        values[-1] = values.min() - 6.0 * h + 40.0 * h * 511
+        est = kde(make_view(values.reshape(1, -1)))
+        assert est.bandwidth == h
+        distance = np.min(np.abs(est.grid[:, None] - values[None, :]), axis=1)
+        far = distance > 8.0 * h
+        assert np.flatnonzero(far & (distance < 38.7 * h)).tolist() == [1, 510]
+        assert (est.density[far] == 0.0).all()
+        assert (est.density >= 0.0).all()
+
+    def test_far_apart_points_take_no_bins(self, monkeypatch):
         # One draw 2e4 from 100,000 N(0, 1) draws would need 1.8M bins at
         # h / 8 each; with output points over 16h apart the estimate is the
         # direct sum to each draw's nearest point, with no bins. A draw at
@@ -568,7 +582,7 @@ class TestBinnedKde:
 
     @pytest.mark.parametrize("grid_points", [512])
     @pytest.mark.parametrize("reach", [0, 1, 2, 3, 4, 8])
-    def test_capped_bins_match_direct_sum_or_are_refused(self, reach, grid_points):
+    def test_far_draw_at_each_reach_matches_direct_sum(self, reach, grid_points):
         # 1,000 N(0, 1) draws and one far draw, placed so that 2**18 bins
         # would leave the kernel, cut at +-8h, `reach` bins either side of
         # its centre. The far draw moves neither quartile, so neither the
