@@ -85,7 +85,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"wrote {preset['n']} draws of {preset['parameter']!r} to {args.out}")
         return 0
     data = simulate_experiment(args.n, args.beta0, args.beta1, args.sd, args.seed)
-    io.write_dataset(data, args.out, args.outcome, args.treatment)
+    io.write_dataset(data, args.out)
     print(f"wrote dataset with {data.n} units to {args.out}")
     return 0
 
@@ -169,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, default=52.0, help="dataset mode: control mean")
     p.add_argument("--beta1", type=float, default=-2.49, help="dataset mode: treatment effect")
     p.add_argument("--sd", type=float, default=24.0, help="dataset mode: residual sd")
-    p.add_argument("--outcome", default="outcome", help="dataset mode: outcome column name")
-    p.add_argument("--treatment", default="treatment", help="dataset mode: treatment column name")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

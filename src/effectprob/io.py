@@ -18,10 +18,10 @@ contiguous block of rows with iterations numbered from 1. So every
 accepted draws file is exactly what :func:`write_draws` would write for
 its values, up to the spelling of the numbers.
 
-A writer refuses, with :class:`InvalidArgument` and before it opens the
-file, a header name its reader would not read back: one holding ``,``,
-``\\n`` or ``\\r``, one not encodable as UTF-8, or two equal dataset
-column names.
+:func:`write_dataset` always writes the header ``outcome,treatment``.
+:func:`write_draws` refuses, with :class:`InvalidArgument` and before it
+opens the file, a parameter name its reader would not read back: one
+holding ``,``, ``\\n`` or ``\\r``, or one not encodable as UTF-8.
 
 Cost model. A read keeps the file as one ``bytes`` buffer. A body made
 only of the number alphabet ``[0-9.+-eE,\\n]`` takes the typed parse,
@@ -235,7 +235,11 @@ def _raise_draws_error(data: bytes, start: int, names: list[str]) -> NoReturn:
 def write_draws(d: Draws, path: str | Path) -> None:
     """Write a draws file: header ``chain,iter,<params>``, chain-major rows.
     A name the reader would not read back raises :class:`InvalidArgument`."""
-    _check_names(d.parameter_names)
+    for name in d.parameter_names:
+        if _BAD_NAME.search(name):
+            raise InvalidArgument(
+                f"column name {name!r} holds a comma, a line end or a character UTF-8 cannot encode"
+            )
     params, chains, iterations = d.values.shape
     rows = chains * iterations
     columns = d.values.reshape(params, rows)
@@ -245,14 +249,6 @@ def write_draws(d: Draws, path: str | Path) -> None:
             stop = min(first + _BLOCK_ROWS, rows)
             chain, iteration = np.divmod(np.arange(first, stop), iterations)
             out.write(_format_block([chain + 1, iteration + 1, *columns[:, first:stop]]))
-
-
-def _check_names(names: tuple[str, ...]) -> None:
-    for name in names:
-        if _BAD_NAME.search(name):
-            raise InvalidArgument(
-                f"column name {name!r} holds a comma, a line end or a character UTF-8 cannot encode"
-            )
 
 
 def _format_block(columns: list[np.ndarray]) -> bytes:
@@ -427,19 +423,10 @@ def read_draws(path: str | Path) -> Draws:
     _raise_draws_error(data, start, names)
 
 
-def write_dataset(
-    data: Dataset,
-    path: str | Path,
-    outcome_column: str = "outcome",
-    treatment_column: str = "treatment",
-) -> None:
-    """Write a dataset file: one header row, one row per unit. Equal
-    names, or one the reader would not read back, raise :class:`InvalidArgument`."""
-    _check_names((outcome_column, treatment_column))
-    if outcome_column == treatment_column:
-        raise InvalidArgument(f"outcome and treatment columns are both named {outcome_column!r}")
+def write_dataset(data: Dataset, path: str | Path) -> None:
+    """Write a dataset file: header ``outcome,treatment``, one row per unit."""
     with Path(path).open("wb") as out:
-        out.write(f"{outcome_column},{treatment_column}\n".encode("utf-8"))
+        out.write(b"outcome,treatment\n")
         for first in range(0, len(data.outcome), _BLOCK_ROWS):
             block = slice(first, first + _BLOCK_ROWS)
             out.write(_format_block([data.outcome[block], data.treatment[block]]))

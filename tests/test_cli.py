@@ -59,23 +59,6 @@ class TestSimulate:
         assert stderr.startswith("error: NonFiniteData: ")
         assert stderr.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "names",
-        [["--outcome", "y,z"], ["--outcome", "x", "--treatment", "x"], ["--outcome", "\udcff"]],
-        ids=["comma", "equal", "not-utf8"],
-    )
-    def test_header_the_reader_refuses_exits_2_without_a_file(self, tmp_path, capsys, names):
-        # "\udcff" is how Python passes the argv byte 0xff. Unchecked, the
-        # first two wrote a file that fit cannot read, and the last raised
-        # UnicodeEncodeError after creating an empty file.
-        out = tmp_path / "data.csv"
-        code, stdout, stderr = run("simulate", *names, "--out", str(out), capsys=capsys)
-        assert code == 2
-        assert stdout == ""
-        assert stderr.startswith("error: InvalidArgument: ")
-        assert stderr.count("\n") == 1
-        assert not out.exists()
-
     def test_dataset_mode_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("simulate", "--n", "50", "--seed", "3", "--out", str(a), capsys=capsys)
@@ -158,6 +141,24 @@ class TestFit:
         run(*argv, "--out", str(a), capsys=capsys)
         run(*argv, "--out", str(b), capsys=capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_renamed_dataset_with_a_text_column_fits_the_same(self, tmp_path, capsys):
+        # The same units under other column names, beside a text column,
+        # which sends the read down the line walk instead of the typed parse.
+        plain, renamed = tmp_path / "plain.csv", tmp_path / "renamed.csv"
+        assert run("simulate", "--n", "60", "--seed", "8", "--out", str(plain), capsys=capsys)[0] == 0
+        rows = plain.read_text().splitlines()[1:]
+        renamed.write_text("id,score,arm\n" + "".join(f"unit {i},{row}\n" for i, row in enumerate(rows)))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["--iters", "400", "--warmup", "100"]
+        code_a, stdout_a, _ = run("fit", str(plain), *argv, "--out", str(a), capsys=capsys)
+        code_b, stdout_b, _ = run(
+            "fit", str(renamed), "--outcome", "score", "--treatment", "arm", *argv,
+            "--out", str(b), capsys=capsys,
+        )
+        assert (code_a, code_b) == (0, 0)
+        assert stdout_b == stdout_a
+        assert b.read_bytes() == a.read_bytes()
 
     def test_rejects_zero_chains(self, tmp_path, capsys):
         data = self._dataset(tmp_path)
