@@ -7,11 +7,13 @@ written with 17 significant digits, which is lossless for 64-bit floats,
 so write-then-read reproduces values bit-exactly.
 
 Files are UTF-8; a byte that is not raises :class:`ParseError` naming
-its line. Lines end at ``\\n``; ``\\r\\n`` and ``\\r`` line ends load too,
-and a final newline is optional. Other characters that
-:meth:`str.splitlines` treats as line breaks (``\\v``, ``\\f``,
-``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``) are ordinary
-characters: a numeric cell containing one is a parse error.
+its line. One byte-order mark at the start of a file, as spreadsheets
+export it, is dropped; the writers write none. Lines end at ``\\n``;
+``\\r\\n`` and ``\\r`` line ends load too, and a final newline is
+optional. Other characters that :meth:`str.splitlines` treats as line
+breaks (``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``,
+``\\u2029``) are ordinary characters: a numeric cell containing one is a
+parse error.
 
 Draw files must number chains 1..m in file order, each chain in one
 contiguous block of rows with iterations numbered from 1. So every
@@ -25,31 +27,39 @@ holding ``,``, ``\\n`` or ``\\r``, or one not encodable as UTF-8.
 
 Cost model. A read keeps the file as one ``bytes`` buffer. A body made
 only of the number alphabet ``[0-9.+-eE,\\n]`` takes the typed parse,
-three O(file bytes) passes in C with no Python call per cell: one
-:meth:`bytes.translate` deletes the alphabet and must leave only what it
-leaves of the header; one ``np.loadtxt`` call checks every line's field
-count and parses every cell into typed records, and within the alphabet
-accepts exactly the decimal grammar; one line count must equal the rows
-parsed, because loadtxt skips blank lines. A draws record holds two
-int64 index fields, whose parser refuses empty and non-integer cells
-but takes a leading ``+`` (so a body holding a ``+`` is searched for an
-index cell that starts with one), and one float64 field per parameter.
-One O(rows) pass compares the index fields with the only layout an
-accepted file can have, and the values go to :class:`Draws` as one
-strided view of the records, which it copies once. A dataset record
-holds one float64 field per header column, whatever the column count,
-and one O(rows) pass checks the treatment cells. Either read peaks at
-about twice the file's size.
+two O(file bytes) passes in C. One :meth:`bytes.translate` deletes the
+alphabet but ``\\n``; past the header's line end it must leave only
+``\\n``, one per body line. Then numpy's loadtxt parser reads the body
+as one in-memory stream in 16 KiB chunks, one Python call per chunk and
+none per line or cell. It checks every line's field count, parses every
+cell into typed records, and within the alphabet accepts exactly the
+decimal grammar; it skips blank lines, so its rows must number the
+body's lines. ``np.loadtxt`` over a ``BytesIO`` fed the same parser one
+line per Python call: on one core of a 2-vCPU Xeon VM (best CPU time of
+15, three alternations) a read of long_chains' 4.7 MB draws file went
+from 74 to 62 ms, 4 x 9k fitted draws of three parameters from 35 to
+32 ms, 10k draws of one from 4.3 to 3.3 ms and a 200k-row dataset from
+87 to 63 ms.
+
+A draws record holds two int64 index fields, whose parser refuses empty
+and non-integer cells but takes a leading ``+`` (so a body holding a
+``+`` is searched for an index cell that starts with one), and one
+float64 field per parameter. One O(rows) pass compares the index fields
+with the only layout an accepted file can have, and the values go to
+:class:`Draws` as one strided view of the records, which it copies
+once. A dataset record holds one float64 field per header column,
+whatever the column count, and one O(rows) pass checks the treatment
+cells. Either read peaks at about twice the file's size.
 
 Any other body is decoded and walked line by line: every line's field
 count first, then each line's cells against the grammar. A dataset that
-holds text, an unused cell loadtxt refuses (``1.2.3``, an empty cell) or
-a treatment that is not 0/1 takes the walk, which returns the values of
-an accepted body and raises the first line-numbered error otherwise. It
-makes Python calls per line: a 200k-row dataset with one text column
-reads in about 0.6 s on one core of a 2-vCPU Xeon VM, peaking at about
-6.3 times the file's size. A draws body takes the walk only after a
-check failed, to raise its first line-numbered error, or
+holds text, an unused cell the typed parse refuses (``1.2.3``, an empty
+cell) or a treatment that is not 0/1 takes the walk, which returns the
+values of an accepted body and raises the first line-numbered error
+otherwise. It makes Python calls per line: a 200k-row dataset with one
+text column reads in about 0.6 s on one core of a 2-vCPU Xeon VM,
+peaking at about 6.3 times the file's size. A draws body takes the walk
+only after a check failed, to raise its first line-numbered error, or
 :class:`RaggedChains` if every line is well formed.
 
 A write formats ``_BLOCK_ROWS`` rows at a time into one file opened in
@@ -74,11 +84,18 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterator
-from io import BytesIO
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
+
+# The C parser behind np.loadtxt. np.loadtxt streams a file in chunks
+# only when given a path, which it opens itself; any other input reaches
+# this parser as a line iterator, one Python call and one decode per
+# line. _typed_table passes the keywords numpy's own _read passes. The
+# steps _read takes after the call, the empty-input warning and ndmin,
+# do nothing for a non-empty body of records.
+from numpy._core._multiarray_umath import _load_from_filelike
 
 from .draws import Draws
 from .errors import InvalidArgument, MissingColumn, NonBinaryTreatment, ParseError, RaggedChains
@@ -91,9 +108,10 @@ from .regress import Dataset
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _INDEX_RE = re.compile(r"[0-9]+")
 
-# Every byte a body the typed parse takes may hold. The typed parse and
-# the sign check in read_draws hold a draws file's index cells to digits.
-_NUMBERS_ALPHABET = b"0123456789.+-eE,\n"
+# Every byte a body the typed parse takes may hold, besides "\n". The
+# typed parse and the sign check in read_draws hold a draws file's index
+# cells to digits.
+_NUMBER_BYTES = b"0123456789.+-eE,"
 # A line whose chain cell starts with "+", or whose iteration cell does
 # after a chain cell that the int parser took.
 _SIGNED_INDEX = re.compile(rb"\n(?:[0-9]+,)?\+")
@@ -101,6 +119,8 @@ _SIGNED_INDEX = re.compile(rb"\n(?:[0-9]+,)?\+")
 # What a header name must not hold for its reader to read it back: a
 # comma, a line end, or a surrogate, which UTF-8 cannot encode.
 _BAD_NAME = re.compile("[,\n\r\ud800-\udfff]")
+
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, as spreadsheets write it
 
 _BLOCK_ROWS = 4096  # rows a writer formats per write call
 
@@ -158,9 +178,10 @@ _SLOT = 40  # bytes of a double's slot: the first word and four digit words
 
 
 def _read(path: str | Path) -> tuple[bytes, list[str], int]:
-    """Return the file with ``\\n`` line ends and a final newline, the
-    header's fields, and the offset where the body starts."""
-    data = Path(path).read_bytes()
+    """Return the file without a leading byte-order mark, with ``\\n``
+    line ends and a final newline, the header's fields, and the offset
+    where the body starts."""
+    data = Path(path).read_bytes().removeprefix(_BOM)
     if not data:
         raise ParseError("empty file")
     if b"\r" in data:
@@ -363,25 +384,45 @@ def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+class _Body:
+    """A read's body as a file for the typed parse: ``read(size)``
+    returns its next ``size`` bytes, which the parser decodes as latin1."""
+
+    def __init__(self, data: bytes, start: int) -> None:
+        self._data = data
+        self._at = start
+
+    def read(self, size: int) -> bytes:
+        chunk = self._data[self._at : self._at + size]
+        self._at += size
+        return chunk
+
+
 def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
     """Parse a non-empty body of numeric cells into records of ``dtype``,
     or return None if a byte is outside ``[0-9.+-eE,\\n]``, a line has
     the wrong number of fields, or a cell does not parse."""
-    if data.translate(None, _NUMBERS_ALPHABET) != data[:start].translate(None, _NUMBERS_ALPHABET):
+    # Deleting the alphabet but "\n" leaves what it leaves of the header,
+    # up to its line end, then the body's "\n"s and any byte outside it.
+    kept = data.translate(None, _NUMBER_BYTES)
+    head = kept.index(b"\n") + 1
+    lines = len(kept) - head
+    if kept.count(b"\n", head) != lines:
         return None
     try:
         with warnings.catch_warnings():
             # Some numpy releases parse "1.0" into an int field with a
             # DeprecationWarning rather than refusing it.
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(
-                BytesIO(data), dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                ndmin=1, encoding="latin1",
+            table = _load_from_filelike(
+                _Body(data, start), delimiter=",", comment=None, quote=None, usecols=None,
+                skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(dtype),
+                encoding="latin1", filelike=True, byte_converters=False,
             )
     except (ValueError, DeprecationWarning):
         return None
-    # loadtxt skips blank lines.
-    return table if len(table) == data.count(b"\n", start) else None
+    # The parser skips blank lines.
+    return table if len(table) == lines else None
 
 
 def read_draws(path: str | Path) -> Draws:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,6 +155,12 @@ class TestDrawsParser:
         with pytest.raises(NonFiniteValue):
             read_draws(path)
 
+    def test_body_of_blank_lines_warns_nothing(self, tmp_path):
+        # The parser finds no records in it; the walk names the first line.
+        path = self._write(tmp_path, "chain,iter,a\n\n\n")
+        with pytest.raises(ParseError, match=r"^line 2: expected 3 fields, found 1$"):
+            read_draws(path)
+
 
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
@@ -192,6 +202,111 @@ class TestDatasetFiles:
         data = read_dataset(path, "score", "arm")
         assert data.outcome.tolist() == [1.5, 2.5, 3.5]
         assert data.treatment.tolist() == [0, 1, 1]
+
+    def test_body_of_blank_lines_warns_nothing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("outcome,treatment\n\n")
+        with pytest.raises(ParseError, match=r"^line 2: expected 2 fields, found 1$"):
+            read_dataset(path)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def write_fit_draws(path) -> None:
+    data = simulate_experiment(20, 1.0, 0.5, 1.0, seed=0)
+    write_draws(fit(data, ModelSpec(chains=2, iterations=20, warmup=4, seed=0)).draws, path)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is dropped, as
+    spreadsheets write one; anywhere else it is an ordinary character."""
+
+    def test_draws_read_the_same(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_fit_draws(path)
+        plain = read_draws(path)
+        path.write_bytes(BOM + path.read_bytes())
+        marked = read_draws(path)
+        assert marked.parameter_names == plain.parameter_names
+        assert marked.values.tobytes() == plain.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "text", ["outcome,treatment\n1.5,0\n-2,1\n3,1\n", "treatment,outcome\n0,1.5\n1,-2\n1,3\n"]
+    )
+    def test_datasets_read_the_same(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        plain = read_dataset(path)
+        path.write_bytes(BOM + text.encode("utf-8"))
+        marked = read_dataset(path)
+        assert marked.outcome.tobytes() == plain.outcome.tobytes()
+        assert marked.treatment.tobytes() == plain.treatment.tobytes()
+
+    def test_a_second_mark_is_part_of_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BOM + BOM + b"chain,iter,a\n1,1,0.5\n1,2,0.6\n")
+        with pytest.raises(ParseError, match=r"got '\\ufeffchain','iter'$"):
+            read_draws(path)
+        path.write_bytes(BOM + b"outcome,\xef\xbb\xbftreatment\n1.5,0\n")
+        with pytest.raises(MissingColumn, match="treatment"):
+            read_dataset(path)
+
+    def test_a_mark_in_the_body_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"chain,iter,a\n" + BOM + b"1,1,0.5\n1,2,0.6\n")
+        with pytest.raises(ParseError, match="^line 2, column chain: expected a positive integer"):
+            read_draws(path)
+        path.write_bytes(b"outcome,treatment\n1.5,0\n2.5," + BOM + b"1\n")
+        with pytest.raises(ParseError, match="^line 3, column treatment: not a decimal number"):
+            read_dataset(path)
+
+    def test_a_mark_alone_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BOM)
+        with pytest.raises(ParseError, match="^empty file$"):
+            read_draws(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestNamedPipe:
+    """Each reader opens its file once, so a pipe reads like a file. A
+    second open would wait for a writer that never comes; the alarm turns
+    that wait into a failure."""
+
+    def _through_pipe(self, tmp_path, file, read):
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(file.read_bytes(),))
+        writer.start()
+
+        def second_open(signum, frame):
+            raise TimeoutError("the reader opened the pipe again")
+
+        previous = signal.signal(signal.SIGALRM, second_open)
+        signal.alarm(10)
+        try:
+            got = read(pipe)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            writer.join(10)
+        assert not writer.is_alive()
+        return got
+
+    def test_read_draws(self, tmp_path):
+        file = tmp_path / "d.csv"
+        write_fit_draws(file)
+        got, want = self._through_pipe(tmp_path, file, read_draws), read_draws(file)
+        assert got.parameter_names == want.parameter_names
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_read_dataset(self, tmp_path):
+        file = tmp_path / "d.csv"
+        write_dataset(simulate_experiment(50, 3.0, -1.0, 2.0, seed=4), file)
+        got, want = self._through_pipe(tmp_path, file, read_dataset), read_dataset(file)
+        assert got.outcome.tobytes() == want.outcome.tobytes()
+        assert got.treatment.tobytes() == want.treatment.tobytes()
 
 
 class TestWriterNames:

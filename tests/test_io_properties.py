@@ -226,23 +226,28 @@ def _same_dataset(a: Dataset, b: Dataset) -> bool:
     )
 
 
-def _agree(path, content: str | bytes, read, oracle, same) -> None:
+def _same_outcome(got, want) -> bool:
+    """The same values, or the same error class with the same message."""
+    if isinstance(want, Draws):
+        return isinstance(got, Draws) and _same_draws(got, want)
+    if isinstance(want, Dataset):
+        return isinstance(got, Dataset) and _same_dataset(got, want)
+    return got == want
+
+
+def _agree(path, content: str | bytes, read, oracle) -> None:
     path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
     got = _outcome(read, path)
     want = _outcome(lambda p: oracle(p.read_bytes()), path)
-    if isinstance(want, (Draws, Dataset)):
-        assert isinstance(got, type(want)), got
-        assert same(got, want)
-    else:
-        assert got == want
+    assert _same_outcome(got, want), (got, want)
 
 
 def assert_draws_agree(path, content: str | bytes, oracle=oracle_read_draws) -> None:
-    _agree(path, content, read_draws, oracle, _same_draws)
+    _agree(path, content, read_draws, oracle)
 
 
 def assert_dataset_agree(path, content: str | bytes, oracle=oracle_read_dataset) -> None:
-    _agree(path, content, read_dataset, oracle, _same_dataset)
+    _agree(path, content, read_dataset, oracle)
 
 
 @pytest.fixture
@@ -356,12 +361,14 @@ def every_single_cell_corruption(text: str):
                 yield "\n".join(lines[:row] + [",".join(mutated)] + lines[row + 1 :])
 
 
+SMALL_DRAWS = Draws(("a", "b"), [[[0.5, -1.25], [3.0, 1e-300]], [[-0.0, 2.0], [7.0, 0.1]]])
+SMALL_DATASET = Dataset(outcome=[1.5, -2.0, 0.1], treatment=[0, 1, 1])
+
+
 def test_every_single_cell_corruption_of_a_small_file_matches_oracle(path):
-    d = Draws(("a", "b"), [[[0.5, -1.25], [3.0, 1e-300]], [[-0.0, 2.0], [7.0, 0.1]]])
-    for text in every_single_cell_corruption(oracle_write_draws(d)):
+    for text in every_single_cell_corruption(oracle_write_draws(SMALL_DRAWS)):
         assert_draws_agree(path, text)
-    data = Dataset(outcome=[1.5, -2.0, 0.1], treatment=[0, 1, 1])
-    for text in every_single_cell_corruption(oracle_write_dataset(data)):
+    for text in every_single_cell_corruption(oracle_write_dataset(SMALL_DATASET)):
         assert_dataset_agree(path, text)
 
 
@@ -766,3 +773,104 @@ class TestAcceptedLanguage:
         data = read_dataset(path)
         assert data.outcome.tolist() == [1.5, 2.5, 3.5]
         assert data.treatment.tolist() == [0, 1, 1]
+
+
+# --- the typed parse's chunks --------------------------------------------------
+
+
+def _bad_cell_across(edge: int) -> str:
+    """A draws file whose body byte ``edge`` falls inside the cell ``1.2.3``
+    of line 3; line 2's value is zero-padded to put it there (edge >= 14)."""
+    return f"chain,iter,a\n1,1,{'0' * (edge - 14)}1.5\n1,2,1.2.3\n1,3,0.5\n"
+
+
+def _long_chains_text() -> str:
+    """Four chains of an iid ``beta1`` and a random-walk ``slow``, as
+    long_chains is shaped, with cells in exponent notation in both."""
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(2, 4, 60))
+    values[1] = np.cumsum(values[1], axis=1)
+    values[0, :, ::7] *= 1e-9
+    values[1, :, ::11] *= 1e20
+    return oracle_write_draws(Draws(("beta1", "slow"), values))
+
+
+CHUNK_CORPUS = {
+    "figure1": lambda: oracle_write_draws(
+        Draws(("theta",), np.random.default_rng(1).normal(-2.49, 1.3, (1, 1, 1000)))
+    ),
+    "fit": lambda: oracle_write_draws(
+        fit(
+            simulate_experiment(30, 50.0, -2.5, 24.0, seed=3),
+            ModelSpec(chains=2, iterations=40, warmup=10, seed=3),
+        ).draws
+    ),
+    "long_chains": _long_chains_text,
+    "dataset": lambda: oracle_write_dataset(simulate_experiment(300, 52.0, -2.49, 24.0, seed=1)),
+    "blank line": lambda: "chain,iter,a\n1,1,0.5\n\n1,2,0.6\n",
+    "bad cell": lambda: _bad_cell_across(7),
+    "bad cell across 16 KiB": lambda: _bad_cell_across(16384),
+    "signed index": lambda: "chain,iter,a\n1,1,1\n1,+2,2\n",
+}
+
+
+def _read_in_chunks(monkeypatch, path, size: int | None):
+    """The reader's outcome, the tables the typed parse returned and the
+    sizes the parser asked for, with chunks of at most ``size`` bytes."""
+    tables, sizes = [], []
+    typed, read = io._typed_table, io._Body.read
+
+    def spy(*args):
+        tables.append(typed(*args))
+        return tables[-1]
+
+    def chunk(body, n):
+        sizes.append(n)
+        return read(body, n if size is None else min(n, size))
+
+    reader = read_draws if path.read_bytes().startswith(b"chain") else read_dataset
+    with monkeypatch.context() as m:
+        m.setattr(io, "_typed_table", spy)
+        m.setattr(io._Body, "read", chunk)
+        return _outcome(reader, path), tables, sizes
+
+
+def _same_tables(got: list, want: list) -> bool:
+    """Tables of the same records, or None in the same places."""
+    if [t is None for t in got] != [t is None for t in want]:
+        return False
+    pairs = [(a, b) for a, b in zip(got, want) if a is not None]
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+class TestChunkEdges:
+    """The typed parse reads the body in chunks of 16 KiB. Chunks of any
+    size give the same tables, values, errors and messages."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("name", CHUNK_CORPUS)
+    def test_small_chunks_read_the_same(self, path, monkeypatch, name, size):
+        path.write_text(CHUNK_CORPUS[name](), encoding="utf-8")
+        want, want_tables, sizes = _read_in_chunks(monkeypatch, path, None)
+        got, got_tables, _ = _read_in_chunks(monkeypatch, path, size)
+        assert set(sizes) == {16384}
+        assert _same_outcome(got, want)
+        assert len(want_tables) == 1 and _same_tables(got_tables, want_tables)
+
+    @pytest.mark.parametrize("name", ["long_chains", "bad cell across 16 KiB"])
+    def test_normal_chunks_match_the_oracle(self, path, name):
+        content = CHUNK_CORPUS[name]()
+        assert_draws_agree(path, content)
+        assert_draws_agree(path, content, oracle=line_regex_read_draws)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_every_single_cell_corruption_reads_the_same(self, path, monkeypatch, size):
+        for text in [
+            *every_single_cell_corruption(oracle_write_draws(SMALL_DRAWS)),
+            *every_single_cell_corruption(oracle_write_dataset(SMALL_DATASET)),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            want, want_tables, _ = _read_in_chunks(monkeypatch, path, None)
+            got, got_tables, _ = _read_in_chunks(monkeypatch, path, size)
+            assert _same_outcome(got, want), text
+            assert _same_tables(got_tables, want_tables), text
