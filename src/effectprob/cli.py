@@ -95,18 +95,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     priors = PriorSpec(**{f.name: getattr(args, f.name) for f in fields(PriorSpec)})
     spec = ModelSpec(priors, args.chains, args.iters, args.warmup, args.seed)
     data = io.read_dataset(args.data, args.outcome, args.treatment)
-    result = fit(data, spec)
-    io.write_draws(result.draws, args.out)
+    draws = fit(data, spec).draws
+    io.write_draws(draws, args.out)
 
-    summaries = {
-        name: summarize(view(result.draws, name), args.level)
-        for name in result.draws.parameter_names
-    }
-    for name, s in summaries.items():
+    views = [view(draws, name) for name in draws.parameter_names]
+    summaries = [(v.name, summarize(v, args.level)) for v in views]
+    for name, s in summaries:
         print(_human_summary(name, s))
     print(f"N = {data.n}")
-    _print_diagnostics(result.diagnostics.values())
-    for name, s in summaries.items():
+    _diagnose(views)
+    for name, s in summaries:
         print(summary_machine_line(name, s))
     return 0
 
@@ -134,15 +132,17 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_diagnostics(diagnostics: Iterable[Diagnostics]) -> None:
+def _diagnose(views: Iterable[ParameterView]) -> list[Diagnostics]:
+    """Each parameter's split R-hat and ESS, printed one row per parameter."""
+    diagnostics = [diagnose(v) for v in views]
     for d in diagnostics:
         print(f"{d.parameter:<8s} rhat={d.rhat:.4f}  ess={d.ess:.1f}")
+    return diagnostics
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     draws = io.read_draws(args.draws)
-    diagnostics = [diagnose(view(draws, name)) for name in draws.parameter_names]
-    _print_diagnostics(diagnostics)
+    diagnostics = _diagnose(view(draws, name) for name in draws.parameter_names)
     undefined = ", ".join(d.parameter for d in diagnostics if np.isnan(d.rhat))
     worst = max(d.rhat for d in diagnostics)
     if undefined:

@@ -34,12 +34,10 @@ as one in-memory stream in 16 KiB chunks, one Python call per chunk and
 none per line or cell. It checks every line's field count, parses every
 cell into typed records, and within the alphabet accepts exactly the
 decimal grammar; it skips blank lines, so its rows must number the
-body's lines. ``np.loadtxt`` over a ``BytesIO`` fed the same parser one
-line per Python call: on one core of a 2-vCPU Xeon VM (best CPU time of
-15, three alternations) a read of long_chains' 4.7 MB draws file went
-from 74 to 62 ms, 4 x 9k fitted draws of three parameters from 35 to
-32 ms, 10k draws of one from 4.3 to 3.3 ms and a 200k-row dataset from
-87 to 63 ms.
+body's lines. On one core of a 2-vCPU Xeon VM (best CPU time of 15) a
+read of long_chains' 4.7 MB draws file takes 62 ms, 4 x 9k fitted draws
+of three parameters 32 ms, 10k draws of one 3.3 ms and a 200k-row
+dataset 63 ms.
 
 A draws record holds two int64 index fields, whose parser refuses empty
 and non-integer cells but takes a leading ``+`` (so a body holding a
@@ -93,8 +91,8 @@ import numpy as np
 # only when given a path, which it opens itself; any other input reaches
 # this parser as a line iterator, one Python call and one decode per
 # line. _typed_table passes the keywords numpy's own _read passes. The
-# steps _read takes after the call, the empty-input warning and ndmin,
-# do nothing for a non-empty body of records.
+# steps _read takes after the call are left out: ndmin does nothing for
+# records, and an empty body, which Dataset refuses, needs no warning.
 from numpy._core._multiarray_umath import _load_from_filelike
 
 from .draws import Draws
@@ -399,7 +397,7 @@ class _Body:
 
 
 def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
-    """Parse a non-empty body of numeric cells into records of ``dtype``,
+    """Parse a body of numeric cells into records of ``dtype``,
     or return None if a byte is outside ``[0-9.+-eE,\\n]``, a line has
     the wrong number of fields, or a cell does not parse."""
     # Deleting the alphabet but "\n" leaves what it leaves of the header,
@@ -499,8 +497,6 @@ def read_dataset(
     y_idx = header.index(outcome_column)
     d_idx = header.index(treatment_column)
 
-    if start == len(data):
-        return Dataset(outcome=[], treatment=[])
     # A body of numbers only takes the typed parse, one float64 field per
     # column; any other body, or a treatment cell that is not 0 or 1, the walk.
     table = _typed_table(data, start, [("cells", np.float64, (len(header),))])

@@ -50,8 +50,7 @@ O(chains x iterations) numpy work with one scalar Python step per
 iteration, whatever n is. Only a block's variates and Python floats are
 held at once, and kept draws go into the fit's one
 ``(3, chains, kept iterations)`` array when their block ends, so a fit's
-peak is that array, the copy :class:`~effectprob.draws.Draws` makes and
-the diagnostics' working arrays.
+peak is that array and the copy :class:`~effectprob.draws.Draws` makes.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .diagnostics import _MIN_ITERATIONS, Diagnostics, diagnose
-from .draws import Draws, view
+from .diagnostics import _MIN_ITERATIONS
+from .draws import Draws
 from .errors import DegenerateDesign, InvalidArgument, NonBinaryTreatment, NonFiniteData
 
 # sigma lies within e^-354 and e^354: above, sigma^2 would overflow. The
@@ -213,10 +212,9 @@ class ChainStats:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Posterior draws, per-parameter diagnostics, per-chain sampler stats."""
+    """Posterior draws and per-chain sampler stats."""
 
     draws: Draws
-    diagnostics: dict[str, Diagnostics]
     chain_stats: tuple[ChainStats, ...]
 
 
@@ -344,11 +342,8 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     grid and is advanced for ``spec.iterations`` iterations; the first
     ``spec.warmup`` are discarded. Chains use independent RNG streams
     seeded from ``(spec.seed, chain_index)``, so identical inputs give
-    bit-identical results. A parameter whose split sequences are all
-    constant, such as a coefficient held at one double by a very narrow
-    prior, gets an R-hat of NaN (see
-    :func:`~effectprob.diagnostics.split_rhat`). Every refusal below is
-    made once, before the first iteration, in the order listed.
+    bit-identical results. Every refusal below is made once, before the
+    first iteration, in the order listed.
 
     Raises
     ------
@@ -372,10 +367,7 @@ def fit(data: Dataset, spec: ModelSpec) -> FitResult:
     efforts = tuple(
         _run_chain(constants, proposal, spec, c, kept[:, c]) for c in range(spec.chains)
     )
-    draws = Draws(parameter_names=("beta0", "beta1", "sigma"), values=kept)
-    del kept  # Draws holds its own copy; the diagnostics run without this one.
-    diagnostics = {name: diagnose(view(draws, name)) for name in draws.parameter_names}
-    return FitResult(draws, diagnostics, efforts)
+    return FitResult(Draws(parameter_names=("beta0", "beta1", "sigma"), values=kept), efforts)
 
 
 def _log_abs(x: float) -> float:

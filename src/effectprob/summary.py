@@ -246,7 +246,9 @@ def kde(v: ParameterView) -> DensityEstimate:
     # normal doubles, that changes no bit of the result.
     scaled, exponent = _unit_scaled(v.pooled)
     if (scaled == scaled[0]).all():
-        raise DegenerateDraws(v.name)
+        raise DegenerateDraws(
+            f"{v.name}: every draw is {float(v.pooled[0])!r}; a density needs draws that differ"
+        )
     sd = float(scaled.std(ddof=1))
     q25, q75 = np.quantile(scaled, [0.25, 0.75])
     iqr = float(q75 - q25)

@@ -193,8 +193,8 @@ def standard_errors_off(result: FitResult, exact: ExactPosterior) -> dict[str, f
     off = {"P(beta1 < 0)": binomial_z(float(below.mean()), exact.p_beta1_below_zero, n_eff)}
     for name in ("beta0", "beta1", "sigma"):
         marginal = getattr(exact, name)
-        draws = view(result.draws, name).pooled
-        n_eff = result.diagnostics[name].ess
+        v = view(result.draws, name)
+        draws, n_eff = v.pooled, ess(v)
         off[f"mean {name}"] = (draws.mean() - marginal.mean) / (marginal.sd / math.sqrt(n_eff))
         se_sd = marginal.sd * math.sqrt((marginal.kurtosis - 1.0) / (4.0 * n_eff))
         off[f"sd {name}"] = (draws.std(ddof=1) - marginal.sd) / se_sd

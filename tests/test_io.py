@@ -209,6 +209,22 @@ class TestDatasetFiles:
         with pytest.raises(ParseError, match=r"^line 2: expected 2 fields, found 1$"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"outcome,treatment",
+            b"outcome,treatment\n",
+            b"outcome,treatment\r\n",
+            b"\xef\xbb\xbfoutcome,treatment\n",
+            b"outcome,treatment,note\n",
+        ],
+    )
+    def test_header_only_has_no_units(self, tmp_path, content):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(InvalidArgument, match=r"^need at least 3 units, got 0$"):
+            read_dataset(path)
+
 
 BOM = b"\xef\xbb\xbf"
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from effectprob.diagnostics import diagnose, ess, split_rhat
 from effectprob.draws import Draws, view
 from effectprob.errors import (
     DegenerateDesign,
@@ -20,6 +21,7 @@ from effectprob.errors import (
 )
 from effectprob.regress import (
     Dataset,
+    FitResult,
     ModelSpec,
     PriorSpec,
     _fit_constants,
@@ -50,6 +52,11 @@ def brute_log_posterior(data, priors, beta0, beta1, sigma):
         total += -0.5 * math.log(2 * math.pi) - math.log(sd) - (value - mean) ** 2 / (2 * sd**2)
     total += math.log(priors.sigma_rate) - priors.sigma_rate * sigma
     return total
+
+
+def rhats(result: FitResult) -> dict[str, float]:
+    """Each fitted parameter's split R-hat, by name."""
+    return {name: split_rhat(view(result.draws, name)) for name in result.draws.parameter_names}
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +160,7 @@ class TestSpecs:
         priors = PriorSpec(beta0_mean=1e152, beta0_sd=1e300)
         result = fit(data, ModelSpec(priors, chains=2, iterations=2000, warmup=500))
         assert view(result.draws, "beta0").pooled.mean() == pytest.approx(52.4, abs=0.5)
-        assert result.diagnostics["beta0"].rhat < 1.01
+        assert split_rhat(view(result.draws, "beta0")) < 1.01
 
     @pytest.mark.parametrize("mean, sd", [(1.7e308, 1e300), (1e160, 1e154)])
     def test_prior_mean_beyond_its_sd_whose_residual_sum_overflows_is_refused(self, mean, sd):
@@ -184,7 +191,7 @@ class TestSpecs:
     def test_four_kept_iterations_fit(self, small_data):
         result = fit(small_data, ModelSpec(chains=2, iterations=100, warmup=96))
         assert result.draws.values.shape[2] == 4
-        assert all(math.isfinite(d.rhat) for d in result.diagnostics.values())
+        assert all(math.isfinite(rhat) for rhat in rhats(result).values())
 
     def test_model_spec_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed must be >= 0"):
@@ -256,10 +263,10 @@ class TestFit:
         priors = PriorSpec(beta1_mean=1.0, beta1_sd=1e-140)
         result = fit(small_data, ModelSpec(priors, chains=2, iterations=400, warmup=100))
         assert np.unique(view(result.draws, "beta1").pooled).size == 1
-        beta1 = result.diagnostics["beta1"]
+        beta1 = diagnose(view(result.draws, "beta1"))
         assert math.isnan(beta1.rhat) and beta1.ess == 1.0
         for name in ("beta0", "sigma"):
-            assert result.diagnostics[name].rhat < 1.05
+            assert split_rhat(view(result.draws, name)) < 1.05
 
     def test_sigma_draws_positive_and_posterior_finite(self, small_data):
         spec = ModelSpec(chains=2, iterations=400, warmup=100, seed=5)
@@ -273,12 +280,12 @@ class TestFit:
                 brute_log_posterior(small_data, spec.priors, b0[i], b1[i], sigma[i])
             )
 
-    def test_shape_and_diagnostics_present(self, small_data):
+    def test_result_holds_draws_and_chain_stats(self, small_data):
         spec = ModelSpec(chains=2, iterations=300, warmup=50, seed=1)
         result = fit(small_data, spec)
+        assert [f.name for f in dataclasses.fields(result)] == ["draws", "chain_stats"]
         assert result.draws.parameter_names == ("beta0", "beta1", "sigma")
         assert result.draws.values.shape == (3, 2, 250)
-        assert set(result.diagnostics) == {"beta0", "beta1", "sigma"}
         assert len(result.chain_stats) == 2
         stats = result.chain_stats[0]
         assert (stats.slice_evals_per_iteration, stats.stepouts_per_iteration) == (1.0, 0.0)
@@ -324,8 +331,8 @@ class TestFit:
     def test_converges_from_prior_start_within_default_warmup(self, n, resid_sd):
         data = simulate_experiment(n, 0.0, 0.0, resid_sd, seed=4)
         result = fit(data, ModelSpec(chains=4, iterations=2_000, warmup=1_000, seed=6))
-        for name, diag in result.diagnostics.items():
-            assert diag.rhat < 1.01, name
+        for name, rhat in rhats(result).items():
+            assert rhat < 1.01, name
 
     def test_rejections_per_iteration(self):
         # Each iteration takes one independence step, so the effort is the
@@ -660,7 +667,7 @@ class TestNumericalRange:
         for result in fits:
             sigma = view(result.draws, "sigma").pooled
             means.append(sigma.mean())
-            mcses.append(sigma.std(ddof=1) / math.sqrt(result.diagnostics["sigma"].ess))
+            mcses.append(sigma.std(ddof=1) / math.sqrt(ess(view(result.draws, "sigma"))))
         assert abs(means[0] - 1.0) < 0.1
         assert abs(means[1] - means[0]) < 3.0 * math.hypot(*mcses)
 
@@ -672,8 +679,8 @@ class TestNumericalRange:
         tiny = Dataset(outcome=data.outcome * scale, treatment=data.treatment)
         result = fit(tiny, ModelSpec(chains=2, iterations=2_000, warmup=500, seed=8))
         assert abs(view(result.draws, "sigma").pooled.mean() / scale - 1.0) < 0.1
-        for name, diag in result.diagnostics.items():
-            assert diag.rhat < 1.01, name
+        for name, rhat in rhats(result).items():
+            assert rhat < 1.01, name
 
     def test_overflowing_outcome_is_nonfinite_data(self):
         data = simulate_experiment(1000, 0.0, 0.0, 1.0, seed=7)
