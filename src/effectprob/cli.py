@@ -35,6 +35,9 @@ RHAT_WARN = 1.01
 
 FIGURE1_PRESET = {"n": 10_000, "mean": 1.0, "sd": 1.0, "parameter": "theta"}
 
+# simulate's dataset flags and their values when left out. A preset takes none of them.
+DATASET_DEFAULTS = {"n": 996, "beta0": 52.0, "beta1": -2.49, "sd": 24.0}
+
 
 def summary_machine_line(name: str, s: PosteriorSummary) -> str:
     """One machine-readable line carrying a summary at full precision."""
@@ -75,7 +78,11 @@ def _select(draws: Draws, requested: str | None) -> ParameterView:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    given = {k: v for k, v in vars(args).items() if k in DATASET_DEFAULTS and v is not None}
     if args.preset == "figure1":
+        if given:
+            flags = ", ".join("--" + name for name in given)
+            raise InvalidArgument(f"--preset figure1 takes no dataset flags, got {flags}")
         preset = FIGURE1_PRESET
         _check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
@@ -84,7 +91,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         io.write_draws(draws, args.out)
         print(f"wrote {preset['n']} draws of {preset['parameter']!r} to {args.out}")
         return 0
-    data = simulate_experiment(args.n, args.beta0, args.beta1, args.sd, args.seed)
+    # The merge keeps DATASET_DEFAULTS' order: simulate_experiment's.
+    data = simulate_experiment(*{**DATASET_DEFAULTS, **given}.values(), args.seed)
     io.write_dataset(data, args.out)
     print(f"wrote dataset with {data.n} units to {args.out}")
     return 0
@@ -165,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a synthetic draws file or dataset")
     p.add_argument("--preset", choices=["figure1"], default=None,
                    help="emit 10,000 draws from Normal(1, 1) as a single-chain draws file")
-    p.add_argument("--n", type=int, default=996, help="dataset mode: number of units")
-    p.add_argument("--beta0", type=float, default=52.0, help="dataset mode: control mean")
-    p.add_argument("--beta1", type=float, default=-2.49, help="dataset mode: treatment effect")
-    p.add_argument("--sd", type=float, default=24.0, help="dataset mode: residual sd")
+    p.add_argument("--n", type=int, help="dataset mode: number of units")
+    p.add_argument("--beta0", type=float, help="dataset mode: control mean")
+    p.add_argument("--beta1", type=float, help="dataset mode: treatment effect")
+    p.add_argument("--sd", type=float, help="dataset mode: residual sd")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

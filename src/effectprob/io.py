@@ -82,6 +82,7 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterator
+from io import BytesIO
 from pathlib import Path
 from typing import NoReturn
 
@@ -104,7 +105,6 @@ from .regress import Dataset
 # nan/inf text, underscores, non-ASCII digits, and surrounding whitespace
 # that float() would coerce.
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_INDEX_RE = re.compile(r"[0-9]+")
 
 # Every byte a body the typed parse takes may hold, besides "\n". The
 # typed parse and the sign check in read_draws hold a draws file's index
@@ -202,9 +202,7 @@ def _decode(data: bytes, start: int, stop: int | None = None) -> str:
 
 def _lines(body: str, fields: int) -> Iterator[tuple[int, list[str]]]:
     """Check every line's field count, then return its cells lazily, line-numbered."""
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = body.split("\n")[:-1]  # _read ends every file with "\n"
     for lineno, line in enumerate(lines, start=2):
         if line.count(",") != fields - 1:
             raise ParseError(f"line {lineno}: expected {fields} fields, found {line.count(',') + 1}")
@@ -219,7 +217,7 @@ def _check_number(token: str, line: int, column: str) -> None:
 def _index(token: str, line: int, column: str) -> str:
     """A positive integer cell, returned as its digits without leading zeros."""
     digits = token.lstrip("0")
-    if not _INDEX_RE.fullmatch(token) or not digits:
+    if not (token.isascii() and token.isdigit()) or not digits:
         raise ParseError(f"line {line}, column {column}: expected a positive integer, got {token!r}")
     return digits
 
@@ -382,20 +380,6 @@ def _two_product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-class _Body:
-    """A read's body as a file for the typed parse: ``read(size)``
-    returns its next ``size`` bytes, which the parser decodes as latin1."""
-
-    def __init__(self, data: bytes, start: int) -> None:
-        self._data = data
-        self._at = start
-
-    def read(self, size: int) -> bytes:
-        chunk = self._data[self._at : self._at + size]
-        self._at += size
-        return chunk
-
-
 def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
     """Parse a body of numeric cells into records of ``dtype``,
     or return None if a byte is outside ``[0-9.+-eE,\\n]``, a line has
@@ -407,13 +391,15 @@ def _typed_table(data: bytes, start: int, dtype: list) -> np.ndarray | None:
     lines = len(kept) - head
     if kept.count(b"\n", head) != lines:
         return None
+    body = BytesIO(data)  # shares data's buffer
+    body.seek(start)
     try:
         with warnings.catch_warnings():
             # Some numpy releases parse "1.0" into an int field with a
             # DeprecationWarning rather than refusing it.
             warnings.simplefilter("error", DeprecationWarning)
             table = _load_from_filelike(
-                _Body(data, start), delimiter=",", comment=None, quote=None, usecols=None,
+                body, delimiter=",", comment=None, quote=None, usecols=None,
                 skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(dtype),
                 encoding="latin1", filelike=True, byte_converters=False,
             )
@@ -481,6 +467,8 @@ def read_dataset(
 
     Raises
     ------
+    InvalidArgument
+        The two names are the same, checked before the file is read.
     MissingColumn
         Either named column is absent from the header.
     ParseError
@@ -488,6 +476,8 @@ def read_dataset(
     NonBinaryTreatment
         A treatment cell parses to something other than 0 or 1.
     """
+    if outcome_column == treatment_column:
+        raise InvalidArgument(f"outcome and treatment are the same column, {outcome_column!r}")
     data, header, start = _read(path)
     for column in (outcome_column, treatment_column):
         if header.count(column) == 0:

@@ -59,6 +59,26 @@ class TestSimulate:
         assert stderr.startswith("error: NonFiniteData: ")
         assert stderr.count("\n") == 1
 
+    def test_figure1_preset_refuses_dataset_flags(self, tmp_path, capsys):
+        # Unchecked, the preset ignored them and wrote its 10,000 draws.
+        out = tmp_path / "draws.csv"
+        code, stdout, stderr = run(
+            "simulate", "--preset", "figure1", "--n", "5", "--beta1", "9", "--out", str(out),
+            capsys=capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "error: InvalidArgument: --preset figure1 takes no dataset flags, got --n, --beta1\n"
+        )
+        assert not out.exists()
+
+    def test_dataset_flags_left_out_are_the_defaults(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", "--seed", "4", "--out", str(a), capsys=capsys)[0] == 0
+        argv = ["--n", "996", "--beta0", "52", "--beta1", "-2.49", "--sd", "24"]
+        assert run("simulate", *argv, "--seed", "4", "--out", str(b), capsys=capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_dataset_mode_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("simulate", "--n", "50", "--seed", "3", "--out", str(a), capsys=capsys)
@@ -269,6 +289,19 @@ class TestFit:
         assert (code, stderr) == (
             1, "warning: undefined rhat for beta1: every split half is constant\n"
         )
+
+    def test_one_column_as_outcome_and_treatment_exits_2(self, tmp_path, capsys):
+        # Unchecked, the fit ran and blamed a constant outcome within each arm.
+        draws = tmp_path / "draws.csv"
+        code, stdout, stderr = run(
+            "fit", self._dataset(tmp_path), "--outcome", "treatment", "--treatment", "treatment",
+            "--out", str(draws), capsys=capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "error: InvalidArgument: outcome and treatment are the same column, 'treatment'\n"
+        )
+        assert not draws.exists()
 
     def test_header_only_dataset_exits_2(self, tmp_path, capsys):
         data, draws = tmp_path / "data.csv", tmp_path / "draws.csv"

@@ -203,6 +203,13 @@ class TestDatasetFiles:
         assert data.outcome.tolist() == [1.5, 2.5, 3.5]
         assert data.treatment.tolist() == [0, 1, 1]
 
+    def test_one_column_as_outcome_and_treatment_is_refused_unread(self, tmp_path):
+        # The file does not exist: the names are checked before it is read.
+        with pytest.raises(
+            InvalidArgument, match=r"^outcome and treatment are the same column, 'treatment'$"
+        ):
+            read_dataset(tmp_path / "missing.csv", "treatment", "treatment")
+
     def test_body_of_blank_lines_warns_nothing(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("outcome,treatment\n\n")

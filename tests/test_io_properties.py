@@ -12,7 +12,7 @@ error class with the same message.
 from __future__ import annotations
 
 import re
-from io import StringIO
+from io import BytesIO, StringIO
 from typing import NoReturn
 
 import numpy as np
@@ -818,20 +818,21 @@ def _read_in_chunks(monkeypatch, path, size: int | None):
     """The reader's outcome, the tables the typed parse returned and the
     sizes the parser asked for, with chunks of at most ``size`` bytes."""
     tables, sizes = [], []
-    typed, read = io._typed_table, io._Body.read
+    typed = io._typed_table
 
     def spy(*args):
         tables.append(typed(*args))
         return tables[-1]
 
-    def chunk(body, n):
-        sizes.append(n)
-        return read(body, n if size is None else min(n, size))
+    class Chunked(BytesIO):
+        def read(self, n=-1):
+            sizes.append(n)
+            return super().read(n if size is None else min(n, size))
 
     reader = read_draws if path.read_bytes().startswith(b"chain") else read_dataset
     with monkeypatch.context() as m:
         m.setattr(io, "_typed_table", spy)
-        m.setattr(io._Body, "read", chunk)
+        m.setattr(io, "BytesIO", Chunked)
         return _outcome(reader, path), tables, sizes
 
 

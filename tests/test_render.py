@@ -206,3 +206,14 @@ class TestRenderDensity:
         for (px, py), x, dens in zip(line, est.grid, est.density):
             assert xmap.to_data(px) == pytest.approx(float(x), abs=1e-9)
             assert ymap.to_data(py) == pytest.approx(float(dens), abs=1e-9)
+
+    def test_all_zero_density_lies_on_the_x_axis(self):
+        # A peak of 0 cannot scale the y axis, so it runs over [0, 1].
+        est = DensityEstimate(np.linspace(-1.0, 1.0, 5), np.zeros(5), 0.1)
+        xmap, ymap = density_axis_maps(est)
+        assert (ymap.data_lo, ymap.data_hi) == (0.0, 1.0)
+        svg = render_density(est)
+        assert texts(svg)[:5] == ["0", "0.25", "0.5", "0.75", "1"]
+        (line,) = polylines(svg)
+        assert [py for _, py in line] == [ymap.to_px(0.0)] * 5
+        assert [xmap.to_data(px) for px, _ in line] == pytest.approx(est.grid.tolist())
