@@ -9,7 +9,7 @@ the whole simulate / fit / summarize / plot pipeline.
 """
 
 from . import errors
-from .diagnostics import Diagnostics, diagnose, ess, split_rhat
+from .diagnostics import ess, split_rhat
 from .draws import Draws, ParameterView, view
 from .io import read_dataset, read_draws, write_dataset, write_draws
 from .regress import (
@@ -48,7 +48,6 @@ __all__ = [
     "ChainStats",
     "Dataset",
     "DensityEstimate",
-    "Diagnostics",
     "Draws",
     "FitResult",
     "ModelSpec",
@@ -58,7 +57,6 @@ __all__ = [
     "ccdf",
     "ccdf_axis_maps",
     "density_axis_maps",
-    "diagnose",
     "errors",
     "ess",
     "fit",

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import io
-from .diagnostics import Diagnostics, diagnose
+from .diagnostics import ess, split_rhat
 from .draws import Draws, ParameterView, view
 from .errors import EffectProbError, InvalidArgument
 from .regress import ModelSpec, PriorSpec, _check_seed, fit, simulate_experiment
@@ -105,7 +105,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     draws = fit(data, spec).draws
     io.write_draws(draws, args.out)
 
-    views = [view(draws, name) for name in draws.parameter_names]
+    views = list(map(ParameterView, draws.parameter_names, draws.values))
     summaries = [(v.name, summarize(v)) for v in views]
     for name, s in summaries:
         print(_human_summary(name, s))
@@ -139,19 +139,19 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _diagnose(views: Iterable[ParameterView]) -> list[Diagnostics]:
-    """Each parameter's split R-hat and ESS, printed one row per parameter."""
-    diagnostics = [diagnose(v) for v in views]
-    for d in diagnostics:
-        print(f"{d.parameter:<8s} rhat={d.rhat:.4f}  ess={d.ess:.1f}")
-    return diagnostics
+def _diagnose(views: Iterable[ParameterView]) -> list[tuple[str, float, float]]:
+    """Each parameter's ``(name, split R-hat, ESS)``, printed one row per parameter."""
+    rows = [(v.name, split_rhat(v), ess(v)) for v in views]
+    for name, rhat, n_eff in rows:
+        print(f"{name:<8s} rhat={rhat:.4f}  ess={n_eff:.1f}")
+    return rows
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     draws = io.read_draws(args.draws)
-    diagnostics = _diagnose(view(draws, name) for name in draws.parameter_names)
-    undefined = ", ".join(d.parameter for d in diagnostics if np.isnan(d.rhat))
-    worst = max(d.rhat for d in diagnostics)
+    rows = _diagnose(map(ParameterView, draws.parameter_names, draws.values))
+    undefined = ", ".join(name for name, rhat, _ in rows if np.isnan(rhat))
+    worst = max(rhat for _, rhat, _ in rows)
     if undefined:
         warning = f"undefined rhat for {undefined}: every split half is constant"
     elif worst > RHAT_WARN:

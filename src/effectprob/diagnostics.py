@@ -15,7 +15,6 @@ draws, R-hat is NaN and ESS is 1: a value, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,6 @@ from .errors import TooFewIterations
 
 # Each split half needs two draws for a within-sequence variance.
 _MIN_ITERATIONS = 4
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """Split R-hat and effective sample size for one parameter."""
-
-    parameter: str
-    rhat: float
-    ess: float
 
 
 def _split_sequences(per_chain: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -152,8 +142,3 @@ def ess(v: ParameterView) -> float:
     if tau <= 0.0:
         return float(total)
     return float(min(max(total / tau, 1.0), total))
-
-
-def diagnose(v: ParameterView) -> Diagnostics:
-    """Convenience wrapper computing both statistics for one parameter."""
-    return Diagnostics(parameter=v.name, rhat=split_rhat(v), ess=ess(v))

@@ -42,14 +42,16 @@ class Draws:
         names = tuple(self.parameter_names)
         if not names:
             raise InvalidDraws("at least one parameter is required")
-        for i, name in enumerate(names):
+        seen = set()
+        for name in names:
             if not isinstance(name, str) or not name:
                 raise InvalidDraws(f"parameter name must be a non-empty string, got {name!r}")
-            if name in names[:i]:
+            if name in seen:
                 raise DuplicateParameter(name)
+            seen.add(name)
         try:
             values = np.array(self.values, dtype=np.float64, order="C")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidDraws(f"values: {exc}") from exc
         if values.ndim != 3 or values.shape[0] != len(names):
             raise InvalidDraws("values must have shape (parameters, chains, iterations)")

@@ -34,10 +34,10 @@ as one in-memory stream in 16 KiB chunks, one Python call per chunk and
 none per line or cell. It checks every line's field count, parses every
 cell into typed records, and within the alphabet accepts exactly the
 decimal grammar; it skips blank lines, so its rows must number the
-body's lines. On one core of a 2-vCPU Xeon VM (best CPU time of 15) a
-read of long_chains' 4.7 MB draws file takes 62 ms, 4 x 9k fitted draws
-of three parameters 32 ms, 10k draws of one 3.3 ms and a 200k-row
-dataset 63 ms.
+body's lines. On one core of a 2-vCPU Xeon VM (best CPU time of 5 reads,
+over two runs) a read of long_chains' 4.7 MB draws file takes 54-55 ms,
+4 x 9k fitted draws of three parameters 26 ms, 10k draws of one
+2.8-3.4 ms and a 200k-row dataset 55-57 ms.
 
 A draws record holds two int64 index fields, whose parser refuses empty
 and non-integer cells but takes a leading ``+`` (so a body holding a
@@ -55,8 +55,8 @@ holds text, an unused cell the typed parse refuses (``1.2.3``, an empty
 cell) or a treatment that is not 0/1 takes the walk, which returns the
 values of an accepted body and raises the first line-numbered error
 otherwise. It makes Python calls per line: a 200k-row dataset with one
-text column reads in about 0.6 s on one core of a 2-vCPU Xeon VM,
-peaking at about 6.3 times the file's size. A draws body takes the walk
+text column reads in about 0.3 s on the same core, peaking at about 5.7
+times the file's size. A draws body takes the walk
 only after a check failed, to raise its first line-numbered error, or
 :class:`RaggedChains` if every line is well formed.
 

@@ -56,6 +56,7 @@ peak is that array and the copy :class:`~effectprob.draws.Draws` makes.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, ClassVar
@@ -106,7 +107,7 @@ class PriorSpec:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _converted(name, value, float))
         if not (
             all(math.isfinite(value) for value in astuple(self))
             and min(self.beta0_sd, self.beta1_sd) >= 1.0 / _MAX_SCALE
@@ -125,9 +126,10 @@ class ModelSpec:
     Defaults are 4 chains of 10,000 iterations with the first 1,000
     discarded. Chain c draws from an independent stream derived from
     ``(seed, c)``, so a fit is bit-reproducible from the spec alone.
-    Construction raises :class:`InvalidArgument` for a negative seed or
-    warmup, no chains, fewer than 4 iterations kept after warmup, which
-    split R-hat needs (two per split half), or kept draws whose
+    Construction raises :class:`InvalidArgument` for a count or seed that
+    is not an integer, a negative seed or warmup, no chains, fewer than 4
+    iterations kept after warmup, which split R-hat needs (two per split
+    half), or kept draws whose
     ``(3, chains, iterations - warmup)`` array of doubles would be larger
     than the address space.
     """
@@ -139,6 +141,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("chains", "iterations", "warmup", "seed"):
+            object.__setattr__(self, name, _converted(name, getattr(self, name), operator.index))
         _check_seed(self.seed)
         if self.chains < 1:
             raise InvalidArgument(f"chains must be >= 1, got {self.chains}")
@@ -155,8 +159,16 @@ class ModelSpec:
             )
 
 
+def _converted(name: str, value, convert: Callable):
+    """``convert(value)``; what it refuses raises :class:`InvalidArgument` naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"{name}: {exc}") from exc
+
+
 def _check_seed(seed: int) -> None:
-    if seed < 0:
+    if _converted("seed", seed, operator.index) < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
 
 
@@ -165,15 +177,15 @@ class Dataset:
     """Experimental data: a real outcome and a 0/1 treatment per unit.
 
     Construction copies both vectors into read-only arrays that the
-    dataset owns.
+    dataset owns; what numpy cannot convert to float raises :class:`InvalidArgument`.
     """
 
     outcome: np.ndarray
     treatment: np.ndarray
 
     def __post_init__(self) -> None:
-        outcome = np.array(self.outcome, dtype=float)
-        treatment = np.asarray(self.treatment)
+        outcome = _converted("outcome", self.outcome, lambda v: np.array(v, float))
+        treatment = _converted("treatment", self.treatment, lambda v: np.array(v, float))
         if outcome.ndim != 1 or treatment.ndim != 1 or len(outcome) != len(treatment):
             raise InvalidArgument("outcome and treatment must be equal-length vectors")
         if len(outcome) < 3:

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from effectprob import cli
 from effectprob.cli import build_parser, main, parse_summary_line, summary_machine_line
+from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import Draws, view
 from effectprob.errors import EffectProbError
 from effectprob.io import read_draws, write_dataset, write_draws
@@ -523,6 +524,36 @@ class TestDiagnose:
         code, stdout, _ = run("diagnose", str(path), capsys=capsys)
         assert code == 0
         assert "rhat=" in stdout
+
+    @pytest.mark.parametrize("fault", [None, "shifted", "constant"])
+    def test_wide_file_prints_one_row_per_parameter_in_header_order(self, tmp_path, capsys, fault):
+        # 3,000 parameters of 2 chains x 4 iterations, in an unsorted header.
+        # Each chain reads (a, b, a, b), so every split half is (a, b) and
+        # R-hat is sqrt(1 / 2), unless one parameter is made faulty.
+        p = 3_000
+        rng = np.random.default_rng(6)
+        names = tuple(f"q{i}" for i in rng.permutation(p))
+        values = np.tile(rng.standard_normal((p, 1, 2)), (1, 2, 2))
+        if fault == "shifted":
+            values[1234, 1] += 10.0
+        elif fault == "constant":
+            values[1234] = 7.0
+        path = tmp_path / "wide.csv"
+        write_draws(Draws(names, values), path)
+        code, stdout, stderr = run("diagnose", str(path), capsys=capsys)
+
+        draws = read_draws(path)
+        rows = [(name, split_rhat(view(draws, name)), ess(view(draws, name))) for name in names]
+        assert stdout.splitlines() == [
+            f"{name:<8s} rhat={rhat:.4f}  ess={n_eff:.1f}" for name, rhat, n_eff in rows
+        ]
+        worst = max(rhat for _, rhat, _ in rows)
+        warning = {
+            None: "",
+            "shifted": f"max rhat {worst:.4f} exceeds {cli.RHAT_WARN}",
+            "constant": f"undefined rhat for {names[1234]}: every split half is constant",
+        }[fault]
+        assert (code, stderr) == ((1, f"warning: {warning}\n") if fault else (0, ""))
 
 
 class TestUsage:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effectprob.diagnostics import _fft_length, diagnose, ess, split_rhat
+from effectprob.diagnostics import _fft_length, ess, split_rhat
 from effectprob.errors import TooFewIterations
 
 from conftest import make_view, peak_bytes
@@ -264,13 +264,3 @@ class TestEss:
         rng = np.random.default_rng(14)
         x = np.cumsum(rng.standard_normal((4, 20_000)), axis=1)
         assert ess(make_view(x)) == pytest.approx(lag_loop_ess(x), rel=1e-12, abs=0.0)
-
-
-class TestDiagnose:
-    def test_bundles_both_statistics(self):
-        rng = np.random.default_rng(12)
-        v = make_view(rng.standard_normal((2, 100)), name="beta1")
-        d = diagnose(v)
-        assert d.parameter == "beta1"
-        assert d.rhat == split_rhat(v)
-        assert d.ess == ess(v)

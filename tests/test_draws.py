@@ -39,10 +39,47 @@ class TestDrawsChecksItself:
         with pytest.raises(InvalidDraws):
             Draws(parameter_names=("a", "b"), values=np.zeros((1, 1, 2)))
 
-    @pytest.mark.parametrize("values", [[[[1.0, 2.0], [3.0]]], [[["x", "y"]]]], ids=["ragged", "text"])
+    @pytest.mark.parametrize(
+        "values",
+        [[[[1.0, 2.0], [3.0]]], [[["x", "y"]]], [[[10**400, 1.0]]]],
+        ids=["ragged", "text", "overflowing-int"],
+    )
     def test_constructor_rejects_values_that_are_not_numbers(self, values):
-        with pytest.raises(InvalidDraws):
+        with pytest.raises(InvalidDraws, match="^values: "):
             Draws(parameter_names=("a",), values=values)
+
+    def test_names_are_checked_in_one_pass(self):
+        # Comparing each name with every earlier one makes p (p - 1) / 2
+        # comparisons; a set of the names seen makes none between distinct
+        # hashes.
+        calls = 0
+
+        class Name(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                nonlocal calls
+                calls += 1
+                return str.__eq__(self, other)
+
+        p = 2_000
+        names = tuple(Name(f"p{i}") for i in range(p))
+        Draws(parameter_names=names, values=np.zeros((p, 1, 2)))
+        assert calls < p
+
+    @pytest.mark.parametrize(
+        "names, error, message",
+        [
+            (("a", "", "a"), InvalidDraws, "non-empty string"),
+            (("a", 1, "a"), InvalidDraws, "non-empty string"),
+            (("a", "a", ""), DuplicateParameter, "^a$"),
+        ],
+        ids=["empty-before-repeat", "non-string-before-repeat", "repeat-before-empty"],
+    )
+    def test_first_bad_name_decides_the_error(self, names, error, message):
+        with pytest.raises(error, match=message) as info:
+            Draws(parameter_names=names, values=np.zeros((3, 1, 2)))
+        assert type(info.value) is error
 
     def test_nonfinite_error_names_the_cell(self):
         values = np.zeros((2, 3, 4))

@@ -56,6 +56,21 @@ def test_dataset_and_fitted_draws_file_bytes(tmp_path):
     )
 
 
+def test_fit_and_diagnose_command_stdout(tmp_path, capsys):
+    data, draws = tmp_path / "data.csv", tmp_path / "draws.csv"
+    assert main(["simulate", "--n", "996", "--seed", "1", "--out", str(data)]) == 0
+    fit = ["fit", str(data), "--chains", "2", "--iters", "300", "--warmup", "50", "--seed", "1"]
+    capsys.readouterr()
+    assert main([*fit, "--out", str(draws)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "422c8c97047bca2958491ebe053aea27ec07aab999beaacc87f5af730f4a7bce"
+    )
+    assert main(["diagnose", str(draws)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "7be3a93a92ad7a2402170bcb6d4536f44bdac89f55354f1a05d995990393bbf5"
+    )
+
+
 @pytest.mark.parametrize(
     "flags, stdout_digest, svg_digest",
     [

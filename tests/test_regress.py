@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from effectprob.diagnostics import diagnose, ess, split_rhat
+from effectprob.diagnostics import ess, split_rhat
 from effectprob.draws import Draws, view
 from effectprob.errors import (
     DegenerateDesign,
@@ -86,8 +86,44 @@ class TestDataset:
         with pytest.raises(InvalidArgument):
             Dataset(outcome=[1.0, 2.0, 3.0], treatment=[0, 1])
 
+    @pytest.mark.parametrize("column", ["outcome", "treatment"])
+    @pytest.mark.parametrize(
+        "values",
+        [["a", "b", "c"], [[1.0], [0.0, 1.0], [1.0]], [1 + 1j, 0j, 1 + 0j], [10**400, 0, 1]],
+        ids=["text", "ragged", "complex", "overflowing-int"],
+    )
+    def test_unconvertible_vector_names_its_column(self, column, values):
+        columns = {"outcome": [1.0, 2.0, 3.0], "treatment": [0, 1, 1], column: values}
+        with pytest.raises(InvalidArgument, match=f"^{column}: "):
+            Dataset(**columns)
+
 
 class TestSpecs:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iterations", 100.0), ("warmup", 10.5), ("chains", 2.5), ("seed", 1.5), ("seed", "1")],
+    )
+    def test_model_spec_takes_only_integers(self, field, value):
+        with pytest.raises(InvalidArgument, match=f"^{field}: "):
+            ModelSpec(**{field: value})
+
+    def test_model_spec_stores_numpy_integers_as_ints(self):
+        spec = ModelSpec(
+            chains=np.int64(2), iterations=np.int32(20), warmup=np.uint8(4), seed=np.int64(3)
+        )
+        integers = dataclasses.astuple(spec)[1:]
+        assert integers == (2, 20, 4, 3)
+        assert all(type(value) is int for value in integers)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["x", None, 1j, [1.0], 10**400],
+        ids=["text", "none", "complex", "list", "overflowing-int"],
+    )
+    def test_prior_spec_refuses_what_float_refuses(self, value):
+        with pytest.raises(InvalidArgument, match="^beta1_sd: "):
+            PriorSpec(beta1_sd=value)
+
     def test_prior_spec_rejects_nonpositive_scales(self):
         for kwargs in ({"beta0_sd": 0.0}, {"beta1_sd": -1.0}, {"sigma_rate": 0.0}):
             with pytest.raises(InvalidArgument):
@@ -241,6 +277,11 @@ class TestSimulateExperiment:
         with pytest.raises(InvalidArgument, match="seed must be >= 0"):
             simulate_experiment(10, 0.0, 0.0, 1.0, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "1", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(InvalidArgument, match="^seed: "):
+            simulate_experiment(10, 0.0, 0.0, 1.0, seed=seed)
+
 
 class TestFit:
     def test_degenerate_design_refused(self):
@@ -263,8 +304,8 @@ class TestFit:
         priors = PriorSpec(beta1_mean=1.0, beta1_sd=1e-140)
         result = fit(small_data, ModelSpec(priors, chains=2, iterations=400, warmup=100))
         assert np.unique(view(result.draws, "beta1").pooled).size == 1
-        beta1 = diagnose(view(result.draws, "beta1"))
-        assert math.isnan(beta1.rhat) and beta1.ess == 1.0
+        beta1 = view(result.draws, "beta1")
+        assert math.isnan(split_rhat(beta1)) and ess(beta1) == 1.0
         for name in ("beta0", "sigma"):
             assert split_rhat(view(result.draws, name)) < 1.05
 
