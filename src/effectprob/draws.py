@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (
-    DuplicateParameter,
-    InvalidDraws,
-    NonFiniteValue,
-    UnknownParameter,
-)
+from .errors import DuplicateParameter, InvalidDraws, NonFiniteValue, UnknownParameter, _converted
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,29 +25,28 @@ class Draws:
     order within a chain is preserved (required by autocorrelation-based
     diagnostics). Construction copies ``values`` into a C-ordered,
     read-only float64 array, then raises :class:`InvalidDraws` for no
-    parameters, an empty or non-string name, another shape or fewer than
-    two iterations per chain, :class:`DuplicateParameter` for a repeated
-    name, and :class:`NonFiniteValue` for a NaN or infinity.
+    parameters, an empty or non-string name, non-real values, another
+    shape or fewer than two iterations per chain, :class:`DuplicateParameter`
+    for a repeated name, and :class:`NonFiniteValue` for a NaN or infinity.
     """
 
     parameter_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        names = tuple(self.parameter_names)
+        names = _converted("parameter_names", self.parameter_names, tuple, InvalidDraws)
         if not names:
             raise InvalidDraws("at least one parameter is required")
         seen = set()
         for name in names:
             if not isinstance(name, str) or not name:
-                raise InvalidDraws(f"parameter name must be a non-empty string, got {name!r}")
+                raise InvalidDraws(f"parameter_names: need non-empty strings, got {name!r}")
             if name in seen:
                 raise DuplicateParameter(name)
             seen.add(name)
-        try:
-            values = np.array(self.values, dtype=np.float64, order="C")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidDraws(f"values: {exc}") from exc
+        values = _converted(
+            "values", self.values, lambda v: np.array(v, np.float64, order="C"), InvalidDraws
+        )
         if values.ndim != 3 or values.shape[0] != len(names):
             raise InvalidDraws("values must have shape (parameters, chains, iterations)")
         if values.shape[1] < 1 or values.shape[2] < 2:
@@ -84,8 +78,7 @@ class ParameterView:
     per_chain: np.ndarray
 
     def __post_init__(self) -> None:
-        per_chain = Draws((self.name,), [self.per_chain]).values[0]
-        object.__setattr__(self, "per_chain", per_chain)
+        object.__setattr__(self, "per_chain", Draws((self.name,), [self.per_chain]).values[0])
 
     @property
     def pooled(self) -> np.ndarray:

@@ -86,3 +86,20 @@ class MissingColumn(EffectProbError):
 
 class EmptyCurve(EffectProbError):
     """Curve has no points to plot."""
+
+
+# --- conversion of callers' values -----------------------------------------
+
+def _converted(name: str, value, convert, error: type[EffectProbError] = InvalidArgument):
+    """``convert(value)``. A complex value, which numpy would truncate with
+    only a ``ComplexWarning``, a list or tuple holding one, or a value that
+    ``convert`` refuses raises ``error`` naming ``name``."""
+    if isinstance(value, (list, tuple)) and set(map(type, value)) - {bool, int, float, str}:
+        for item in value:  # only to refuse a complex item
+            _converted(name, item, id, error)
+    if isinstance(value, complex) or getattr(getattr(value, "dtype", None), "kind", "") == "c":
+        raise error(f"{name}: complex values are not accepted")
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name}: {exc}") from exc

@@ -91,9 +91,9 @@ import numpy as np
 # The C parser behind np.loadtxt. np.loadtxt streams a file in chunks
 # only when given a path, which it opens itself; any other input reaches
 # this parser as a line iterator, one Python call and one decode per
-# line. _typed_table passes the keywords numpy's own _read passes. The
-# steps _read takes after the call are left out: ndmin does nothing for
-# records, and an empty body, which Dataset refuses, needs no warning.
+# line. _typed_table passes the keywords numpy's _read passes bar
+# imaginary_unit (default kept) and skips _read's later steps: ndmin does
+# nothing for records, and an empty body, refused anyway, needs no warning.
 from numpy._core._multiarray_umath import _load_from_filelike
 
 from .draws import Draws

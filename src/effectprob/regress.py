@@ -65,7 +65,7 @@ import numpy as np
 
 from .diagnostics import _MIN_ITERATIONS
 from .draws import Draws
-from .errors import DegenerateDesign, InvalidArgument, NonBinaryTreatment, NonFiniteData
+from .errors import DegenerateDesign, InvalidArgument, NonBinaryTreatment, NonFiniteData, _converted
 
 # sigma lies within e^-354 and e^354: above, sigma^2 would overflow. The
 # marginal is -inf outside, and its mass lies far inside both ends.
@@ -126,12 +126,12 @@ class ModelSpec:
     Defaults are 4 chains of 10,000 iterations with the first 1,000
     discarded. Chain c draws from an independent stream derived from
     ``(seed, c)``, so a fit is bit-reproducible from the spec alone.
-    Construction raises :class:`InvalidArgument` for a count or seed that
-    is not an integer, a negative seed or warmup, no chains, fewer than 4
-    iterations kept after warmup, which split R-hat needs (two per split
-    half), or kept draws whose
-    ``(3, chains, iterations - warmup)`` array of doubles would be larger
-    than the address space.
+    Construction raises :class:`InvalidArgument` for priors that are not a
+    :class:`PriorSpec`, a non-integer count or seed, a negative seed or
+    warmup, no chains, fewer than 4 iterations kept after warmup, which
+    split R-hat needs (two per split half), or kept draws whose ``(3,
+    chains, iterations - warmup)`` array of doubles would be larger than
+    the address space.
     """
 
     priors: PriorSpec = field(default_factory=PriorSpec)
@@ -141,6 +141,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.priors, PriorSpec):
+            raise InvalidArgument(f"priors: need a PriorSpec, got {type(self.priors).__name__}")
         for name in ("chains", "iterations", "warmup", "seed"):
             object.__setattr__(self, name, _converted(name, getattr(self, name), operator.index))
         _check_seed(self.seed)
@@ -157,14 +159,6 @@ class ModelSpec:
                 f"{self.chains} chains of {kept} kept iterations need {24 * self.chains * kept} "
                 f"bytes, more than the address space holds"
             )
-
-
-def _converted(name: str, value, convert: Callable):
-    """``convert(value)``; what it refuses raises :class:`InvalidArgument` naming ``name``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgument(f"{name}: {exc}") from exc
 
 
 def _check_seed(seed: int) -> None:
@@ -187,7 +181,8 @@ class Dataset:
         outcome = _converted("outcome", self.outcome, lambda v: np.array(v, float))
         treatment = _converted("treatment", self.treatment, lambda v: np.array(v, float))
         if outcome.ndim != 1 or treatment.ndim != 1 or len(outcome) != len(treatment):
-            raise InvalidArgument("outcome and treatment must be equal-length vectors")
+            name = "outcome" if outcome.ndim != 1 else "treatment"
+            raise InvalidArgument(f"{name}: outcome and treatment must be equal-length vectors")
         if len(outcome) < 3:
             raise InvalidArgument(f"need at least 3 units, got {len(outcome)}")
         if not np.isin(treatment, (0, 1)).all():
@@ -323,10 +318,13 @@ def simulate_experiment(
 
     floor(n / 2) units are randomly assigned to treatment; outcomes are
     ``beta0 + beta1 * d + Normal(0, resid_sd)`` noise. Deterministic for
-    a given seed. Raises :class:`InvalidArgument` for n below 3 or above
-    ``sys.maxsize``, the most elements an array can index.
+    a given seed. Raises :class:`InvalidArgument` for an n that is not an
+    integer from 3 to ``sys.maxsize``, the most elements an array can
+    index, another value that is not a real number, or resid_sd <= 0.
     """
-    n = int(n)
+    n = _converted("n", n, operator.index)
+    beta0, beta1 = _converted("beta0", beta0, float), _converted("beta1", beta1, float)
+    resid_sd = _converted("resid_sd", resid_sd, float)
     if n < 3:
         raise InvalidArgument(f"need n >= 3 to form a dataset, got {n}")
     if n > sys.maxsize:

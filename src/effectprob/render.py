@@ -2,12 +2,12 @@
 
 Both figures have one fixed look: a 960x600 px canvas, a blue stroke
 (red for a curve's negative branch), and generic font family names only.
-The x-axis label is the one setting; one holding a character that XML 1.0
-forbids raises :class:`InvalidArgument`. Output is deterministic text:
-identical inputs produce byte-identical documents. Each polyline's
-vertices are affine maps of (x, y) data; the maps are exposed through
-:func:`ccdf_axis_maps` / :func:`density_axis_maps` so coordinates can be
-inverted and checked.
+The x-axis label is the one setting; one that is not a ``str``, or holds
+a character that XML 1.0 forbids, raises :class:`InvalidArgument`.
+Output is deterministic text: identical inputs produce byte-identical
+documents. Each polyline's vertices are affine maps of (x, y) data; the
+maps are exposed through :func:`ccdf_axis_maps` / :func:`density_axis_maps`
+so coordinates can be inverted and checked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateDraws, EmptyCurve, InvalidArgument
+from .errors import DegenerateDraws, EmptyCurve, InvalidArgument, _converted
 from .summary import CcdfCurve, DensityEstimate
 
 _WIDTH = 960
@@ -144,7 +144,7 @@ def _document(
 ) -> str:
     """The SVG document: canvas, gridlines at the labelled ``y_ticks``,
     x ticks, axes, labels, then one polyline per ``(xs, ys, style)``."""
-    bad = _NOT_XML.search(x_label)
+    bad = _converted("x_label", x_label, _NOT_XML.search)
     if bad:
         raise InvalidArgument(f"x_label {x_label!r} holds {bad.group()!r}, which XML forbids")
     parts = [

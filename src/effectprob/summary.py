@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .draws import ParameterView, _unit_scaled
-from .errors import DegenerateDraws, InvalidArgument, InvalidLevel, InvalidRange
+from .errors import DegenerateDraws, InvalidArgument, InvalidLevel, InvalidRange, _converted
 
 # The figures' resolution: points per CCDF branch and on the KDE's grid.
 # The exact probability at any threshold is prob_exceeds / prob_below.
@@ -72,10 +72,10 @@ class DensityEstimate:
     bandwidth: float
 
 
-def _check_threshold(x: float) -> float:
-    x = float(x)
+def _check_threshold(name: str, x: float) -> float:
+    x = _converted(name, x, float)
     if not math.isfinite(x):
-        raise InvalidArgument(f"threshold must be finite, got {x!r}")
+        raise InvalidArgument(f"{name}: threshold must be finite, got {x!r}")
     return x
 
 
@@ -87,7 +87,7 @@ def prob_exceeds(v: ParameterView, x: float) -> float:
     with continuous posteriors ties have measure zero, but exact tests
     rely on the choice being pinned down.
     """
-    x = _check_threshold(x)
+    x = _check_threshold("x", x)
     return int(np.count_nonzero(v.pooled > x)) / v.pooled.size
 
 
@@ -96,7 +96,7 @@ def prob_below(v: ParameterView, x: float) -> float:
 
     Mirror of :func:`prob_exceeds`: ``(#draws < x) / n``.
     """
-    x = _check_threshold(x)
+    x = _check_threshold("x", x)
     return int(np.count_nonzero(v.pooled < x)) / v.pooled.size
 
 
@@ -110,8 +110,8 @@ def prob_between(v: ParameterView, a: float, b: float) -> float:
     Raises :class:`InvalidRange` unless ``a < b``.
     """
     pooled = v.pooled
-    a = _check_threshold(a)
-    b = _check_threshold(b)
+    a = _check_threshold("a", a)
+    b = _check_threshold("b", b)
     if not a < b:
         raise InvalidRange(f"need a < b, got a={a!r}, b={b!r}")
     return int(np.count_nonzero((a < pooled) & (pooled <= b))) / pooled.size
@@ -170,9 +170,9 @@ def summarize(v: ParameterView, level: float = 0.95) -> PosteriorSummary:
     rounds draws far below the largest one to 0. The mean is clipped to
     the range of the draws. One-sided probabilities are evaluated at zero.
 
-    Raises :class:`InvalidLevel` unless ``0 < level < 1``.
+    Raises :class:`InvalidLevel` unless ``level`` is a real number in (0, 1).
     """
-    level = float(level)
+    level = _converted("level", level, float, InvalidLevel)
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must be in (0, 1), got {level!r}")
     probabilities = [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0]

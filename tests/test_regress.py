@@ -124,6 +124,14 @@ class TestSpecs:
         with pytest.raises(InvalidArgument, match="^beta1_sd: "):
             PriorSpec(beta1_sd=value)
 
+    @pytest.mark.parametrize(
+        "priors", [{"beta0_sd": 1.0}, None, (50.0, 20.0, 0.0, 5.0, 0.5)], ids=["dict", "none", "tuple"]
+    )
+    def test_model_spec_takes_only_a_prior_spec(self, priors):
+        # Accepted, a dict failed only in fit, on its missing attributes.
+        with pytest.raises(InvalidArgument, match="^priors: "):
+            ModelSpec(priors=priors)
+
     def test_prior_spec_rejects_nonpositive_scales(self):
         for kwargs in ({"beta0_sd": 0.0}, {"beta1_sd": -1.0}, {"sigma_rate": 0.0}):
             with pytest.raises(InvalidArgument):

@@ -123,6 +123,13 @@ class TestRenderCcdf:
         with pytest.raises(InvalidArgument, match="which XML forbids$"):
             render_density(kde(normal_draws), x_label=label)
 
+    @pytest.mark.parametrize("label", [3, None, b"Effect size"], ids=["int", "none", "bytes"])
+    def test_label_that_is_not_a_str_rejected(self, normal_curve, normal_draws, label):
+        with pytest.raises(InvalidArgument, match="^x_label: "):
+            render_ccdf(normal_curve, x_label=label)
+        with pytest.raises(InvalidArgument, match="^x_label: "):
+            render_density(kde(normal_draws), x_label=label)
+
     def test_label_xml_allows_parses(self, normal_curve):
         # Tab, LF, CR, markup characters and non-ASCII text are all legal XML.
         label = "a\tb\nc\rd <&> \u00e9\u2028\U0001f600"
