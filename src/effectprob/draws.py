@@ -4,6 +4,8 @@ All downstream summaries consume this representation. :class:`Draws`
 is built one way, ``Draws(names, values)`` from a ``(parameters, chains,
 iterations)`` array: it checks itself and copies its input once, into a
 read-only array it owns, so draws can be shared freely across threads.
+A name is a non-empty string with no ``,``, ``\\n``, ``\\r`` or surrogate
+(UTF-8 has none), so every :class:`Draws` can be written and read back.
 :class:`ParameterView`, one parameter's draws, is built through it and
 so keeps the same rules.
 """
@@ -11,10 +13,15 @@ so keeps the same rules.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DuplicateParameter, InvalidDraws, NonFiniteValue, UnknownParameter, _converted
+from .errors import (
+    DuplicateParameter, InvalidArgument, InvalidDraws, NonFiniteValue, UnknownParameter, _converted
+)
+
+_BAD_NAME = re.compile("[,\n\r\ud800-\udfff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +32,10 @@ class Draws:
     order within a chain is preserved (required by autocorrelation-based
     diagnostics). Construction copies ``values`` into a C-ordered,
     read-only float64 array, then raises :class:`InvalidDraws` for no
-    parameters, an empty or non-string name, non-real values, another
-    shape or fewer than two iterations per chain, :class:`DuplicateParameter`
-    for a repeated name, and :class:`NonFiniteValue` for a NaN or infinity.
+    parameters, a name that is not a non-empty string or holds ``,``,
+    ``\\n``, ``\\r`` or a surrogate, non-real values, another shape or
+    fewer than two iterations per chain, :class:`DuplicateParameter` for a
+    repeated name, and :class:`NonFiniteValue` for a NaN or infinity.
     """
 
     parameter_names: tuple[str, ...]
@@ -39,8 +47,9 @@ class Draws:
             raise InvalidDraws("at least one parameter is required")
         seen = set()
         for name in names:
-            if not isinstance(name, str) or not name:
-                raise InvalidDraws(f"parameter_names: need non-empty strings, got {name!r}")
+            if not isinstance(name, str) or not name or _BAD_NAME.search(name):
+                raise InvalidDraws(f"parameter_names: need non-empty strings with no ',', "
+                                   f"line end or surrogate, got {name!r}")
             if name in seen:
                 raise DuplicateParameter(name)
             seen.add(name)
@@ -98,10 +107,11 @@ def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 def view(d: Draws, name: str) -> ParameterView:
     """Return the chain-separated and pooled series for one parameter.
 
-    Raises :class:`UnknownParameter` if ``name`` is not in ``d``.
+    Raises :class:`InvalidArgument` if ``name`` is not a string and
+    :class:`UnknownParameter`, with its ``repr``, if ``d`` lacks it.
     """
-    try:
-        idx = d.parameter_names.index(name)
-    except ValueError:
-        raise UnknownParameter(name) from None
-    return ParameterView(name=name, per_chain=d.values[idx])
+    if not isinstance(name, str):
+        raise InvalidArgument(f"name: need a str, got {type(name).__name__}")
+    if name not in d.parameter_names:
+        raise UnknownParameter(repr(name))
+    return ParameterView(name=name, per_chain=d.values[d.parameter_names.index(name)])

@@ -21,9 +21,6 @@ accepted draws file is exactly what :func:`write_draws` would write for
 its values, up to the spelling of the numbers.
 
 :func:`write_dataset` always writes the header ``outcome,treatment``.
-:func:`write_draws` refuses, with :class:`InvalidArgument` and before it
-opens the file, a parameter name its reader would not read back: one
-holding ``,``, ``\\n`` or ``\\r``, or one not encodable as UTF-8.
 
 Cost model. A read keeps the file as one ``bytes`` buffer. A body made
 only of the number alphabet ``[0-9.+-eE,\\n]`` takes the typed parse,
@@ -120,10 +117,6 @@ _NUMBER_BYTES = b"0123456789.+-eE,"
 # A line whose chain cell starts with "+", or whose iteration cell does
 # after a chain cell that the int parser took.
 _SIGNED_INDEX = re.compile(rb"\n(?:[0-9]+,)?\+")
-
-# What a header name must not hold for its reader to read it back: a
-# comma, a line end, or a surrogate, which UTF-8 cannot encode.
-_BAD_NAME = re.compile("[,\n\r\ud800-\udfff]")
 
 _BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, as spreadsheets write it
 
@@ -257,13 +250,7 @@ def _raise_draws_error(data: bytes, start: int, names: list[str]) -> NoReturn:
 
 
 def write_draws(d: Draws, path: str | Path) -> None:
-    """Write a draws file: header ``chain,iter,<params>``, chain-major rows.
-    A name the reader would not read back raises :class:`InvalidArgument`."""
-    for name in d.parameter_names:
-        if _BAD_NAME.search(name):
-            raise InvalidArgument(
-                f"column name {name!r} holds a comma, a line end or a character UTF-8 cannot encode"
-            )
+    """Write a draws file: header ``chain,iter,<params>``, chain-major rows."""
     params, chains, iterations = d.values.shape
     rows = chains * iterations
     columns = d.values.reshape(params, rows)

@@ -147,17 +147,19 @@ class ModelSpec:
             object.__setattr__(self, name, _converted(name, getattr(self, name), operator.index))
         _check_seed(self.seed)
         if self.chains < 1:
-            raise InvalidArgument(f"chains must be >= 1, got {self.chains}")
+            raise InvalidArgument(f"chains: need at least 1, got {self.chains}")
         kept = self.iterations - self.warmup
         if self.warmup < 0 or kept < _MIN_ITERATIONS:
+            arg = "warmup" if self.warmup < 0 or self.iterations >= _MIN_ITERATIONS else "iterations"
             raise InvalidArgument(
-                f"need warmup >= 0 and at least {_MIN_ITERATIONS} iterations after it, got "
-                f"warmup={self.warmup}, iterations={self.iterations}"
+                f"{arg}: need warmup >= 0 and at least {_MIN_ITERATIONS} iterations after it, "
+                f"got warmup={self.warmup}, iterations={self.iterations}"
             )
         if 24 * self.chains * kept > sys.maxsize:
+            arg = "chains" if 24 * kept <= sys.maxsize else "iterations"
             raise InvalidArgument(
-                f"{self.chains} chains of {kept} kept iterations need {24 * self.chains * kept} "
-                f"bytes, more than the address space holds"
+                f"{arg}: {self.chains} chains of {kept} kept iterations need "
+                f"{24 * self.chains * kept} bytes, more than the address space holds"
             )
 
 

@@ -8,9 +8,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import effectprob
-from effectprob.draws import ParameterView
+from effectprob.draws import Draws, ParameterView
+from effectprob.errors import InvalidDraws
+
+
+def _draws_accepts(name: str) -> bool:
+    try:
+        Draws((name,), [[[0.0, 0.0]]])
+    except InvalidDraws:
+        return False
+    return True
+
+
+def parameter_names(max_size: int | None = None) -> st.SearchStrategy[str]:
+    """Any text :class:`Draws` takes as a parameter name: Draws alone
+    holds the rule."""
+    return st.text(min_size=1, max_size=max_size).filter(_draws_accepts)
 
 
 def make_view(per_chain, name: str = "theta") -> ParameterView:

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import os
+import re
+import shlex
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import effectprob
 from effectprob import cli
 from effectprob.cli import build_parser, main, parse_summary_line, summary_machine_line
 from effectprob.diagnostics import ess, split_rhat
@@ -17,6 +24,8 @@ from effectprob.io import read_draws, write_dataset, write_draws
 from effectprob.regress import Dataset, ModelSpec, PriorSpec, simulate_experiment
 from effectprob.render import render_ccdf, render_density
 from effectprob.summary import PosteriorSummary, ccdf, kde
+
+from conftest import parameter_names
 
 
 def run(*argv: str, capsys) -> tuple[int, str, str]:
@@ -265,7 +274,7 @@ class TestFit:
         assert code == 2
         assert stdout == ""
         assert stderr == (
-            "error: InvalidArgument: need warmup >= 0 and at least 4 iterations after it, "
+            "error: InvalidArgument: warmup: need warmup >= 0 and at least 4 iterations after it, "
             f"got warmup={warmup}, iterations=100\n"
         )
         assert not out.exists()
@@ -390,6 +399,13 @@ class TestSummarize:
         code, _, stderr = run("summarize", str(path), "--param", "beta9", capsys=capsys)
         assert code == 2
         assert "error: UnknownParameter" in stderr
+
+    def test_empty_param_is_named_by_its_repr(self, tmp_path, capsys):
+        # The message was empty: "error: UnknownParameter: ".
+        path = tmp_path / "draws.csv"
+        write_draws(Draws(("a",), [[[1.0, 2.0, 3.0, 4.0]]]), path)
+        code, stdout, stderr = run("summarize", str(path), "--param", "", capsys=capsys)
+        assert (code, stdout, stderr) == (2, "", "error: UnknownParameter: ''\n")
 
     def test_bad_level_exits_2(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
@@ -599,15 +615,13 @@ class TestUsage:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        name=st.text(
-            st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"), min_size=1
-        ),
+        name=parameter_names(),
         numbers=st.lists(st.floats(allow_nan=False), min_size=6, max_size=6),
     )
     @example(name="treatment effect", numbers=[0.95, 0.125, -1.5, 2.25, 0.75, 0.25])
     @example(name=" p=1 level=2 ", numbers=[0.95, 0.125, -1.5, 2.25, 0.75, 0.25])
     def test_machine_line_round_trips_any_writable_name(self, tmp_path_factory, name, numbers):
-        # Every name write_draws accepts; one with a space once made
+        # Every name Draws accepts; one with a space once made
         # parse_summary_line raise ValueError from dict().
         path = tmp_path_factory.mktemp("names") / "draws.csv"
         write_draws(Draws((name,), [[[0.0, 1.0]]]), path)
@@ -830,3 +844,53 @@ class TestFuzz:
         code, _, stderr = run("ccdf", str(path), "--out", str(tmp_path / "wide.svg"), capsys=capsys)
         assert code == 2
         assert stderr.startswith("error: DegenerateDraws: ") and stderr.count("\n") == 1
+
+
+class TestConsoleCommands:
+    """The commands of CI's "Console script" step, each in a fresh
+    interpreter through ``python -m effectprob.cli``. Only that CI step
+    runs the installed ``[project.scripts]`` entry point; this test runs
+    its command list wherever the tier-1 tests run."""
+
+    WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+    @classmethod
+    def step(cls) -> list[str]:
+        lines = cls.WORKFLOW.read_text(encoding="utf-8").splitlines()
+        start = lines.index("      - name: Console script")
+        assert lines[start + 1] == "        run: |"
+        body = []
+        for line in lines[start + 2 :]:
+            if not line.startswith(" " * 10):
+                break
+            body.append(line.strip())
+        return body
+
+    def test_every_command_exits_as_the_step_expects(self, tmp_path):
+        src = Path(effectprob.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def console(args: str) -> subprocess.CompletedProcess:
+            argv = shlex.split(args.replace("$RUNNER_TEMP", str(tmp_path)))
+            return subprocess.run(
+                [sys.executable, "-m", "effectprob.cli", *argv], cwd=tmp_path, env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+
+        refused, ran = None, 0
+        for line in self.step():
+            if match := re.fullmatch(r"effectprob (.+)", line):
+                result = console(match[1])
+                assert (result.returncode, result.stderr) == (0, ""), line
+            elif match := re.fullmatch(r"code=0; effectprob (.+) \|\| code=\$\?", line):
+                refused = console(match[1])
+            elif match := re.fullmatch(r'test "\$code" -eq (\d+)', line):
+                assert refused.returncode == int(match[1]), (line, refused.stderr)
+            elif match := re.fullmatch(r"test ! -e (.+)", line):
+                path = shlex.split(match[1].replace("$RUNNER_TEMP", str(tmp_path)))[0]
+                assert not Path(path).exists(), line
+            else:
+                pytest.fail(f"a line of the Console script step this test cannot run: {line!r}")
+            ran += 1
+        # 8 commands, 4 refusals with their exit-code checks, 1 file check.
+        assert ran == 17

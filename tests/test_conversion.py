@@ -94,13 +94,7 @@ def test_junk_returns_or_raises_a_typed_error_naming_the_argument(call, name, va
     try:
         call(value)
     except EffectProbError as exc:
-        message = str(exc)
-        if type(value) is int and name in ("chains", "iterations", "warmup"):
-            # 10**400 is a count: ModelSpec's range checks refuse it, in
-            # messages that name it (tests/test_cli.py pins the warmup one).
-            assert re.search(rf"\b{name}\b", message), message
-        else:
-            assert re.match(rf"{name}\b", message), message
+        assert re.match(rf"{name}\b", str(exc)), str(exc)
 
 
 @pytest.mark.parametrize("n", [10.7, "12", np.float64(12.0)], ids=["fraction", "digits", "float64"])

@@ -6,6 +6,7 @@ import pytest
 from effectprob.draws import Draws, ParameterView, view
 from effectprob.errors import (
     DuplicateParameter,
+    InvalidArgument,
     InvalidDraws,
     NonFiniteValue,
     UnknownParameter,
@@ -81,6 +82,17 @@ class TestDrawsChecksItself:
             Draws(parameter_names=names, values=np.zeros((3, 1, 2)))
         assert type(info.value) is error
 
+    @pytest.mark.parametrize(
+        "name", ["a,b", "x\ny", "x\ry", "\udcff"], ids=["comma", "lf", "cr", "surrogate"]
+    )
+    def test_refuses_a_name_a_draws_file_cannot_hold(self, name):
+        # A header cell holds no comma or line end, and UTF-8 encodes no
+        # surrogate. A view is a one-parameter Draws and refuses the same.
+        with pytest.raises(InvalidDraws, match="^parameter_names: "):
+            Draws(("ok", name), [[[1.0, 2.0]], [[3.0, 4.0]]])
+        with pytest.raises(InvalidDraws, match="^parameter_names: "):
+            ParameterView(name, [[1.0, 2.0]])
+
     def test_nonfinite_error_names_the_cell(self):
         values = np.zeros((2, 3, 4))
         values[1, 2, 3] = np.inf
@@ -122,6 +134,21 @@ class TestView:
         d = Draws(("b1",), [[[1.0, 2.0]]])
         with pytest.raises(UnknownParameter):
             view(d, "beta9")
+
+    @pytest.mark.parametrize("name, got", [(None, "NoneType"), (["b1"], "list")])
+    def test_name_that_is_not_a_str_is_an_invalid_argument(self, name, got):
+        # Both were UnknownParameter, whose message was the bare object.
+        d = Draws(("b1",), [[[1.0, 2.0]]])
+        with pytest.raises(InvalidArgument, match=f"^name: need a str, got {got}$"):
+            view(d, name)
+
+    @pytest.mark.parametrize("name", ["", "b1 "])
+    def test_unknown_parameter_is_named_by_its_repr(self, name):
+        # The empty name's message was empty.
+        d = Draws(("b1",), [[[1.0, 2.0]]])
+        with pytest.raises(UnknownParameter) as info:
+            view(d, name)
+        assert str(info.value) == repr(name)
 
     def test_single_chain_pooled_identical(self):
         d = Draws(("b1",), [[[1.5, 2.5, 3.5]]])
