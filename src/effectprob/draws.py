@@ -51,7 +51,7 @@ class Draws:
                 raise InvalidDraws(f"parameter_names: need non-empty strings with no ',', "
                                    f"line end or surrogate, got {name!r}")
             if name in seen:
-                raise DuplicateParameter(name)
+                raise DuplicateParameter(repr(name))
             seen.add(name)
         values = _converted(
             "values", self.values, lambda v: np.array(v, np.float64, order="C"), InvalidDraws

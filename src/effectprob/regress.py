@@ -165,7 +165,7 @@ class ModelSpec:
 
 def _check_seed(seed: int) -> None:
     if _converted("seed", seed, operator.index) < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+        raise InvalidArgument(f"seed: must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +186,7 @@ class Dataset:
             name = "outcome" if outcome.ndim != 1 else "treatment"
             raise InvalidArgument(f"{name}: outcome and treatment must be equal-length vectors")
         if len(outcome) < 3:
-            raise InvalidArgument(f"need at least 3 units, got {len(outcome)}")
+            raise InvalidArgument(f"outcome: need at least 3 units, got {len(outcome)}")
         if not np.isin(treatment, (0, 1)).all():
             raise NonBinaryTreatment("treatment values must be 0 or 1")
         if not np.isfinite(outcome).all():
@@ -328,11 +328,11 @@ def simulate_experiment(
     beta0, beta1 = _converted("beta0", beta0, float), _converted("beta1", beta1, float)
     resid_sd = _converted("resid_sd", resid_sd, float)
     if n < 3:
-        raise InvalidArgument(f"need n >= 3 to form a dataset, got {n}")
+        raise InvalidArgument(f"n: need n >= 3 to form a dataset, got {n}")
     if n > sys.maxsize:
         raise InvalidArgument(f"n = {n} units is more than the address space holds")
     if not resid_sd > 0:
-        raise InvalidArgument(f"resid_sd must be positive, got {resid_sd!r}")
+        raise InvalidArgument(f"resid_sd: must be positive, got {resid_sd!r}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     treatment = np.zeros(n, dtype=np.int8)

@@ -34,6 +34,11 @@ def make_view(per_chain, name: str = "theta") -> ParameterView:
     return ParameterView(name, np.atleast_2d(np.asarray(per_chain, dtype=float)))
 
 
+def cache_file(path):
+    """The parse cache that a read or a write of ``path`` leaves beside it."""
+    return path.with_name(f".{path.name}.effectprob")
+
+
 def peak_bytes(call) -> int:
     """The tracemalloc peak while ``call()`` runs, from a collected heap."""
     gc.collect()

@@ -25,7 +25,7 @@ from effectprob.regress import Dataset, ModelSpec, PriorSpec, simulate_experimen
 from effectprob.render import render_ccdf, render_density
 from effectprob.summary import PosteriorSummary, ccdf, kde
 
-from conftest import parameter_names
+from conftest import cache_file, parameter_names
 
 
 def run(*argv: str, capsys) -> tuple[int, str, str]:
@@ -112,7 +112,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     code, stdout, stderr = run(*argv, "--out", str(tmp_path / "out.csv"), capsys=capsys)
     assert code == 2
     assert stdout == ""
-    assert stderr == "error: InvalidArgument: seed must be >= 0, got -1\n"
+    assert stderr == "error: InvalidArgument: seed: must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -344,7 +344,7 @@ class TestFit:
         data.write_text("outcome,treatment\n")
         code, stdout, stderr = run("fit", str(data), "--out", str(draws), capsys=capsys)
         assert (code, stdout) == (2, "")
-        assert stderr == "error: InvalidArgument: need at least 3 units, got 0\n"
+        assert stderr == "error: InvalidArgument: outcome: need at least 3 units, got 0\n"
         assert not draws.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
@@ -892,5 +892,31 @@ class TestConsoleCommands:
             else:
                 pytest.fail(f"a line of the Console script step this test cannot run: {line!r}")
             ran += 1
-        # 8 commands, 4 refusals with their exit-code checks, 1 file check.
-        assert ran == 17
+        # 9 commands, 4 refusals with their exit-code checks, 1 file check.
+        assert ran == 18
+
+
+def test_summarize_in_fresh_interpreters_reads_the_cache_fit_wrote(tmp_path):
+    # Each command is its own process: the second summarize neither parses
+    # the file nor rewrites its cache, and prints what a parse prints.
+    src = Path(effectprob.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def console(*argv: str) -> bytes:
+        result = subprocess.run(
+            [sys.executable, "-m", "effectprob.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, b""), argv
+        return result.stdout
+
+    console("simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
+    console("fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
+    cache = cache_file(tmp_path / "dr.csv")
+    written = cache.stat()
+    first = console("summarize", "dr.csv", "--param", "beta1")
+    assert console("summarize", "dr.csv", "--param", "beta1") == first
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    cache.unlink()
+    assert console("summarize", "dr.csv", "--param", "beta1") == first

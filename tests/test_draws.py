@@ -73,7 +73,7 @@ class TestDrawsChecksItself:
         [
             (("a", "", "a"), InvalidDraws, "non-empty string"),
             (("a", 1, "a"), InvalidDraws, "non-empty string"),
-            (("a", "a", ""), DuplicateParameter, "^a$"),
+            (("a", "a", ""), DuplicateParameter, "^'a'$"),
         ],
         ids=["empty-before-repeat", "non-string-before-repeat", "repeat-before-empty"],
     )

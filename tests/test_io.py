@@ -3,8 +3,10 @@ from __future__ import annotations
 import ast
 import inspect
 import os
+import re
 import signal
 import threading
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 import effectprob.io
 from effectprob.draws import Draws
 from effectprob.errors import (
+    EffectProbError,
     InvalidArgument,
     MissingColumn,
     NonBinaryTreatment,
@@ -23,7 +26,7 @@ from effectprob.errors import (
 from effectprob.io import read_dataset, read_draws, write_dataset, write_draws
 from effectprob.regress import Dataset, ModelSpec, fit, simulate_experiment
 
-from conftest import peak_bytes
+from conftest import cache_file, peak_bytes
 
 
 def random_finite_doubles(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -233,7 +236,7 @@ class TestDatasetFiles:
     def test_header_only_has_no_units(self, tmp_path, content):
         path = tmp_path / "d.csv"
         path.write_bytes(content)
-        with pytest.raises(InvalidArgument, match=r"^need at least 3 units, got 0$"):
+        with pytest.raises(InvalidArgument, match=r"^outcome: need at least 3 units, got 0$"):
             read_dataset(path)
 
 
@@ -297,9 +300,9 @@ class TestByteOrderMark:
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 class TestNamedPipe:
-    """Each reader opens its file once, so a pipe reads like a file. A
-    second open would wait for a writer that never comes; the alarm turns
-    that wait into a failure."""
+    """Each reader opens its file once, so a pipe reads like a file, and
+    writes no cache file beside it. A second open would wait for a writer
+    that never comes; the alarm turns that wait into a failure."""
 
     def _through_pipe(self, tmp_path, file, read):
         pipe = tmp_path / "pipe.csv"
@@ -319,6 +322,7 @@ class TestNamedPipe:
             signal.signal(signal.SIGALRM, previous)
             writer.join(10)
         assert not writer.is_alive()
+        assert not list(tmp_path.glob(".pipe.csv.effectprob*"))  # a pipe gets no cache file
         return got
 
     def test_read_draws(self, tmp_path):
@@ -371,18 +375,26 @@ class TestAllocationPeaks:
         peak = peak_bytes(lambda: write(value, path))
         assert peak <= 2 * path.stat().st_size
 
-    @pytest.mark.parametrize("kind", ["draws", "dataset"])
-    def test_read_peak_is_at_most_four_times_the_file(self, tmp_path, kind):
+    def written(self, tmp_path, kind: str, cache: str):
+        """A file as its writer leaves it, less its cache file for a
+        miss, and its reader."""
         value, write, read = self.sample(kind)
         path = tmp_path / "file.csv"
         write(value, path)
+        if cache == "miss":
+            cache_file(path).unlink()
+        return path, read
+
+    @pytest.mark.parametrize("cache", ["miss", "hit"])
+    @pytest.mark.parametrize("kind", ["draws", "dataset"])
+    def test_read_peak_is_at_most_four_times_the_file(self, tmp_path, kind, cache):
+        path, read = self.written(tmp_path, kind, cache)
         assert peak_bytes(lambda: read(path)) <= 4 * path.stat().st_size
 
-    def test_draws_read_peak_is_at_most_two_and_a_half_times_the_file(self, tmp_path):
-        # The file's bytes, loadtxt's records and the Draws copy.
-        value, write, read = self.sample("draws")
-        path = tmp_path / "file.csv"
-        write(value, path)
+    @pytest.mark.parametrize("cache", ["miss", "hit"])
+    def test_draws_read_peak_is_at_most_two_and_a_half_times_the_file(self, tmp_path, cache):
+        # The file's bytes, loadtxt's or the cache file's records and the Draws copy.
+        path, read = self.written(tmp_path, "draws", cache)
         assert peak_bytes(lambda: read(path)) <= 2.5 * path.stat().st_size
 
     def test_simulate_peak_is_at_most_40_bytes_per_unit(self):
@@ -402,6 +414,189 @@ class TestAllocationPeaks:
         path.write_text("\n".join(noted) + "\n")
         assert peak_bytes(lambda: read(path)) <= 8 * path.stat().st_size
         assert read(path).outcome.tobytes() == value.outcome.tobytes()
+
+
+def outcome(read, path) -> tuple:
+    """What ``read(path)`` gives, in a form ``==`` compares bit for bit."""
+    try:
+        got = read(path)
+    except EffectProbError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Draws):
+        return got.parameter_names, got.values.shape, got.values.tobytes()
+    return got.outcome.tobytes(), got.treatment.tobytes()
+
+
+def npy(table: np.ndarray, shape: tuple | None = None) -> bytes:
+    """``table`` in the ``.npy`` format, its header claiming ``shape``."""
+    out = BytesIO()
+    header = np.lib.format.header_data_from_array_1_0(table)
+    np.lib.format.write_array_header_1_0(out, {**header, "shape": shape or table.shape})
+    out.write(table.tobytes())
+    return out.getvalue()
+
+
+class _MakesDirectory:
+    """Unpickling one makes the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+class TestParseCache:
+    """A cache file that is stale, cut short, forged, unreadable or not a
+    regular file of this user's, or a save that fails, gives exactly what
+    a read gives with no cache file, and prints nothing."""
+
+    FILES = {
+        "draws": (write_fit_draws, read_draws),
+        "dataset": (
+            lambda path: write_dataset(simulate_experiment(50, 3.0, -1.0, 2.0, seed=4), path),
+            read_dataset,
+        ),
+        # The typed parse takes it and the layout check refuses it.
+        "ragged draws": (
+            lambda path: path.write_bytes(b"chain,iter,a\n1,1,0.55\n1,2,0.6\n2,1,0.7\n"),
+            read_draws,
+        ),
+    }
+
+    @pytest.fixture(params=list(FILES))
+    def csv(self, request, tmp_path):
+        """The file, its reader, the cache file a parse saves for it, its
+        records, and what a read gives with no cache file."""
+        write, read = self.FILES[request.param]
+        path = tmp_path / "f.csv"
+        write(path)
+        cache_file(path).unlink(missing_ok=True)
+        want = outcome(read, path)
+        genuine = cache_file(path).read_bytes()
+        cache_file(path).unlink()
+        table = np.lib.format.read_array(BytesIO(genuine[32:]))
+        return path, read, genuine, table, want
+
+    @staticmethod
+    def forged(genuine: bytes, table: np.ndarray) -> bytes:
+        """A cache file of the same CSV whose first value is one more."""
+        table = table.copy()
+        table[table.dtype.names[-1]][:, 0] += 1.0
+        return genuine[:32] + npy(table)
+
+    @staticmethod
+    def read_as_without(path, read, want, capfd) -> None:
+        assert outcome(read, path) == want
+        assert capfd.readouterr() == ("", "")
+        assert not list(path.parent.glob(".f.csv.effectprob.*"))
+
+    def test_a_forged_regular_file_of_this_user_is_trusted(self, csv):
+        # The control for the forgeries below: only their placing stops them.
+        path, read, genuine, table, want = csv
+        if isinstance(want[0], type):
+            pytest.skip("the layout check refuses this file whatever its values")
+        cache_file(path).write_bytes(self.forged(genuine, table))
+        assert outcome(read, path) != want
+
+    def test_stale(self, csv, capfd):
+        # One digit of the CSV changes, at the same size and times.
+        path, read, genuine, _, _ = csv
+        data = bytearray(path.read_bytes())
+        at = re.search(rb"\n[^\n]*?([0-9])[0-9]", data)
+        data[at.start(1)] = ord(str((int(chr(data[at.start(1)])) + 1) % 10))
+        times = path.stat()
+        path.write_bytes(data)
+        os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
+        assert path.stat().st_size == times.st_size
+        want = outcome(read, path)
+        cache_file(path).write_bytes(genuine)
+        self.read_as_without(path, read, want, capfd)
+
+    def test_cut_at_every_byte(self, csv, capfd):
+        path, read, genuine, _, want = csv
+        for size in range(len(genuine)):
+            cache_file(path).write_bytes(genuine[:size])
+            assert outcome(read, path) == want, size
+        self.read_as_without(path, read, want, capfd)
+
+    @pytest.mark.parametrize("shape", ["2**60 rows", "one column"])
+    def test_header_that_claims_another_shape(self, csv, capfd, shape):
+        # 2**60 rows are refused before an allocation of that size is tried.
+        path, read, genuine, table, want = csv
+        claim = (2**60,) if shape == "2**60 rows" else (len(table), 1)
+        cache_file(path).write_bytes(genuine[:32] + npy(table, claim))
+        self.read_as_without(path, read, want, capfd)
+
+    def test_other_record_type_of_the_same_size(self, csv, capfd):
+        # The same records big-endian: read as the reader's type, every value would differ.
+        path, read, genuine, table, want = csv
+        swapped = table.astype(table.dtype.newbyteorder(">"))
+        cache_file(path).write_bytes(genuine[:32] + npy(swapped))
+        self.read_as_without(path, read, want, capfd)
+
+    @pytest.mark.parametrize("payload", ["object", "pickled"])
+    def test_object_payload_is_never_unpickled(self, csv, capfd, payload):
+        path, read, genuine, table, want = csv
+        trap = path.parent / "unpickled"
+        values = [{"a": 1}] if payload == "object" else [_MakesDirectory(trap)]
+        out = BytesIO()
+        np.lib.format.write_array(out, np.array(values, dtype=object), allow_pickle=True)
+        cache_file(path).write_bytes(genuine[:32] + out.getvalue())
+        self.read_as_without(path, read, want, capfd)
+        assert not trap.exists()
+
+    def test_symlink_to_a_forgery(self, csv, capfd):
+        path, read, genuine, table, want = csv
+        forgery = path.parent / "forgery"
+        forgery.write_bytes(self.forged(genuine, table))
+        cache_file(path).symlink_to(forgery)
+        self.read_as_without(path, read, want, capfd)
+        assert forgery.read_bytes() == self.forged(genuine, table)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, csv, capfd):
+        # With no writer, a pipe opened to read waits for one; the alarm
+        # turns that wait into a failure.
+        path, read, _, _, want = csv
+        os.mkfifo(cache_file(path))
+
+        class Waited(Exception):  # not an OSError, which a read takes for a miss
+            pass
+
+        def waited(signum, frame):
+            raise Waited("the read waited on the pipe")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            self.read_as_without(path, read, want, capfd)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_directory(self, csv, capfd):
+        path, read, _, _, want = csv
+        cache_file(path).mkdir()
+        self.read_as_without(path, read, want, capfd)
+        assert cache_file(path).is_dir()
+
+    @pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() != 0, reason="needs root to chown")
+    def test_forgery_of_another_user(self, csv, capfd):
+        path, read, genuine, table, want = csv
+        cache_file(path).write_bytes(self.forged(genuine, table))
+        os.chown(cache_file(path), 1, 1)
+        self.read_as_without(path, read, want, capfd)
+
+    def test_replace_that_fails(self, csv, capfd, monkeypatch):
+        path, read, _, _, want = csv
+
+        def refuse(source, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(effectprob.io.os, "replace", refuse)
+        self.read_as_without(path, read, want, capfd)
+        assert not cache_file(path).exists()
 
 
 def _first_parser_call_keywords(source_file: str, function: str) -> set[str]:

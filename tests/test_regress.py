@@ -79,7 +79,7 @@ class TestDataset:
             Dataset(outcome=[1.0, np.nan, 3.0], treatment=[0, 1, 0])
 
     def test_rejects_short_data(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="^outcome: need at least 3 units, got 2$"):
             Dataset(outcome=[1.0, 2.0], treatment=[0, 1])
 
     def test_rejects_length_mismatch(self):
@@ -238,7 +238,7 @@ class TestSpecs:
         assert all(math.isfinite(rhat) for rhat in rhats(result).values())
 
     def test_model_spec_rejects_negative_seed(self):
-        with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+        with pytest.raises(InvalidArgument, match="^seed: must be >= 0"):
             ModelSpec(seed=-1)
 
     def test_defaults_match_documented_protocol(self):
@@ -276,13 +276,13 @@ class TestSimulateExperiment:
         assert np.array_equal(a.treatment, b.treatment)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="^n: need n >= 3 to form a dataset, got 2$"):
             simulate_experiment(2, 0.0, 0.0, 1.0, seed=0)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="^resid_sd: must be positive, got 0.0$"):
             simulate_experiment(10, 0.0, 0.0, 0.0, seed=0)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+        with pytest.raises(InvalidArgument, match="^seed: must be >= 0"):
             simulate_experiment(10, 0.0, 0.0, 1.0, seed=-1)
 
     @pytest.mark.parametrize("seed", [1.5, "1", None])
