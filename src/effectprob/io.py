@@ -31,13 +31,17 @@ as one in-memory stream in 16 KiB chunks, one Python call per chunk and
 none per line or cell. It checks every line's field count, parses every
 cell into typed records, and within the alphabet accepts exactly the
 decimal grammar; it skips blank lines, so its rows must number the
-body's lines.
+body's lines. On one core of a 2-vCPU Xeon VM (best CPU time of 5 reads,
+over two runs) a read of long_chains' 4.7 MB draws file takes 54-55 ms,
+4 x 9k fitted draws of three parameters 26 ms, 10k draws of one
+2.8-3.4 ms and a 200k-row dataset 55-57 ms.
 
 On POSIX, a regular file's typed parse goes through its parse cache,
 ``.<name>.effectprob`` beside it (README.md says when it is trusted). A
-hit costs the read, one SHA-256 pass over its bytes and one read of the
-``.npy`` records, then the checks below as after a parse. A miss parses
-and saves the records, 5-8% more than a parse alone.
+hit costs the read, one SHA-256 pass over its bytes, one count of its
+line ends and one read of the ``.npy`` records, then the checks below as
+after a parse, about a fifth of a parse's time. A miss parses and
+saves the records, 7-15% more than a parse alone.
 
 A draws record holds two int64 index fields, whose parser refuses empty
 and non-integer cells but takes a leading ``+`` (so a body holding a
@@ -54,10 +58,11 @@ count first, then each line's cells against the grammar. A dataset that
 holds text, an unused cell the typed parse refuses (``1.2.3``, an empty
 cell) or a treatment that is not 0/1 takes the walk, which returns the
 values of an accepted body and raises the first line-numbered error
-otherwise. It makes Python calls per line and peaks at about 5.7 times
-the file's size. A draws body takes the walk only after a check failed,
-to raise its first line-numbered error, or :class:`RaggedChains` if
-every line is well formed.
+otherwise. It makes Python calls per line: a 200k-row dataset with one
+text column reads in about 0.3 s on the same core, peaking at about 5.7
+times the file's size. A draws body takes the walk
+only after a check failed, to raise its first line-numbered error, or
+:class:`RaggedChains` if every line is well formed.
 
 A write formats ``_BLOCK_ROWS`` rows at a time into one file opened in
 binary, so lines end at ``\\n`` on every platform, with the bytes
@@ -67,11 +72,13 @@ has no character, and one :meth:`bytes.translate` drops the NULs of the
 block's matrix. A double that ``%g`` writes in fixed notation (1e-4 <=
 |x| < 1e17) gets its 17 digits from an exact product in numpy (see
 :func:`_float_cells`); any other double (±0, subnormals, exponent
-notation) takes one ``%`` per cell. The same blocks, as records, then
-go to the cache file. A write holds one block's scratch, not the file's:
-each double's 40-byte slot, the block's matrix and its bytes, 0.8 MB for
-a dataset block and 1.7 MB for a draws block of three parameters
-(tracemalloc peaks). README.md gives the times of reads and writes.
+notation) takes one ``%`` per cell. A write holds one block's scratch,
+not the file's: each double's 40-byte slot, the block's matrix and its
+bytes, 0.8 MB for a dataset block and 1.7 MB for a draws block of three
+parameters (tracemalloc peaks). On one core of a 2-vCPU Xeon VM, best
+of 5 over two runs, a 200k-row dataset writes in 28-43 ms (130-177 ms
+with ``%.17g`` per value) and 4 x 10k draws of three parameters in
+20-26 ms (68-75 ms).
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ import os
 import re
 import stat
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from io import BytesIO
 from pathlib import Path
 from typing import NoReturn
@@ -124,6 +131,12 @@ _SIGNED_INDEX = re.compile(rb"\n(?:[0-9]+,)?\+")
 _BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, as spreadsheets write it
 
 _BLOCK_ROWS = 4096  # rows a writer formats per write call
+
+# Hashed before a file's bytes into its cache file's digest, so that a
+# cache file saved by another parser is never trusted. Bump the number
+# whenever _typed_table's records for the same bytes could change;
+# numpy's version stands for its parser's.
+_CACHE_KEY = f"effectprob parse cache 1, numpy {np.__version__}\n".encode()
 
 # Veltkamp's splitter, 2^27 + 1, and 10^k, exact for k <= 22, split into
 # halves of at most 26 significant bits: _two_product's operands.
@@ -255,32 +268,14 @@ def _raise_draws_error(data: bytes, start: int, names: list[str]) -> NoReturn:
 def write_draws(d: Draws, path: str | Path) -> None:
     """Write a draws file: header ``chain,iter,<params>``, chain-major rows."""
     params, chains, iterations = d.values.shape
-    columns = d.values.reshape(params, chains * iterations)
-
-    def block(rows: slice) -> list[np.ndarray]:
-        chain, iteration = np.divmod(np.arange(rows.start, rows.stop), iterations)
-        return [chain + 1, iteration + 1, *columns[:, rows]]
-
-    dtype = np.dtype([("index", np.int64, (2,)), ("values", np.float64, (params,))])
-    _write(path, "chain,iter," + ",".join(d.parameter_names), dtype, chains * iterations, block)
-
-
-def _write(path: str | Path, header: str, dtype: np.dtype, rows: int, block: Callable) -> None:
-    """Write ``header`` and the lines of ``block``'s columns for each slice of
-    ``_BLOCK_ROWS`` rows to ``path``, then as records of ``dtype`` to its cache file."""
-    path = Path(path)
-    parts = [slice(first, min(first + _BLOCK_ROWS, rows)) for first in range(0, rows, _BLOCK_ROWS)]
-    text = (header + "\n").encode("utf-8")
-    digest = hashlib.sha256(text)
-    with path.open("wb") as out:
-        out.write(text)
-        for part in parts:
-            text = _format_block(block(part))
-            out.write(text)
-            digest.update(text)
-            del text  # before the next block is formatted
-    if (cache := _cache(path)) is not None:
-        _save(cache, digest.digest(), dtype, rows, (_records(block(p), dtype) for p in parts))
+    rows = chains * iterations
+    columns = d.values.reshape(params, rows)
+    with Path(path).open("wb") as out:
+        out.write(("chain,iter," + ",".join(d.parameter_names) + "\n").encode("utf-8"))
+        for first in range(0, rows, _BLOCK_ROWS):
+            stop = min(first + _BLOCK_ROWS, rows)
+            chain, iteration = np.divmod(np.arange(first, stop), iterations)
+            out.write(_format_block([chain + 1, iteration + 1, *columns[:, first:stop]]))
 
 
 def _format_block(columns: list[np.ndarray]) -> bytes:
@@ -428,10 +423,15 @@ def _table(path: str | Path, data: bytes, start: int, dtype: np.dtype) -> np.nda
     """``_typed_table``'s records of ``path``'s bytes ``data``, through its cache file."""
     if (cache := _cache(Path(path))) is None:
         return _typed_table(data, start, dtype)
-    digest = hashlib.sha256(data).digest()
+    hashed = hashlib.sha256(_CACHE_KEY)
+    hashed.update(data)
+    digest = hashed.digest()
     table = _load(cache, digest, dtype)
-    if table is None and (table := _typed_table(data, start, dtype)) is not None:
-        _save(cache, digest, dtype, len(table), [table])
+    # One row per body line, as _typed_table requires of a parse.
+    if table is not None and len(table) == data.count(b"\n", start):
+        return table
+    if (table := _typed_table(data, start, dtype)) is not None:
+        _save(cache, digest, table)
     return table
 
 
@@ -461,35 +461,25 @@ def _load(cache: Path, digest: bytes, dtype: np.dtype) -> np.ndarray | None:
         return None
 
 
-def _save(cache: Path, digest: bytes, dtype: np.dtype, rows: int, blocks: Iterable) -> None:
-    """Replace ``cache`` by ``digest`` and a ``.npy`` of ``rows`` records of
-    ``dtype`` from ``blocks``; an OSError leaves no new file and is ignored."""
+def _save(cache: Path, digest: bytes, table: np.ndarray) -> None:
+    """Replace ``cache`` by ``digest`` and ``table`` as a ``.npy``; an
+    OSError leaves no new file and is ignored."""
     temporary = cache.with_name(f"{cache.name}.{os.getpid()}")
     try:
+        # Left by a process of this pid that was killed while saving.
+        temporary.unlink(missing_ok=True)
         fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     except OSError:
         return
     try:
         with open(fd, "wb") as file:
             file.write(digest)
-            header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False}
-            np.lib.format.write_array_header_1_0(file, {**header, "shape": (rows,)})
-            for records in blocks:
-                file.write(records)
+            np.lib.format.write_array(file, table, version=(1, 0), allow_pickle=False)
         os.replace(temporary, cache)
     except BaseException as exc:
         temporary.unlink(missing_ok=True)
         if not isinstance(exc, OSError):
             raise
-
-
-def _records(columns: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
-    """Records of ``dtype`` whose cells, field by field, hold ``columns``."""
-    table = np.empty(len(columns[0]), dtype)
-    cells = [table[name][:, j] for name in dtype.names for j in range(dtype[name].shape[0])]
-    for cell, column in zip(cells, columns, strict=True):
-        cell[...] = column
-    return table
 
 
 def read_draws(path: str | Path) -> Draws:
@@ -533,10 +523,11 @@ def read_draws(path: str | Path) -> Draws:
 
 def write_dataset(data: Dataset, path: str | Path) -> None:
     """Write a dataset file: header ``outcome,treatment``, one row per unit."""
-    _write(
-        path, "outcome,treatment", np.dtype([("cells", np.float64, (2,))]), len(data.outcome),
-        lambda rows: [data.outcome[rows], data.treatment[rows]],
-    )
+    with Path(path).open("wb") as out:
+        out.write(b"outcome,treatment\n")
+        for first in range(0, len(data.outcome), _BLOCK_ROWS):
+            block = slice(first, first + _BLOCK_ROWS)
+            out.write(_format_block([data.outcome[block], data.treatment[block]]))
 
 
 def read_dataset(

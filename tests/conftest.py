@@ -35,7 +35,7 @@ def make_view(per_chain, name: str = "theta") -> ParameterView:
 
 
 def cache_file(path):
-    """The parse cache that a read or a write of ``path`` leaves beside it."""
+    """The parse cache that a read of ``path`` leaves beside it."""
     return path.with_name(f".{path.name}.effectprob")
 
 

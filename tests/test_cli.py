@@ -896,9 +896,10 @@ class TestConsoleCommands:
         assert ran == 18
 
 
-def test_summarize_in_fresh_interpreters_reads_the_cache_fit_wrote(tmp_path):
-    # Each command is its own process: the second summarize neither parses
-    # the file nor rewrites its cache, and prints what a parse prints.
+def test_summarize_in_fresh_interpreters_reads_the_cache_the_first_saved(tmp_path):
+    # Each command is its own process: the first summarize of a file fit
+    # wrote parses it and saves its cache; the second neither parses the
+    # file nor rewrites its cache, and prints what a parse prints.
     src = Path(effectprob.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
 
@@ -913,10 +914,11 @@ def test_summarize_in_fresh_interpreters_reads_the_cache_fit_wrote(tmp_path):
     console("simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
     console("fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
     cache = cache_file(tmp_path / "dr.csv")
-    written = cache.stat()
+    assert not cache.exists()
     first = console("summarize", "dr.csv", "--param", "beta1")
+    saved = cache.stat()
     assert console("summarize", "dr.csv", "--param", "beta1") == first
     after = cache.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
     cache.unlink()
     assert console("summarize", "dr.csv", "--param", "beta1") == first

@@ -298,6 +298,12 @@ class TestByteOrderMark:
             read_draws(path)
 
 
+class Waited(Exception):
+    """Raised from a test's alarm while a read waits on a pipe. Not an
+    OSError such as TimeoutError, which a reader may take as an ordinary
+    outcome, as the parse cache takes it for a miss."""
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 class TestNamedPipe:
     """Each reader opens its file once, so a pipe reads like a file, and
@@ -311,7 +317,7 @@ class TestNamedPipe:
         writer.start()
 
         def second_open(signum, frame):
-            raise TimeoutError("the reader opened the pipe again")
+            raise Waited("the reader opened the pipe again")
 
         previous = signal.signal(signal.SIGALRM, second_open)
         signal.alarm(10)
@@ -376,13 +382,14 @@ class TestAllocationPeaks:
         assert peak <= 2 * path.stat().st_size
 
     def written(self, tmp_path, kind: str, cache: str):
-        """A file as its writer leaves it, less its cache file for a
-        miss, and its reader."""
+        """A written file, with no cache file for a miss or the one a
+        first read saves for a hit, and its reader."""
         value, write, read = self.sample(kind)
         path = tmp_path / "file.csv"
         write(value, path)
-        if cache == "miss":
-            cache_file(path).unlink()
+        if cache == "hit":
+            read(path)
+            assert cache_file(path).is_file()
         return path, read
 
     @pytest.mark.parametrize("cache", ["miss", "hit"])
@@ -471,7 +478,6 @@ class TestParseCache:
         write, read = self.FILES[request.param]
         path = tmp_path / "f.csv"
         write(path)
-        cache_file(path).unlink(missing_ok=True)
         want = outcome(read, path)
         genuine = cache_file(path).read_bytes()
         cache_file(path).unlink()
@@ -528,6 +534,21 @@ class TestParseCache:
         cache_file(path).write_bytes(genuine[:32] + npy(table, claim))
         self.read_as_without(path, read, want, capfd)
 
+    @pytest.mark.parametrize("rows", [0, 1, -1])
+    def test_other_row_count_than_the_file_has_lines(self, csv, capfd, rows):
+        # Header and payload agree, but the table has no rows, one, or
+        # one fewer than the file has body lines.
+        path, read, genuine, table, want = csv
+        cache_file(path).write_bytes(genuine[:32] + npy(table[:rows]))
+        self.read_as_without(path, read, want, capfd)
+
+    def test_saved_by_another_parser(self, csv, capfd, monkeypatch):
+        # A forgery whose digest was right for the parser that saved it.
+        path, read, genuine, table, want = csv
+        cache_file(path).write_bytes(self.forged(genuine, table))
+        monkeypatch.setattr(effectprob.io, "_CACHE_KEY", b"effectprob parse cache 0\n")
+        self.read_as_without(path, read, want, capfd)
+
     def test_other_record_type_of_the_same_size(self, csv, capfd):
         # The same records big-endian: read as the reader's type, every value would differ.
         path, read, genuine, table, want = csv
@@ -561,9 +582,6 @@ class TestParseCache:
         path, read, _, _, want = csv
         os.mkfifo(cache_file(path))
 
-        class Waited(Exception):  # not an OSError, which a read takes for a miss
-            pass
-
         def waited(signum, frame):
             raise Waited("the read waited on the pipe")
 
@@ -587,6 +605,12 @@ class TestParseCache:
         cache_file(path).write_bytes(self.forged(genuine, table))
         os.chown(cache_file(path), 1, 1)
         self.read_as_without(path, read, want, capfd)
+
+    def test_temporary_file_left_by_a_killed_save_of_this_pid(self, csv, capfd):
+        path, read, genuine, _, want = csv
+        cache_file(path).with_name(f".f.csv.effectprob.{os.getpid()}").write_bytes(b"cut")
+        self.read_as_without(path, read, want, capfd)
+        assert cache_file(path).read_bytes() == genuine
 
     def test_replace_that_fails(self, csv, capfd, monkeypatch):
         path, read, _, _, want = csv
