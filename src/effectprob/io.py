@@ -36,12 +36,12 @@ over two runs) a read of long_chains' 4.7 MB draws file takes 54-55 ms,
 4 x 9k fitted draws of three parameters 26 ms, 10k draws of one
 2.8-3.4 ms and a 200k-row dataset 55-57 ms.
 
-On POSIX, a regular file's typed parse goes through its parse cache,
-``.<name>.effectprob`` beside it (README.md says when it is trusted). A
-hit costs the read, one SHA-256 pass over its bytes, one count of its
-line ends and one read of the ``.npy`` records, then the checks below as
-after a parse, about a fifth of a parse's time. A miss parses and
-saves the records, 7-15% more than a parse alone.
+On POSIX, a draws file's typed parse goes through its parse cache,
+``.<name>.effectprob`` beside it if it is a regular file (README.md says
+when it is trusted). A hit costs the read, one SHA-256 pass over its
+bytes, one count of its line ends and one read of the ``.npy`` records,
+then the checks below as after a parse, about a fifth of a parse's time.
+A miss parses and saves the records, 7-15% more than a parse alone.
 
 A draws record holds two int64 index fields, whose parser refuses empty
 and non-integer cells but takes a leading ``+`` (so a body holding a
@@ -60,9 +60,9 @@ cell) or a treatment that is not 0/1 takes the walk, which returns the
 values of an accepted body and raises the first line-numbered error
 otherwise. It makes Python calls per line: a 200k-row dataset with one
 text column reads in about 0.3 s on the same core, peaking at about 5.7
-times the file's size. A draws body takes the walk
-only after a check failed, to raise its first line-numbered error, or
-:class:`RaggedChains` if every line is well formed.
+times the file's size. A draws body takes the walk only after a check
+failed, to raise its first line-numbered error, or :class:`RaggedChains`
+if every line is well formed.
 
 A write formats ``_BLOCK_ROWS`` rows at a time into one file opened in
 binary, so lines end at ``\\n`` on every platform, with the bytes
@@ -490,7 +490,8 @@ def read_draws(path: str | Path) -> Draws:
     blocks, bytes that are not UTF-8) raise :class:`ParseError` with the
     offending line; chains of unequal length raise :class:`RaggedChains`;
     the checks of :class:`Draws` (non-finite values, duplicate or empty
-    parameter names, one iteration per chain) raise its errors.
+    parameter names, one iteration per chain) raise its errors. On POSIX,
+    a read of a regular file may save ``.<name>.effectprob`` beside it.
     """
     data, header, start = _read(path)
     if len(header) < 3:
@@ -536,7 +537,7 @@ def read_dataset(
     """Parse a dataset file, enforcing the binary-treatment contract.
 
     Columns other than the two named ones are ignored and may hold any
-    UTF-8 text without a comma.
+    UTF-8 text without a comma. A read writes no file.
 
     Raises
     ------
@@ -565,7 +566,7 @@ def read_dataset(
 
     # A body of numbers only takes the typed parse, one float64 field per
     # column; any other body, or a treatment cell that is not 0 or 1, the walk.
-    table = _table(path, data, start, np.dtype([("cells", np.float64, (len(header),))]))
+    table = _typed_table(data, start, np.dtype([("cells", np.float64, (len(header),))]))
     cells = None if table is None else table["cells"]
     if cells is not None and ((cells[:, d_idx] == 0.0) | (cells[:, d_idx] == 1.0)).all():
         outcome, treatment = cells[:, y_idx], cells[:, d_idx]

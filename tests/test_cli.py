@@ -892,33 +892,41 @@ class TestConsoleCommands:
             else:
                 pytest.fail(f"a line of the Console script step this test cannot run: {line!r}")
             ran += 1
-        # 9 commands, 4 refusals with their exit-code checks, 1 file check.
-        assert ran == 18
+        # 9 commands, 4 refusals with their exit-code checks, 2 file checks.
+        assert ran == 19
+
+
+def _console(directory, *argv: str) -> bytes:
+    """The stdout of ``python -m effectprob.cli *argv`` run in a fresh
+    interpreter in ``directory``, which must exit 0 with empty stderr."""
+    src = Path(effectprob.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "effectprob.cli", *argv], cwd=directory,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, b""), argv
+    return result.stdout
 
 
 def test_summarize_in_fresh_interpreters_reads_the_cache_the_first_saved(tmp_path):
     # Each command is its own process: the first summarize of a file fit
     # wrote parses it and saves its cache; the second neither parses the
     # file nor rewrites its cache, and prints what a parse prints.
-    src = Path(effectprob.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-
-    def console(*argv: str) -> bytes:
-        result = subprocess.run(
-            [sys.executable, "-m", "effectprob.cli", *argv], cwd=tmp_path, env=env,
-            capture_output=True, timeout=120,
-        )
-        assert (result.returncode, result.stderr) == (0, b""), argv
-        return result.stdout
-
-    console("simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
-    console("fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
+    _console(tmp_path, "simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
+    _console(tmp_path, "fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
     cache = cache_file(tmp_path / "dr.csv")
     assert not cache.exists()
-    first = console("summarize", "dr.csv", "--param", "beta1")
+    first = _console(tmp_path, "summarize", "dr.csv", "--param", "beta1")
     saved = cache.stat()
-    assert console("summarize", "dr.csv", "--param", "beta1") == first
+    assert _console(tmp_path, "summarize", "dr.csv", "--param", "beta1") == first
     after = cache.stat()
     assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
     cache.unlink()
-    assert console("summarize", "dr.csv", "--param", "beta1") == first
+    assert _console(tmp_path, "summarize", "dr.csv", "--param", "beta1") == first
+
+
+def test_fit_in_a_fresh_interpreter_writes_only_its_out_file(tmp_path):
+    # fit reads its dataset once and leaves no cache file beside it.
+    _console(tmp_path, "simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
+    _console(tmp_path, "fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv", "dr.csv"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import os
 import re
@@ -362,6 +363,14 @@ class TestWriterNames:
         assert (data.outcome.tolist(), data.treatment.tolist()) == ([1.5, -2.0, 0.25], [0, 1, 1])
 
 
+def add_text_column(path) -> None:
+    """Put a first column ``note`` of text (``r<row>``) in the dataset
+    file ``path``, which sends its read to the line walk."""
+    header, *body = path.read_text().splitlines()
+    noted = [f"note,{header}"] + [f"r{row},{line}" for row, line in enumerate(body, 1)]
+    path.write_text("\n".join(noted) + "\n")
+
+
 class TestAllocationPeaks:
     """A read holds a few copies of its file at most, a write one block of
     rows rather than the whole text."""
@@ -383,7 +392,7 @@ class TestAllocationPeaks:
 
     def written(self, tmp_path, kind: str, cache: str):
         """A written file, with no cache file for a miss or the one a
-        first read saves for a hit, and its reader."""
+        first read of a draws file saves for a hit, and its reader."""
         value, write, read = self.sample(kind)
         path = tmp_path / "file.csv"
         write(value, path)
@@ -392,8 +401,9 @@ class TestAllocationPeaks:
             assert cache_file(path).is_file()
         return path, read
 
-    @pytest.mark.parametrize("cache", ["miss", "hit"])
-    @pytest.mark.parametrize("kind", ["draws", "dataset"])
+    @pytest.mark.parametrize(
+        ("kind", "cache"), [("draws", "miss"), ("draws", "hit"), ("dataset", "miss")]
+    )
     def test_read_peak_is_at_most_four_times_the_file(self, tmp_path, kind, cache):
         path, read = self.written(tmp_path, kind, cache)
         assert peak_bytes(lambda: read(path)) <= 4 * path.stat().st_size
@@ -416,9 +426,7 @@ class TestAllocationPeaks:
         value, write, read = self.sample("dataset")
         path = tmp_path / "file.csv"
         write(value, path)
-        header, *body = path.read_text().splitlines()
-        noted = [f"note,{header}"] + [f"r{row},{line}" for row, line in enumerate(body, 1)]
-        path.write_text("\n".join(noted) + "\n")
+        add_text_column(path)
         assert peak_bytes(lambda: read(path)) <= 8 * path.stat().st_size
         assert read(path).outcome.tobytes() == value.outcome.tobytes()
 
@@ -460,10 +468,6 @@ class TestParseCache:
 
     FILES = {
         "draws": (write_fit_draws, read_draws),
-        "dataset": (
-            lambda path: write_dataset(simulate_experiment(50, 3.0, -1.0, 2.0, seed=4), path),
-            read_dataset,
-        ),
         # The typed parse takes it and the layout check refuses it.
         "ragged draws": (
             lambda path: path.write_bytes(b"chain,iter,a\n1,1,0.55\n1,2,0.6\n2,1,0.7\n"),
@@ -621,6 +625,34 @@ class TestParseCache:
         monkeypatch.setattr(effectprob.io.os, "replace", refuse)
         self.read_as_without(path, read, want, capfd)
         assert not cache_file(path).exists()
+
+
+class TestDatasetReadsNoCache:
+    """A dataset read neither loads nor saves a cache file: a forgery
+    beside it that a draws read would trust is left as it is."""
+
+    @pytest.mark.parametrize("path_taken", ["typed parse", "line walk"])
+    def test_a_forgery_a_draws_read_would_trust_is_ignored(self, tmp_path, path_taken):
+        path = tmp_path / "f.csv"
+        data = simulate_experiment(50, 3.0, -1.0, 2.0, seed=4)
+        write_dataset(data, path)
+        cells = np.column_stack([data.outcome, data.treatment])
+        if path_taken == "line walk":
+            add_text_column(path)
+            cells = np.column_stack([np.zeros(len(cells)), cells])
+        dtype = np.dtype([("cells", np.float64, (cells.shape[1],))])
+        table = np.empty(len(cells), dtype)
+        table["cells"] = cells
+        table["cells"][0, -2] += 1.0  # the first outcome
+        digest = hashlib.sha256(effectprob.io._CACHE_KEY + path.read_bytes()).digest()
+        forgery = digest + npy(table)
+        cache_file(path).write_bytes(forgery)
+        # The control: the cache loader takes the forgery for this file's table.
+        assert effectprob.io._load(cache_file(path), digest, dtype).tobytes() == table.tobytes()
+        before = cache_file(path).stat().st_mtime_ns
+        assert outcome(read_dataset, path) == (data.outcome.tobytes(), data.treatment.tobytes())
+        assert cache_file(path).stat().st_mtime_ns == before
+        assert cache_file(path).read_bytes() == forgery
 
 
 def _first_parser_call_keywords(source_file: str, function: str) -> set[str]:

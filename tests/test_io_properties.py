@@ -611,7 +611,9 @@ class TestDatasetProperties:
     @given(data=datasets())
     def test_write_then_read_is_bit_exact(self, path, data):
         write_dataset(data, path)
-        assert _same_dataset(read_twice(read_dataset, path), data)
+        written = sorted(path.parent.iterdir())
+        assert _same_dataset(read_dataset(path), data)
+        assert sorted(path.parent.iterdir()) == written  # a dataset read writes no file
 
     @PROPERTY
     @given(data=datasets())
