@@ -628,31 +628,127 @@ class TestParseCache:
 
 
 class TestDatasetReadsNoCache:
-    """A dataset read neither loads nor saves a cache file: a forgery
-    beside it that a draws read would trust is left as it is."""
+    """A dataset read neither looks for, loads nor saves a cache file:
+    whatever sits at the cache file's name beside it, the read gives the
+    CSV's values, prints nothing and leaves the directory as it was."""
 
-    @pytest.mark.parametrize("path_taken", ["typed parse", "line walk"])
-    def test_a_forgery_a_draws_read_would_trust_is_ignored(self, tmp_path, path_taken):
+    @pytest.fixture(params=["typed parse", "line walk"])
+    def dataset(self, request, tmp_path):
+        """The file, what a read of it gives, the digest a draws read would
+        key its cache file by, and a table of its cells whose first outcome
+        is one more."""
         path = tmp_path / "f.csv"
         data = simulate_experiment(50, 3.0, -1.0, 2.0, seed=4)
         write_dataset(data, path)
         cells = np.column_stack([data.outcome, data.treatment])
-        if path_taken == "line walk":
+        if request.param == "line walk":
             add_text_column(path)
             cells = np.column_stack([np.zeros(len(cells)), cells])
-        dtype = np.dtype([("cells", np.float64, (cells.shape[1],))])
-        table = np.empty(len(cells), dtype)
+        table = np.empty(len(cells), np.dtype([("cells", np.float64, (cells.shape[1],))]))
         table["cells"] = cells
         table["cells"][0, -2] += 1.0  # the first outcome
         digest = hashlib.sha256(effectprob.io._CACHE_KEY + path.read_bytes()).digest()
-        forgery = digest + npy(table)
-        cache_file(path).write_bytes(forgery)
+        return path, (data.outcome.tobytes(), data.treatment.tobytes()), digest, table
+
+    @staticmethod
+    def listing(directory) -> dict:
+        """Each entry of ``directory`` by name, with its type, size, times
+        and, for a regular file, its bytes."""
+        entries = {}
+        for entry in sorted(directory.iterdir()):
+            st = entry.lstat()
+            content = entry.read_bytes() if entry.is_file() and not entry.is_symlink() else None
+            entries[entry.name] = (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ino, content)
+        return entries
+
+    def read_leaving_all_as_it_is(self, path, want, capfd) -> None:
+        before = self.listing(path.parent)
+        assert outcome(read_dataset, path) == want
+        assert capfd.readouterr() == ("", "")
+        assert self.listing(path.parent) == before
+
+    def test_a_forgery_a_draws_read_would_trust_is_ignored(self, dataset, capfd):
+        path, want, digest, table = dataset
+        cache_file(path).write_bytes(digest + npy(table))
         # The control: the cache loader takes the forgery for this file's table.
-        assert effectprob.io._load(cache_file(path), digest, dtype).tobytes() == table.tobytes()
-        before = cache_file(path).stat().st_mtime_ns
-        assert outcome(read_dataset, path) == (data.outcome.tobytes(), data.treatment.tobytes())
-        assert cache_file(path).stat().st_mtime_ns == before
-        assert cache_file(path).read_bytes() == forgery
+        loaded = effectprob.io._load(cache_file(path), digest, table.dtype)
+        assert loaded.tobytes() == table.tobytes()
+        self.read_leaving_all_as_it_is(path, want, capfd)
+
+    def test_no_cache_file_is_left(self, dataset, capfd):
+        path, want, _, _ = dataset
+        self.read_leaving_all_as_it_is(path, want, capfd)
+        assert sorted(entry.name for entry in path.parent.iterdir()) == ["f.csv"]
+
+    def test_the_cache_code_is_never_called(self, dataset, monkeypatch):
+        path, want, _, _ = dataset
+
+        def called(*args, **kwargs):
+            raise AssertionError("a dataset read reached the parse cache")
+
+        for name in ("_table", "_cache", "_load", "_save"):
+            monkeypatch.setattr(effectprob.io, name, called)
+        assert outcome(read_dataset, path) == want
+
+    FORGERIES = {
+        "cut short": lambda digest, table, trap: (digest + npy(table))[: 32 + 40],
+        "2**60 rows": lambda digest, table, trap: digest + npy(table, (2**60,)),
+        "one column": lambda digest, table, trap: digest + npy(table, (len(table), 1)),
+        "no rows": lambda digest, table, trap: digest + npy(table[:0]),
+        "big-endian": lambda digest, table, trap: digest + npy(
+            table.astype(table.dtype.newbyteorder(">"))
+        ),
+        "pickled": lambda digest, table, trap: digest + pickled(_MakesDirectory(trap)),
+    }
+
+    @pytest.mark.parametrize("forgery", list(FORGERIES))
+    def test_a_forgery_of_any_form_is_left_as_it_is(self, dataset, capfd, forgery):
+        path, want, digest, table = dataset
+        trap = path.parent / "unpickled"
+        cache_file(path).write_bytes(self.FORGERIES[forgery](digest, table, trap))
+        self.read_leaving_all_as_it_is(path, want, capfd)
+        assert not trap.exists()
+
+    def test_symlink_to_a_forgery(self, dataset, capfd):
+        path, want, digest, table = dataset
+        (path.parent / "forgery").write_bytes(digest + npy(table))
+        cache_file(path).symlink_to(path.parent / "forgery")
+        self.read_leaving_all_as_it_is(path, want, capfd)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, dataset, capfd):
+        # With no writer, a pipe opened to read waits for one; the alarm
+        # turns that wait into a failure.
+        path, want, _, _ = dataset
+        os.mkfifo(cache_file(path))
+
+        def waited(signum, frame):
+            raise Waited("the read waited on the pipe")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            self.read_leaving_all_as_it_is(path, want, capfd)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_directory(self, dataset, capfd):
+        path, want, _, _ = dataset
+        cache_file(path).mkdir()
+        self.read_leaving_all_as_it_is(path, want, capfd)
+
+    def test_temporary_file_left_by_a_killed_save_of_this_pid(self, dataset, capfd):
+        path, want, _, _ = dataset
+        cache_file(path).with_name(f".f.csv.effectprob.{os.getpid()}").write_bytes(b"cut")
+        self.read_leaving_all_as_it_is(path, want, capfd)
+
+
+def pickled(value) -> bytes:
+    """A one-element object array holding ``value``, in the ``.npy`` format."""
+    out = BytesIO()
+    np.lib.format.write_array(out, np.array([value], dtype=object), allow_pickle=True)
+    return out.getvalue()
 
 
 def _first_parser_call_keywords(source_file: str, function: str) -> set[str]:
