@@ -886,14 +886,14 @@ class TestConsoleCommands:
                 refused = console(match[1])
             elif match := re.fullmatch(r'test "\$code" -eq (\d+)', line):
                 assert refused.returncode == int(match[1]), (line, refused.stderr)
-            elif match := re.fullmatch(r"test ! -e (.+)", line):
-                path = shlex.split(match[1].replace("$RUNNER_TEMP", str(tmp_path)))[0]
-                assert not Path(path).exists(), line
+            elif match := re.fullmatch(r"test (! -e|-f) (.+)", line):
+                path = Path(shlex.split(match[2].replace("$RUNNER_TEMP", str(tmp_path)))[0])
+                assert path.is_file() if match[1] == "-f" else not path.exists(), line
             else:
                 pytest.fail(f"a line of the Console script step this test cannot run: {line!r}")
             ran += 1
-        # 9 commands, 4 refusals with their exit-code checks, 2 file checks.
-        assert ran == 19
+        # 9 commands, 4 refusals with their exit-code checks, 3 file checks.
+        assert ran == 20
 
 
 def _console(directory, *argv: str) -> bytes:
@@ -909,16 +909,14 @@ def _console(directory, *argv: str) -> bytes:
 
 
 def test_summarize_in_fresh_interpreters_reads_the_cache_the_first_saved(tmp_path):
-    # Each command is its own process: the first summarize of a file fit
-    # wrote parses it and saves its cache; the second neither parses the
-    # file nor rewrites its cache, and prints what a parse prints.
+    # Each command is its own process: fit saves the cache of the file it
+    # writes; summarize loads it without rewriting it, and prints what a
+    # parse prints once the cache is deleted.
     _console(tmp_path, "simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
     _console(tmp_path, "fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
     cache = cache_file(tmp_path / "dr.csv")
-    assert not cache.exists()
-    first = _console(tmp_path, "summarize", "dr.csv", "--param", "beta1")
     saved = cache.stat()
-    assert _console(tmp_path, "summarize", "dr.csv", "--param", "beta1") == first
+    first = _console(tmp_path, "summarize", "dr.csv", "--param", "beta1")
     after = cache.stat()
     assert (after.st_ino, after.st_mtime_ns) == (saved.st_ino, saved.st_mtime_ns)
     cache.unlink()
@@ -926,7 +924,9 @@ def test_summarize_in_fresh_interpreters_reads_the_cache_the_first_saved(tmp_pat
 
 
 def test_fit_in_a_fresh_interpreter_writes_only_its_out_file(tmp_path):
-    # fit reads its dataset once and leaves no cache file beside it.
+    # fit reads its dataset once and leaves no cache file beside it; it
+    # saves the cache of the draws file it writes.
     _console(tmp_path, "simulate", "--n", "60", "--seed", "8", "--out", "d.csv")
     _console(tmp_path, "fit", "d.csv", "--iters", "400", "--warmup", "100", "--out", "dr.csv")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv", "dr.csv"]
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == [".dr.csv.effectprob", "d.csv", "dr.csv"]

@@ -300,16 +300,17 @@ class TestByteOrderMark:
 
 
 class Waited(Exception):
-    """Raised from a test's alarm while a read waits on a pipe. Not an
-    OSError such as TimeoutError, which a reader may take as an ordinary
-    outcome, as the parse cache takes it for a miss."""
+    """Raised from a test's alarm while a read or write waits on a pipe.
+    Not an OSError such as TimeoutError, which a reader may take as an
+    ordinary outcome, as the parse cache takes it for a miss."""
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 class TestNamedPipe:
     """Each reader opens its file once, so a pipe reads like a file, and
-    writes no cache file beside it. A second open would wait for a writer
-    that never comes; the alarm turns that wait into a failure."""
+    no reader or writer saves a cache file beside it. A second open would
+    wait for a writer that never comes; the alarm turns that wait into a
+    failure."""
 
     def _through_pipe(self, tmp_path, file, read):
         pipe = tmp_path / "pipe.csv"
@@ -345,6 +346,32 @@ class TestNamedPipe:
         got, want = self._through_pipe(tmp_path, file, read_dataset), read_dataset(file)
         assert got.outcome.tobytes() == want.outcome.tobytes()
         assert got.treatment.tobytes() == want.treatment.tobytes()
+
+    def test_write_draws(self, tmp_path):
+        # The draws writer saves no cache file for a pipe either.
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        file = tmp_path / "d.csv"
+        write_fit_draws(file)
+        draws = read_draws(file)
+
+        def waited(signum, frame):
+            raise Waited("the write waited on the pipe")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            write_draws(draws, pipe)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            reader.join(10)
+        assert not reader.is_alive()
+        assert received == [file.read_bytes()]
+        assert not list(tmp_path.glob(".pipe.csv.effectprob*"))
 
 
 class TestWriterNames:
@@ -391,14 +418,15 @@ class TestAllocationPeaks:
         assert peak <= 2 * path.stat().st_size
 
     def written(self, tmp_path, kind: str, cache: str):
-        """A written file, with no cache file for a miss or the one a
-        first read of a draws file saves for a hit, and its reader."""
+        """A written file, with no cache file for a miss or the one the
+        draws writer saves for a hit, and its reader."""
         value, write, read = self.sample(kind)
         path = tmp_path / "file.csv"
         write(value, path)
         if cache == "hit":
-            read(path)
             assert cache_file(path).is_file()
+        else:
+            cache_file(path).unlink(missing_ok=True)
         return path, read
 
     @pytest.mark.parametrize(
@@ -624,6 +652,63 @@ class TestParseCache:
 
         monkeypatch.setattr(effectprob.io.os, "replace", refuse)
         self.read_as_without(path, read, want, capfd)
+        assert not cache_file(path).exists()
+
+
+@pytest.mark.parametrize("block", [1, 7, effectprob.io._COUNT_BLOCK])
+def test_a_hit_counts_the_line_ends_bytes_count_does(monkeypatch, block):
+    # Lines of every length 0..20, counted from every offset, in blocks
+    # of one byte, of a few, and of the size a hit uses.
+    monkeypatch.setattr(effectprob.io, "_COUNT_BLOCK", block)
+    data = b"".join(b"1" * n + b"\n" for n in range(21)) + b"2"
+    for start in range(len(data) + 1):
+        assert effectprob.io._line_ends(data, start) == data.count(b"\n", start), start
+
+
+class TestWriterCache:
+    """Whatever sits at the cache file's name, or if the save fails, the
+    draws writer writes the CSV and leaves no temporary file."""
+
+    @pytest.fixture
+    def draws(self, tmp_path):
+        """Draws, and the CSV and cache file bytes a write of them gives."""
+        path = tmp_path / "plain" / "f.csv"
+        path.parent.mkdir()
+        write_fit_draws(path)
+        return read_draws(path), path.read_bytes(), cache_file(path).read_bytes()
+
+    @staticmethod
+    def write_as_without(path, draws) -> None:
+        values, csv, _ = draws
+        write_draws(values, path)
+        assert path.read_bytes() == csv
+        assert not list(path.parent.glob(".f.csv.effectprob.*"))
+        assert read_draws(path).values.tobytes() == values.values.tobytes()
+
+    def test_symlink(self, tmp_path, draws):
+        # The save replaces the link, never the file it points to.
+        path, target = tmp_path / "f.csv", tmp_path / "target"
+        target.write_bytes(b"left alone")
+        cache_file(path).symlink_to(target)
+        self.write_as_without(path, draws)
+        assert target.read_bytes() == b"left alone"
+        assert not cache_file(path).is_symlink()
+        assert cache_file(path).read_bytes() == draws[2]
+
+    def test_directory(self, tmp_path, draws):
+        path = tmp_path / "f.csv"
+        cache_file(path).mkdir()
+        self.write_as_without(path, draws)
+        assert cache_file(path).is_dir()
+
+    def test_replace_that_fails(self, tmp_path, draws, monkeypatch):
+        path = tmp_path / "f.csv"
+
+        def refuse(source, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(effectprob.io.os, "replace", refuse)
+        self.write_as_without(path, draws)
         assert not cache_file(path).exists()
 
 

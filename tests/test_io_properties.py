@@ -291,14 +291,14 @@ names = parameter_names(max_size=4)
 
 
 @st.composite
-def draw_sets(draw) -> Draws:
+def draw_sets(draw, elements=values) -> Draws:
     shape = (
         draw(st.integers(1, 3)),  # parameters
         draw(st.integers(1, 3)),  # chains
         draw(st.integers(2, 5)),  # iterations
     )
     params = draw(st.lists(names, min_size=shape[0], max_size=shape[0], unique=True))
-    matrix = draw(arrays(np.float64, shape, elements=values))
+    matrix = draw(arrays(np.float64, shape, elements=elements))
     return Draws(params, matrix)
 
 
@@ -375,6 +375,23 @@ class TestDrawsProperties:
         back = read_draws(path)
         write_draws(back, path)
         assert path.read_bytes() == text.encode("utf-8")
+
+    @PROPERTY
+    @given(d=draw_sets(elements=st.one_of(values, st.sampled_from([1e300, -1e300, 1e-5]))))
+    @example(d=SMALLEST)
+    def test_the_writers_cache_file_is_the_one_a_read_saves(self, path, d):
+        # A read loads the writer's cache file and leaves it as it is.
+        write_draws(d, path)
+        cache = cache_file(path)
+        written = cache.stat()
+        assert _same_draws(read_draws(path), d)
+        assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (
+            written.st_ino, written.st_mtime_ns
+        )
+        saved = cache.read_bytes()
+        cache.unlink()
+        read_draws(path)
+        assert cache.read_bytes() == saved
 
     @PROPERTY
     @given(d=draw_sets(), data=st.data())
