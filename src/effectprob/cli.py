@@ -63,7 +63,7 @@ def parse_summary_line(line: str) -> tuple[str, PosteriorSummary]:
 
 def _human_summary(name: str, s: PosteriorSummary) -> str:
     return (
-        f"{name:<8s} mean {s.mean:9.3f}   {s.level * 100:g}% CI "
+        f"{name:<8s} mean {s.mean:9.3f}   {s.level * 100:.15g}% CI "
         f"[{s.ci_low:9.3f}, {s.ci_high:9.3f}]   "
         f"P(>0) {s.p_greater_zero:.3f}   P(<0) {s.p_less_zero:.3f}"
     )

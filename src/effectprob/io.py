@@ -36,15 +36,15 @@ over two runs) a read of long_chains' 4.7 MB draws file takes 54-55 ms,
 4 x 9k fitted draws of three parameters 26 ms, 10k draws of one
 2.8-3.4 ms and a 200k-row dataset 55-57 ms.
 
-On POSIX, a draws file's typed parse goes through its parse cache,
-``.<name>.effectprob`` beside it if it is a regular file (README.md says
-when it is trusted); :func:`write_draws` saves it too. A hit costs the
-read, one SHA-256 pass over its bytes, one count of its line ends and
-one read of the ``.npy`` records, then the checks below as after a
-parse: on the same core (best CPU time of 7, two runs) 9.1-10.3 ms for
-long_chains' file and 3.2-3.5 ms for 4 x 10k draws of three parameters,
-against a parse's 56-58 and 32-34 ms. A miss, as for a file another
-program wrote, parses and saves the records: 61-62 and 35-36 ms.
+On POSIX, a draws read of a regular file goes through its parse cache,
+``.<name>.effectprob`` beside it (README.md says when it is trusted): a
+digest of the file's bytes, then the :class:`Draws` values as a ``.npy``.
+:func:`write_draws` saves it, and a read only for a file it accepted. A
+hit hashes the file, counts its line ends and checks the ``.npy`` header
+against them and the CSV's header before it reads the values: on the
+same core (best CPU time of 15, two runs) 5.1-5.3 ms for long_chains'
+file and 2.8 ms for 4 x 9k draws of three parameters. A miss parses and
+saves: 59 ms for long_chains' file, against 57 ms for the parse alone.
 
 A draws record holds two int64 index fields, whose parser refuses empty
 and non-integer cells but takes a leading ``+`` (so a body holding a
@@ -84,9 +84,9 @@ with ``%.17g`` per value) and 4 x 10k draws of three parameters in
 20-26 ms (68-75 ms).
 
 A draws write to a regular file also hashes each block it writes, then
-fills the records a parse would give from the values, 8 bytes per body
-cell, and saves them as its cache: 19-20 ms for the 4 x 10k draws above
-against 16.5-17.4 ms without (best CPU time of 7, two runs).
+saves the draws' values, 8 bytes each, as its cache: 16.6-17.4 ms for
+4 x 9k draws of three parameters against 16.2-16.6 ms without (best CPU
+time of 15, two runs).
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ _COUNT_BLOCK = 1 << 18  # bytes a hit compares per step as it counts line ends
 
 # Hashed before a file's bytes into its cache file's digest, so that a
 # cache file saved by another parser is never trusted. Bump the number
-# whenever _typed_table's records for the same bytes could change;
-# numpy's version stands for its parser's.
-_CACHE_KEY = f"effectprob parse cache 1, numpy {np.__version__}\n".encode()
+# whenever the array saved for the same bytes could change; numpy's
+# version stands for its parser's.
+_CACHE_KEY = f"effectprob parse cache 2, numpy {np.__version__}\n".encode()
 
 # Veltkamp's splitter, 2^27 + 1, and 10^k, exact for k <= 22, split into
 # halves of at most 26 significant bits: _two_product's operands.
@@ -278,7 +278,7 @@ def write_draws(d: Draws, path: str | Path) -> None:
     """Write a draws file: header ``chain,iter,<params>``, chain-major rows.
 
     On POSIX, a write to a regular file also saves ``.<name>.effectprob``
-    beside it, the parse cache its first read then loads."""
+    beside it, the parse cache of ``d.values`` that its reads then load."""
     params, chains, iterations = d.values.shape
     rows = chains * iterations
     columns = d.values.reshape(params, rows)
@@ -294,18 +294,7 @@ def write_draws(d: Draws, path: str | Path) -> None:
             out.write(lines)
             hashed.update(lines)
     if (cache := _cache(Path(path))) is not None:
-        # %.17g round-trips every finite double, so these are a parse's records.
-        table = np.empty(rows, _draws_dtype(params))
-        index = table["index"].reshape(chains, iterations, 2)
-        index[..., 0] = np.arange(1, chains + 1)[:, None]
-        index[..., 1] = np.arange(1, iterations + 1)
-        table["values"] = columns.T
-        _save(cache, hashed.digest(), table)
-
-
-def _draws_dtype(params: int) -> np.dtype:
-    """A draws record: the chain and iter cells, then one double per parameter."""
-    return np.dtype([("index", np.int64, (2,)), ("values", np.float64, (params,))])
+        _save(cache, hashed.digest(), d.values)
 
 
 def _format_block(columns: list[np.ndarray]) -> bytes:
@@ -449,22 +438,6 @@ def _typed_table(data: bytes, start: int, dtype: np.dtype) -> np.ndarray | None:
     return table if len(table) == lines else None
 
 
-def _table(path: str | Path, data: bytes, start: int, dtype: np.dtype) -> np.ndarray | None:
-    """``_typed_table``'s records of ``path``'s bytes ``data``, through its cache file."""
-    if (cache := _cache(Path(path))) is None:
-        return _typed_table(data, start, dtype)
-    hashed = hashlib.sha256(_CACHE_KEY)
-    hashed.update(data)
-    digest = hashed.digest()
-    table = _load(cache, digest, dtype)
-    # One row per body line, as _typed_table requires of a parse.
-    if table is not None and len(table) == _line_ends(data, start):
-        return table
-    if (table := _typed_table(data, start, dtype)) is not None:
-        _save(cache, digest, table)
-    return table
-
-
 def _line_ends(data: bytes, start: int) -> int:
     """``data.count(b"\\n", start)`` in about a fifth of its time, with
     one bool per byte of a ``_COUNT_BLOCK``, not of the file."""
@@ -481,9 +454,11 @@ def _cache(path: Path) -> Path | None:
     return path.with_name(f".{path.name}.effectprob") if regular else None
 
 
-def _load(cache: Path, digest: bytes, dtype: np.dtype) -> np.ndarray | None:
-    """The records in ``cache`` if it is a regular file of this user's: ``digest``,
-    then a 1-D ``.npy`` of ``dtype`` whose header promises the bytes that follow."""
+def _load(cache: Path, digest: bytes, params: int, rows: int) -> np.ndarray | None:
+    """The draws values in ``cache`` if it is a regular file of this user's:
+    ``digest``, then a version 1.0 ``.npy`` of native float64 in C order,
+    shaped ``(params, m, k)`` with ``m * k == rows``, whose header promises
+    the bytes that follow. All of it is checked before the array is allocated."""
     try:
         fd = os.open(cache, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
         with open(fd, "rb") as file:
@@ -491,12 +466,19 @@ def _load(cache: Path, digest: bytes, dtype: np.dtype) -> np.ndarray | None:
             mine = stat.S_ISREG(status.st_mode) and status.st_uid == os.getuid()
             if not mine or file.read(32) != digest or np.lib.format.read_magic(file) != (1, 0):
                 return None
-            shape, _, stored = np.lib.format.read_array_header_1_0(file)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(file)
             size = status.st_size - file.tell()
-            if stored != dtype or len(shape) != 1 or shape[0] * dtype.itemsize != size:
+            if (
+                dtype != np.float64
+                or fortran_order
+                or len(shape) != 3
+                or shape[0] != params
+                or shape[1] * shape[2] != rows
+                or 8 * params * rows != size
+            ):
                 return None
-            table = np.empty(shape, dtype)
-            return table if file.readinto(table) == size else None
+            values = np.empty(shape)
+            return values if file.readinto(values) == size else None
     except (OSError, ValueError, EOFError):
         return None
 
@@ -531,7 +513,9 @@ def read_draws(path: str | Path) -> Draws:
     offending line; chains of unequal length raise :class:`RaggedChains`;
     the checks of :class:`Draws` (non-finite values, duplicate or empty
     parameter names, one iteration per chain) raise its errors. On POSIX,
-    a read of a regular file may save ``.<name>.effectprob`` beside it.
+    a read of a regular file loads the values from ``.<name>.effectprob``
+    beside it if that is this file's cache, and otherwise, if it accepts
+    the file, saves the values there.
     """
     data, header, start = _read(path)
     if len(header) < 3:
@@ -542,9 +526,17 @@ def read_draws(path: str | Path) -> Draws:
 
     if start == len(data):
         raise ParseError("no draw rows after the header")
-    table = _table(path, data, start, _draws_dtype(len(names)))
     # loadtxt's int parser takes a leading "+".
     signed = data.find(b"+", start) >= 0 and _SIGNED_INDEX.search(data, start - 1)
+    if (cache := _cache(Path(path))) is not None:
+        hashed = hashlib.sha256(_CACHE_KEY)
+        hashed.update(data)
+        digest = hashed.digest()
+        values = None if signed else _load(cache, digest, len(names), _line_ends(data, start))
+        if values is not None:
+            return Draws(parameter_names=tuple(names), values=values)
+    record = np.dtype([("index", np.int64, (2,)), ("values", np.float64, (len(names),))])
+    table = _typed_table(data, start, record)
     if table is not None and not signed:
         # Every chain has k = rows / m rows, m being the last chain label:
         # row r holds chain r // k + 1 and iteration r % k + 1.
@@ -557,7 +549,10 @@ def read_draws(path: str | Path) -> Draws:
                 blocks[:, :, 1] == np.arange(1, k + 1)
             ).all():
                 values = table["values"].reshape(m, k, len(names)).transpose(2, 0, 1)
-                return Draws(parameter_names=tuple(names), values=values)
+                draws = Draws(parameter_names=tuple(names), values=values)
+                if cache is not None:
+                    _save(cache, digest, draws.values)
+                return draws
     _raise_draws_error(data, start, names)
 
 

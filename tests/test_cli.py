@@ -414,6 +414,21 @@ class TestSummarize:
         assert code == 2
         assert "error: InvalidLevel" in stderr
 
+    @pytest.mark.parametrize(
+        ("level", "label"),
+        [("0.95", "95"), ("0.9", "90"), ("0.99", "99"), ("0.999", "99.9"),
+         ("0.9999999", "99.99999"), ("0.999999999999", "99.9999999999")],
+    )
+    def test_human_line_names_the_level_unrounded(self, tmp_path, capsys, level, label):
+        # %g rounded the last two levels' labels to "100% CI".
+        path = tmp_path / "draws.csv"
+        write_draws(Draws(("a",), [[[1.0, 2.0, 3.0, 4.0]]]), path)
+        code, stdout, _ = run("summarize", str(path), "--level", level, capsys=capsys)
+        human, machine = stdout.splitlines()
+        assert code == 0
+        assert f"   {label}% CI [" in human
+        assert parse_summary_line(machine)[1].level == float(level)
+
     def test_param_required_when_ambiguous(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
         write_draws(Draws(("a", "b"), [[[1.0, 2.0]], [[3.0, 4.0]]]), path)
@@ -892,8 +907,8 @@ class TestConsoleCommands:
             else:
                 pytest.fail(f"a line of the Console script step this test cannot run: {line!r}")
             ran += 1
-        # 9 commands, 4 refusals with their exit-code checks, 3 file checks.
-        assert ran == 20
+        # 9 commands, 4 refusals with their exit-code checks, 4 file checks.
+        assert ran == 21
 
 
 def _console(directory, *argv: str) -> bytes:

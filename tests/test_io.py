@@ -16,6 +16,7 @@ import pytest
 import effectprob.io
 from effectprob.draws import Draws
 from effectprob.errors import (
+    DuplicateParameter,
     EffectProbError,
     InvalidArgument,
     MissingColumn,
@@ -471,12 +472,25 @@ def outcome(read, path) -> tuple:
 
 
 def npy(table: np.ndarray, shape: tuple | None = None) -> bytes:
-    """``table`` in the ``.npy`` format, its header claiming ``shape``."""
+    """``table`` in the ``.npy`` format, in its memory order, its header claiming ``shape``."""
     out = BytesIO()
     header = np.lib.format.header_data_from_array_1_0(table)
     np.lib.format.write_array_header_1_0(out, {**header, "shape": shape or table.shape})
-    out.write(table.tobytes())
+    out.write(table.tobytes("A"))
     return out.getvalue()
+
+
+def refuse_large_empty(monkeypatch) -> None:
+    """Make ``np.empty`` fail any request over 1 GiB, so that a read asked
+    to allocate what a cache file's header claims fails instead of trying."""
+    empty = np.empty
+
+    def guarded(shape, dtype=float, *args, **kwargs):
+        size = np.prod(shape, dtype=object) * np.dtype(dtype).itemsize
+        assert size <= 2**30, f"np.empty asked for {size} bytes"
+        return empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", guarded)
 
 
 class _MakesDirectory:
@@ -494,34 +508,27 @@ class TestParseCache:
     regular file of this user's, or a save that fails, gives exactly what
     a read gives with no cache file, and prints nothing."""
 
-    FILES = {
-        "draws": (write_fit_draws, read_draws),
-        # The typed parse takes it and the layout check refuses it.
-        "ragged draws": (
-            lambda path: path.write_bytes(b"chain,iter,a\n1,1,0.55\n1,2,0.6\n2,1,0.7\n"),
-            read_draws,
-        ),
-    }
+    FILES = {"draws": (write_fit_draws, read_draws)}
 
     @pytest.fixture(params=list(FILES))
     def csv(self, request, tmp_path):
         """The file, its reader, the cache file a parse saves for it, its
-        records, and what a read gives with no cache file."""
+        values, and what a read gives with no cache file."""
         write, read = self.FILES[request.param]
         path = tmp_path / "f.csv"
         write(path)
         want = outcome(read, path)
         genuine = cache_file(path).read_bytes()
         cache_file(path).unlink()
-        table = np.lib.format.read_array(BytesIO(genuine[32:]))
-        return path, read, genuine, table, want
+        values = np.lib.format.read_array(BytesIO(genuine[32:]))
+        return path, read, genuine, values, want
 
     @staticmethod
-    def forged(genuine: bytes, table: np.ndarray) -> bytes:
+    def forged(genuine: bytes, values: np.ndarray) -> bytes:
         """A cache file of the same CSV whose first value is one more."""
-        table = table.copy()
-        table[table.dtype.names[-1]][:, 0] += 1.0
-        return genuine[:32] + npy(table)
+        values = values.copy()
+        values[0, 0, 0] += 1.0
+        return genuine[:32] + npy(values)
 
     @staticmethod
     def read_as_without(path, read, want, capfd) -> None:
@@ -531,10 +538,8 @@ class TestParseCache:
 
     def test_a_forged_regular_file_of_this_user_is_trusted(self, csv):
         # The control for the forgeries below: only their placing stops them.
-        path, read, genuine, table, want = csv
-        if isinstance(want[0], type):
-            pytest.skip("the layout check refuses this file whatever its values")
-        cache_file(path).write_bytes(self.forged(genuine, table))
+        path, read, genuine, values, want = csv
+        cache_file(path).write_bytes(self.forged(genuine, values))
         assert outcome(read, path) != want
 
     def test_stale(self, csv, capfd):
@@ -558,39 +563,59 @@ class TestParseCache:
             assert outcome(read, path) == want, size
         self.read_as_without(path, read, want, capfd)
 
-    @pytest.mark.parametrize("shape", ["2**60 rows", "one column"])
-    def test_header_that_claims_another_shape(self, csv, capfd, shape):
-        # 2**60 rows are refused before an allocation of that size is tried.
-        path, read, genuine, table, want = csv
-        claim = (2**60,) if shape == "2**60 rows" else (len(table), 1)
-        cache_file(path).write_bytes(genuine[:32] + npy(table, claim))
+    @pytest.mark.parametrize(
+        "shape", ["one iteration more", "one parameter more", "flat", "2**60 chains"]
+    )
+    def test_header_that_claims_another_shape(self, csv, capfd, monkeypatch, shape):
+        # The payload is the CSV's values; every claim is refused before
+        # an array of the claimed shape is allocated.
+        path, read, genuine, values, want = csv
+        p, m, k = values.shape
+        claim = {
+            "one iteration more": (p, m, k + 1),
+            "one parameter more": (p + 1, m, k),
+            "flat": (p * m * k,),
+            "2**60 chains": (p, 2**60, k),
+        }[shape]
+        cache_file(path).write_bytes(genuine[:32] + npy(values, claim))
+        refuse_large_empty(monkeypatch)
         self.read_as_without(path, read, want, capfd)
 
-    @pytest.mark.parametrize("rows", [0, 1, -1])
-    def test_other_row_count_than_the_file_has_lines(self, csv, capfd, rows):
-        # Header and payload agree, but the table has no rows, one, or
-        # one fewer than the file has body lines.
-        path, read, genuine, table, want = csv
-        cache_file(path).write_bytes(genuine[:32] + npy(table[:rows]))
+    @pytest.mark.parametrize("part", ["one chain fewer", "one iteration fewer", "no rows"])
+    def test_other_row_count_than_the_file_has_lines(self, csv, capfd, part):
+        # Header and payload agree, but the array has fewer rows than the
+        # file has body lines.
+        path, read, genuine, values, want = csv
+        values = {
+            "one chain fewer": values[:, :-1],
+            "one iteration fewer": values[:, :, :-1],
+            "no rows": values[:, :0],
+        }[part]
+        cache_file(path).write_bytes(genuine[:32] + npy(values))
         self.read_as_without(path, read, want, capfd)
 
     def test_saved_by_another_parser(self, csv, capfd, monkeypatch):
         # A forgery whose digest was right for the parser that saved it.
-        path, read, genuine, table, want = csv
-        cache_file(path).write_bytes(self.forged(genuine, table))
+        path, read, genuine, values, want = csv
+        cache_file(path).write_bytes(self.forged(genuine, values))
         monkeypatch.setattr(effectprob.io, "_CACHE_KEY", b"effectprob parse cache 0\n")
         self.read_as_without(path, read, want, capfd)
 
     def test_other_record_type_of_the_same_size(self, csv, capfd):
-        # The same records big-endian: read as the reader's type, every value would differ.
-        path, read, genuine, table, want = csv
-        swapped = table.astype(table.dtype.newbyteorder(">"))
-        cache_file(path).write_bytes(genuine[:32] + npy(swapped))
+        # The same values big-endian: read as native doubles, every value would differ.
+        path, read, genuine, values, want = csv
+        cache_file(path).write_bytes(genuine[:32] + npy(values.astype(">f8")))
+        self.read_as_without(path, read, want, capfd)
+
+    def test_fortran_order_of_the_same_shape(self, csv, capfd):
+        # The same values in Fortran order: read in C order, they would be shuffled.
+        path, read, genuine, values, want = csv
+        cache_file(path).write_bytes(genuine[:32] + npy(np.asfortranarray(values)))
         self.read_as_without(path, read, want, capfd)
 
     @pytest.mark.parametrize("payload", ["object", "pickled"])
     def test_object_payload_is_never_unpickled(self, csv, capfd, payload):
-        path, read, genuine, table, want = csv
+        path, read, genuine, _, want = csv
         trap = path.parent / "unpickled"
         values = [{"a": 1}] if payload == "object" else [_MakesDirectory(trap)]
         out = BytesIO()
@@ -600,12 +625,12 @@ class TestParseCache:
         assert not trap.exists()
 
     def test_symlink_to_a_forgery(self, csv, capfd):
-        path, read, genuine, table, want = csv
+        path, read, genuine, values, want = csv
         forgery = path.parent / "forgery"
-        forgery.write_bytes(self.forged(genuine, table))
+        forgery.write_bytes(self.forged(genuine, values))
         cache_file(path).symlink_to(forgery)
         self.read_as_without(path, read, want, capfd)
-        assert forgery.read_bytes() == self.forged(genuine, table)
+        assert forgery.read_bytes() == self.forged(genuine, values)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_named_pipe(self, csv, capfd):
@@ -633,8 +658,8 @@ class TestParseCache:
 
     @pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() != 0, reason="needs root to chown")
     def test_forgery_of_another_user(self, csv, capfd):
-        path, read, genuine, table, want = csv
-        cache_file(path).write_bytes(self.forged(genuine, table))
+        path, read, genuine, values, want = csv
+        cache_file(path).write_bytes(self.forged(genuine, values))
         os.chown(cache_file(path), 1, 1)
         self.read_as_without(path, read, want, capfd)
 
@@ -712,6 +737,123 @@ class TestWriterCache:
         assert not cache_file(path).exists()
 
 
+def listing(directory) -> dict:
+    """Each entry of ``directory`` by name, with its type, size, times
+    and, for a regular file, its bytes."""
+    entries = {}
+    for entry in sorted(directory.iterdir()):
+        st = entry.lstat()
+        content = entry.read_bytes() if entry.is_file() and not entry.is_symlink() else None
+        entries[entry.name] = (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ino, content)
+    return entries
+
+
+def wait_alarm(signum, frame):
+    raise Waited("the read waited on the pipe")
+
+
+class TestRefusedDrawsSaveNoCache:
+    """A draws file that a read refuses gets no cache file: the read raises
+    what it raises with none and leaves whatever sits at the cache file's
+    name as it is, so every later read parses and refuses the file again."""
+
+    REFUSED = {
+        "ragged chains": (
+            b"chain,iter,a\n1,1,0.55\n1,2,0.6\n2,1,0.7\n",
+            RaggedChains, "parameter 'a': chains have unequal lengths",
+        ),
+        "ragged chains whose rows divide evenly": (
+            b"chain,iter,a\n1,1,0.1\n1,2,0.2\n2,1,0.3\n2,2,0.4\n2,3,0.5\n2,4,0.6\n",
+            RaggedChains, "parameter 'a': chains have unequal lengths",
+        ),
+        "skipped chain label": (
+            b"chain,iter,a\n1,1,0.1\n1,2,0.2\n3,1,0.3\n3,2,0.4\n",
+            ParseError, "line 4: expected chain 2, found 3",
+        ),
+        "signed index": (
+            b"chain,iter,a\n1,1,0.1\n1,+2,0.2\n",
+            ParseError, "line 3, column iter: expected a positive integer, got '+2'",
+        ),
+        "overflowing cell": (
+            b"chain,iter,a\n1,1,1e999\n1,2,0.5\n",
+            NonFiniteValue, "parameter 'a', chain 1, iteration 1",
+        ),
+        "duplicate name": (
+            b"chain,iter,a,a\n1,1,0.1,0.2\n1,2,0.3,0.4\n", DuplicateParameter, "'a'",
+        ),
+        "blank line": (
+            b"chain,iter,a\n1,1,0.5\n\n1,2,0.6\n",
+            ParseError, "line 3: expected 3 fields, found 1",
+        ),
+    }
+
+    @staticmethod
+    def place(cache: Path, at_name: str) -> None:
+        """Put ``at_name`` at the cache file's name, or beside it."""
+        if at_name == "symlink":
+            (cache.parent / "target").write_bytes(b"left alone")
+            cache.symlink_to(cache.parent / "target")
+        elif at_name == "pipe":
+            os.mkfifo(cache)
+        elif at_name == "directory":
+            cache.mkdir()
+        elif at_name == "killed save's file":
+            cache.with_name(f"{cache.name}.{os.getpid()}").write_bytes(b"cut")
+
+    @pytest.mark.parametrize(
+        "at_name", ["nothing", "symlink", "pipe", "directory", "killed save's file"]
+    )
+    @pytest.mark.parametrize("file", list(REFUSED))
+    def test_read_raises_and_leaves_all_as_it_is(self, tmp_path, capfd, file, at_name):
+        if at_name == "pipe" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        text, error, message = self.REFUSED[file]
+        path = tmp_path / "f.csv"
+        path.write_bytes(text)
+        self.place(cache_file(path), at_name)
+        before = listing(tmp_path)
+        previous = signal.signal(signal.SIGALRM, wait_alarm)
+        signal.alarm(10)
+        try:
+            for _ in range(2):
+                assert outcome(read_draws, path) == (error, message)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capfd.readouterr() == ("", "")
+        assert listing(tmp_path) == before
+
+
+def test_a_sparse_cache_file_claiming_2_38_rows_is_never_allocated(tmp_path, capfd, monkeypatch):
+    # The writer's cache file of a 4-row CSV, its header claiming 2**36
+    # times its rows and the file extended to the size that claims: a
+    # sparse file of a few blocks on disk.
+    path = tmp_path / "f.csv"
+    write_draws(Draws(("a",), [[[0.5, 0.25], [0.75, 1.0]]]), path)
+    want = outcome(read_draws, path)
+    genuine = BytesIO(cache_file(path).read_bytes())
+    digest = genuine.read(32)
+    np.lib.format.read_magic(genuine)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(genuine)
+    claim = (*shape[:-1], shape[-1] << 36)
+    header = BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran_order,
+         "shape": claim},
+    )
+    cache_file(path).write_bytes(digest + header.getvalue())
+    try:
+        os.truncate(cache_file(path), 32 + len(header.getvalue()) + dtype.itemsize * np.prod(
+            claim, dtype=object
+        ))
+    except (OSError, OverflowError):
+        pytest.skip("the filesystem refuses a sparse file of this size")
+    refuse_large_empty(monkeypatch)
+    assert outcome(read_draws, path) == want
+    assert capfd.readouterr() == ("", "")
+
+
 class TestDatasetReadsNoCache:
     """A dataset read neither looks for, loads nor saves a cache file:
     whatever sits at the cache file's name beside it, the read gives the
@@ -720,8 +862,8 @@ class TestDatasetReadsNoCache:
     @pytest.fixture(params=["typed parse", "line walk"])
     def dataset(self, request, tmp_path):
         """The file, what a read of it gives, the digest a draws read would
-        key its cache file by, and a table of its cells whose first outcome
-        is one more."""
+        key its cache file by, and its columns as a ``(columns, 1, rows)``
+        array of draws whose first outcome is one more."""
         path = tmp_path / "f.csv"
         data = simulate_experiment(50, 3.0, -1.0, 2.0, seed=4)
         write_dataset(data, path)
@@ -729,34 +871,23 @@ class TestDatasetReadsNoCache:
         if request.param == "line walk":
             add_text_column(path)
             cells = np.column_stack([np.zeros(len(cells)), cells])
-        table = np.empty(len(cells), np.dtype([("cells", np.float64, (cells.shape[1],))]))
-        table["cells"] = cells
-        table["cells"][0, -2] += 1.0  # the first outcome
+        table = cells.T[:, None, :].copy()
+        table[-2, 0, 0] += 1.0  # the first outcome
         digest = hashlib.sha256(effectprob.io._CACHE_KEY + path.read_bytes()).digest()
         return path, (data.outcome.tobytes(), data.treatment.tobytes()), digest, table
 
     @staticmethod
-    def listing(directory) -> dict:
-        """Each entry of ``directory`` by name, with its type, size, times
-        and, for a regular file, its bytes."""
-        entries = {}
-        for entry in sorted(directory.iterdir()):
-            st = entry.lstat()
-            content = entry.read_bytes() if entry.is_file() and not entry.is_symlink() else None
-            entries[entry.name] = (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ino, content)
-        return entries
-
-    def read_leaving_all_as_it_is(self, path, want, capfd) -> None:
-        before = self.listing(path.parent)
+    def read_leaving_all_as_it_is(path, want, capfd) -> None:
+        before = listing(path.parent)
         assert outcome(read_dataset, path) == want
         assert capfd.readouterr() == ("", "")
-        assert self.listing(path.parent) == before
+        assert listing(path.parent) == before
 
     def test_a_forgery_a_draws_read_would_trust_is_ignored(self, dataset, capfd):
         path, want, digest, table = dataset
         cache_file(path).write_bytes(digest + npy(table))
-        # The control: the cache loader takes the forgery for this file's table.
-        loaded = effectprob.io._load(cache_file(path), digest, table.dtype)
+        # The control: the cache loader takes the forgery for this file's values.
+        loaded = effectprob.io._load(cache_file(path), digest, len(table), table.shape[2])
         assert loaded.tobytes() == table.tobytes()
         self.read_leaving_all_as_it_is(path, want, capfd)
 
@@ -771,18 +902,16 @@ class TestDatasetReadsNoCache:
         def called(*args, **kwargs):
             raise AssertionError("a dataset read reached the parse cache")
 
-        for name in ("_table", "_cache", "_load", "_save"):
+        for name in ("_cache", "_line_ends", "_load", "_save"):
             monkeypatch.setattr(effectprob.io, name, called)
         assert outcome(read_dataset, path) == want
 
     FORGERIES = {
         "cut short": lambda digest, table, trap: (digest + npy(table))[: 32 + 40],
-        "2**60 rows": lambda digest, table, trap: digest + npy(table, (2**60,)),
-        "one column": lambda digest, table, trap: digest + npy(table, (len(table), 1)),
-        "no rows": lambda digest, table, trap: digest + npy(table[:0]),
-        "big-endian": lambda digest, table, trap: digest + npy(
-            table.astype(table.dtype.newbyteorder(">"))
-        ),
+        "2**60 rows": lambda digest, table, trap: digest + npy(table, (len(table), 2**60, 1)),
+        "flat": lambda digest, table, trap: digest + npy(table, (table.size,)),
+        "no rows": lambda digest, table, trap: digest + npy(table[:, :, :0]),
+        "big-endian": lambda digest, table, trap: digest + npy(table.astype(">f8")),
         "pickled": lambda digest, table, trap: digest + pickled(_MakesDirectory(trap)),
     }
 
